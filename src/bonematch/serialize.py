@@ -43,11 +43,12 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
     n = d["n"]
     edges = d["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    # ``type(...) is int`` because bool is a subclass of int: JSON true/false are refused.
+    if type(n) is not int or not isinstance(edges, list):
         raise ValueError("'n' must be an integer and 'edges' a list")
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f"malformed edge entry {e!r}")
         pairs.append((e[0], e[1]))
     name = d.get("name")

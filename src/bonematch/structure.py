@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _MIS_MAX = 40
+_BONE_BUDGET = 2_000_000
 
 
 def _alpha_of_mask(masks: list[int], avail: int) -> int:
@@ -147,141 +148,119 @@ class BoneEmbedding:
         return frozenset(self.path) | set(self.pendants_left) | set(self.pendants_right)
 
 
-def _bone_from_subset(G: Graph, subset: tuple[int, ...], i: int) -> BoneEmbedding | None:
-    sset = set(subset)
-    deg = {}
-    edge_total = 0
-    for u in subset:
-        d = len(G.adj[u] & sset)
-        deg[u] = d
-        edge_total += d
-    if edge_total != 2 * (i + 3):
+def _close(masks: list[int], nbrs: list[list[int]], path: list[int], body: int,
+           left: int) -> BoneEmbedding | None:
+    # First pendant pair at each end, in sorted order.  ``left`` already
+    # excludes every neighbour of the later spine vertices, and a right
+    # candidate is never adjacent to ``path[0]``, so the pairs are disjoint.
+    tail = path[-1]
+    inner = body ^ (1 << tail)
+    right = [w for w in nbrs[tail] if not (body >> w & 1 or masks[w] & inner)]
+    if len(right) < 2:
         return None
-    ones = [u for u in subset if deg[u] == 1]
-    threes = [u for u in subset if deg[u] == 3]
-    twos = [u for u in subset if deg[u] == 2]
-    if len(ones) != 4 or len(threes) != 2 or len(twos) != i - 2:
-        return None
-    # i+4 vertices with i+3 edges: connectivity now forces a tree, and the
-    # degree profile plus the end distance pins the tree down to a bone.
-    start, other = sorted(threes)
-    prev = {start: None}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for w in sorted(G.adj[u] & sset):
-            if w not in prev:
-                prev[w] = u
-                order.append(w)
-    if len(order) != len(subset):
-        return None
-    spine = [other]
-    while prev[spine[-1]] is not None:
-        spine.append(prev[spine[-1]])
-    spine.reverse()
-    if len(spine) != i:
-        return None
-    left = tuple(sorted((G.adj[start] & sset) - {spine[1]}))
-    right = tuple(sorted((G.adj[other] & sset) - {spine[-2]}))
-    return BoneEmbedding(tuple(spine), left, right)
-
-
-def _complete_spine(G: Graph, spine: list[int]) -> BoneEmbedding | None:
-    head, tail = spine[0], spine[-1]
-    body = set(spine)
-    left = sorted(w for w in G.adj[head] if w not in body and not (G.adj[w] & (body - {head})))
-    right = sorted(w for w in G.adj[tail] if w not in body and not (G.adj[w] & (body - {tail})))
-    if len(left) < 2 or len(right) < 2:
-        return None
-    for a1, a2 in combinations(left, 2):
-        if a2 in G.adj[a1]:
+    for a1, a2 in combinations([w for w in nbrs[path[0]] if left >> w & 1], 2):
+        if masks[a1] >> a2 & 1:
             continue
-        blocked = G.adj[a1] | G.adj[a2]
+        blocked = masks[a1] | masks[a2]
         for b1, b2 in combinations(right, 2):
-            if b2 in G.adj[b1] or b1 in blocked or b2 in blocked:
-                continue
-            return BoneEmbedding(tuple(spine), (a1, a2), (b1, b2))
+            if not (masks[b1] >> b2 & 1 or blocked >> b1 & 1 or blocked >> b2 & 1):
+                return BoneEmbedding(tuple(path), (a1, a2), (b1, b2))
     return None
 
 
-def _bone_via_spines(G: Graph, i: int) -> BoneEmbedding | None:
-    # Depth-first enumeration of induced paths on i vertices; each complete
-    # spine is then tested for two non-adjacent private pendants per end.
-    adj = G.adj
-    found: BoneEmbedding | None = None
-
-    def walk(spine: list[int], body: set[int]) -> BoneEmbedding | None:
-        if len(spine) == i:
-            if spine[0] > spine[-1]:
-                return None
-            return _complete_spine(G, spine)
-        last = spine[-1]
-        inner = body - {last}
-        for w in sorted(adj[last]):
-            if w in body or adj[w] & inner:
-                continue
-            spine.append(w)
-            body.add(w)
-            got = walk(spine, body)
-            spine.pop()
-            body.discard(w)
-            if got is not None:
-                return got
-        return None
-
+def _bone_scan(G: Graph, wanted: set[int]) -> dict[int, BoneEmbedding]:
+    # One depth-first search over induced paths from every vertex of degree
+    # at least 3, recording the first bone of each wanted index.  ``left`` is
+    # the start's private-pendant candidates: neighbours off the path and not
+    # adjacent to any later spine vertex; a branch with fewer than two is
+    # dropped.  Every DFS node counts against ``_BONE_BUDGET``.  ``todo`` holds
+    # one neighbour iterator per spine vertex, so a long spine cannot hit
+    # Python's recursion limit.
+    if G.n - 4 in wanted and G.edge_count() != G.n - 1:
+        wanted = wanted - {G.n - 4}  # a spanning bone is a tree
+    found: dict[int, BoneEmbedding] = {}
+    if not wanted:
+        return found
+    budget = _BONE_BUDGET
+    masks = G.adjacency_masks()
+    nbrs = [sorted(s) for s in G.adj]
+    missing = set(wanted)
+    top = max(missing)
+    nodes = 0
     for v0 in range(G.n):
-        found = walk([v0], {v0})
-        if found is not None:
-            return found
-    return None
+        if len(nbrs[v0]) < 3:
+            continue
+        path, body, lefts, todo = [v0], 1 << v0, [masks[v0]], [iter(nbrs[v0])]
+        while todo:
+            inner = body ^ (1 << path[-1])
+            for w in todo[-1]:
+                bit = 1 << w
+                left = lefts[-1] & ~(masks[w] | bit)
+                if body & bit or masks[w] & inner or left.bit_count() < 2:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise GuardExceededError(f"bone search exceeded {budget} DFS nodes")
+                path.append(w)
+                body |= bit
+                if len(path) in missing:
+                    emb = _close(masks, nbrs, path, body, left)
+                    if emb is not None:
+                        found[emb.index] = emb
+                        missing.discard(emb.index)
+                        if not missing:
+                            return found
+                        top = max(missing)
+                if len(path) < top:
+                    lefts.append(left)
+                    todo.append(iter(nbrs[w]))
+                    break
+                path.pop()
+                body ^= bit
+            else:
+                todo.pop()
+                lefts.pop()
+                body ^= 1 << path.pop()
+    return found
 
 
-def find_induced_bone(G: Graph, i: int, strategy: str = "auto") -> BoneEmbedding | None:
+def find_induced_bone(G: Graph, i: int) -> BoneEmbedding | None:
     """First induced bone of index ``i`` in deterministic scan order, or ``None``.
 
-    ``strategy`` selects between the subset scan (used automatically for at
-    most 12 vertices) and the induced-path search (larger graphs).
+    Raises ``GuardExceededError`` when the search exceeds its node budget.
     """
     if i < 2:
         raise ValueError(f"bone index must be at least 2, got {i}")
-    if strategy not in ("auto", "subsets", "spines"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if i + 4 > G.n:
         return None
-    if strategy == "auto":
-        strategy = "subsets" if G.n <= 12 else "spines"
-    if strategy == "subsets":
-        for subset in combinations(range(G.n), i + 4):
-            emb = _bone_from_subset(G, subset, i)
-            if emb is not None:
-                return emb
-        return None
-    return _bone_via_spines(G, i)
+    return _bone_scan(G, {i}).get(i)
 
 
 def admitting_set(G: Graph, i_max: int | None = None) -> frozenset[int]:
     """Indices ``i`` in ``2..i_max`` for which an induced bone exists.
 
     The cap defaults to (and is clamped at) ``n - 4``, beyond which no bone
-    fits, so the default is the complete admitting set.
+    fits, so the default is the complete admitting set.  One search covers
+    every index; it raises ``GuardExceededError`` past its node budget.
     """
     cap = G.n - 4 if i_max is None else min(i_max, G.n - 4)
-    return frozenset(i for i in range(2, cap + 1) if find_induced_bone(G, i) is not None)
+    return frozenset(_bone_scan(G, set(range(2, cap + 1))))
 
 
 @dataclass(frozen=True)
 class StructureProfile:
-    """Summary of the structural parameters used by the deficiency bounds."""
+    """Summary of the structural parameters used by the deficiency bounds.
+
+    ``omega`` and ``triangle_free`` are ``None`` when the clique number was skipped.
+    """
 
     alpha_l: int
-    omega: int
+    omega: int | None
     admitting: frozenset[int]
     admitting_cap: int
     snail_horn_count: int
     claw_free: bool
-    triangle_free: bool
+    triangle_free: bool | None
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -295,15 +274,17 @@ class StructureProfile:
         }
 
 
-def structure_profile(G: Graph, i_max: int | None = None) -> StructureProfile:
+def structure_profile(G: Graph, i_max: int | None = None, *,
+                      with_omega: bool = True) -> StructureProfile:
     """Compute all structural parameters at once.
 
     ``i_max`` caps the bone search; the recorded cap lets consumers tell a
-    truncated admitting set from a complete one.
+    truncated admitting set from a complete one.  ``with_omega=False`` skips
+    the clique number, whose exact computation is limited to 40 vertices.
     """
     cap = G.n - 4 if i_max is None else min(i_max, G.n - 4)
     alpha_l = local_independence_number(G)
-    omega = clique_number(G)
+    omega = clique_number(G) if with_omega else None
     admitting = admitting_set(G, cap)
     return StructureProfile(
         alpha_l=alpha_l,
@@ -312,5 +293,5 @@ def structure_profile(G: Graph, i_max: int | None = None) -> StructureProfile:
         admitting_cap=cap,
         snail_horn_count=len(snail_horns(G)),
         claw_free=alpha_l < 3,
-        triangle_free=omega < 3,
+        triangle_free=None if omega is None else omega < 3,
     )

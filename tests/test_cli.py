@@ -66,6 +66,14 @@ def test_lm_reports_tight_bound_and_valid_trace(tmp_path, capsys):
     assert "Z          {3, 4}" in out
 
 
+def test_lm_validates_trace_above_clique_guard(tmp_path, capsys):
+    path = make_graph_file(tmp_path, "t_tree", "m=7,n=5")  # 69 vertices
+    capsys.readouterr()
+    assert run_cli(["lm", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert any(line.split() == ["trace", "valid"] for line in out.splitlines())
+
+
 def test_lm_root_sweep(tmp_path, capsys):
     path = make_graph_file(tmp_path, "bs", "n=2,p=3")
     capsys.readouterr()

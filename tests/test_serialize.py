@@ -56,6 +56,18 @@ def test_json_dict_rejects_malformed():
         graph_from_json_dict({"n": "two", "edges": []})
 
 
+def test_json_dict_rejects_bool_vertex_count():
+    with pytest.raises(ValueError):
+        graph_from_json_dict({"n": True, "edges": []})
+
+
+def test_json_dict_rejects_bool_vertex_ids():
+    with pytest.raises(ValueError):
+        graph_from_json_dict({"n": 3, "edges": [[True, 2]]})
+    with pytest.raises(ValueError):
+        graph_from_json_dict({"n": 3, "edges": [[0, False]]})
+
+
 def test_read_graph_json_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from bonematch import (
     GuardExceededError,
+    TheoremSpec,
     admitting_set,
     bs,
     build_graph,
+    check_theorem,
     clique_number,
     complete_graph,
     deficiency,
@@ -19,10 +21,12 @@ from bonematch import (
     local_independence_number,
     max_independent_set,
     path_graph,
+    random_connected,
     star_graph,
     structure_profile,
     t_tree,
 )
+from bonematch import structure
 from .helpers import (
     admitting_set_by_path_enum,
     has_independent_neighbors,
@@ -100,8 +104,6 @@ def test_find_induced_bone_examples():
 def test_find_induced_bone_validates_arguments():
     with pytest.raises(ValueError):
         find_induced_bone(bs(2, 3), 1)
-    with pytest.raises(ValueError):
-        find_induced_bone(bs(2, 3), 2, strategy="nope")
 
 
 def test_found_embeddings_are_real_bones():
@@ -122,13 +124,42 @@ def test_found_embeddings_are_real_bones():
             assert G.has_edge(emb.path[-1], p)
 
 
-@given(st.integers(0, 10**6), st.integers(6, 10), st.integers(2, 6))
-def test_bone_strategies_agree_with_subset_oracle(seed, n, i):
-    G = random_connected_graph(random.Random(seed), n)
-    by_subsets = find_induced_bone(G, i, strategy="subsets")
-    by_spines = find_induced_bone(G, i, strategy="spines")
-    assert (by_subsets is None) == (by_spines is None)
-    assert (by_subsets is not None) == has_induced_bone_subsets(G, i)
+def test_bone_search_agrees_with_oracles():
+    # 100 graphs on 6..10 vertices, where every index is also checked by the
+    # subset-isomorphism oracle, then 140 sparser ones on 11..30 vertices
+    # (the path-enumeration oracle slows down sharply with density there).
+    rng = random.Random(2505)
+    sizes = [6 + k % 5 for k in range(100)] + [11 + k % 20 for k in range(140)]
+    for n in sizes:
+        extra = rng.choice((0.1, 0.2, 0.3) if n <= 10 else (0.04, 0.08, 0.12))
+        G = random_connected_graph(rng, n, extra=extra)
+        A = admitting_set(G)
+        assert A == admitting_set_by_path_enum(G), (n, G.edges())
+        if n <= 10:
+            for i in range(2, n - 3):
+                got = find_induced_bone(G, i)
+                assert (got is not None) == has_induced_bone_subsets(G, i), (i, G.edges())
+                assert (got is not None) == (i in A)
+
+
+def test_bone_search_budget_trips_guard(monkeypatch):
+    monkeypatch.setattr(structure, "_BONE_BUDGET", 10)
+    G = f_family(1, 2)
+    with pytest.raises(GuardExceededError):
+        admitting_set(G)
+    with pytest.raises(GuardExceededError):
+        find_induced_bone(G, 8)
+    result = check_theorem(G, TheoremSpec("thm-1.3-bonefree"))
+    assert result.indeterminate and not result.passed
+
+
+def test_bone_search_on_sparse_80_vertex_graph_ends():
+    G = random_connected(80, 0.05, 1)
+    try:
+        A = admitting_set(G)
+    except GuardExceededError:
+        return
+    assert A <= set(range(2, G.n - 3))
 
 
 def test_admitting_set_examples():
@@ -193,6 +224,15 @@ def test_structure_profile_examples():
     e = structure_profile(e_family(3, 2, 2))
     assert e.admitting == {4}
     assert e.alpha_l == 3
+
+
+def test_structure_profile_can_skip_omega():
+    G = t_tree(7, 5)  # above the 40-vertex clique-number guard
+    p = structure_profile(G, with_omega=False)
+    assert p.omega is None and p.triangle_free is None
+    assert p.admitting == {3, 5, 7, 9} and p.admitting_cap == G.n - 4
+    with pytest.raises(GuardExceededError):
+        structure_profile(G)
 
 
 def test_structure_profile_json_keys():
