@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from typing import Any, Sequence
@@ -129,18 +130,24 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
-    profile = structure_profile(G, i_max=args.max_bone)
+    profile = structure_profile(G, i_max=args.max_bone, with_omega=False)
+    try:
+        omega = clique_number(G)
+    except GuardExceededError:
+        pass  # omega and triangle-free print as "?", as in the family table
+    else:
+        profile = replace(profile, omega=omega, triangle_free=omega < 3)
     kd = deficiency(G)
     _print_kv("graph", G.name or graph_key(G))
     _print_kv("vertices", G.n)
     _print_kv("edges", G.edge_count())
     _print_kv("deficiency", kd)
     _print_kv("alpha_l", profile.alpha_l)
-    _print_kv("omega", profile.omega)
+    _print_kv("omega", "?" if profile.omega is None else profile.omega)
     _print_kv("admitting", f"{_fmt_set(profile.admitting)} (cap {profile.admitting_cap})")
     _print_kv("snail horns", profile.snail_horn_count)
     _print_kv("claw-free", "yes" if profile.claw_free else "no")
-    _print_kv("triangle-free", "yes" if profile.triangle_free else "no")
+    _print_kv("triangle-free", {None: "?", True: "yes", False: "no"}[profile.triangle_free])
     if args.critical != "skip":
         crit = is_deficiency_critical(G, args.critical)
         _print_kv("criticality", f"{crit.verdict} (mode {crit.mode})")

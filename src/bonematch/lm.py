@@ -6,12 +6,20 @@ kinds of improving moves; the terminal matching is guaranteed (and verified
 at runtime) to leave every unsaturated upper vertex with two private
 witnesses, which feeds the next level.  The sum of the leftover sets bounds
 the deficiency from above.
+
+The local search is incremental.  Every upper vertex keeps a count of its
+unmatched lower neighbours, and a move is legal iff no unmatched upper vertex
+whose count it lowers drops to 0.  This is exact because coverage holds before
+every move: the precondition gives it for the empty matching, accepted moves
+keep it, and unmatching a traded edge only raises counts while its freed upper
+end sees its freed lower one.  A trade's second edge only lowers counts, so it
+must match every upper vertex the first left dead: a first edge leaving more
+than two is skipped, and pairs are still tried in lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any, Iterable, NamedTuple
 
 from .errors import PostconditionError
@@ -56,17 +64,6 @@ class TwoLevelResult:
         return dict(self.private)
 
 
-def _coverage_ok(adj: tuple[frozenset[int], ...], X: frozenset[int], Y: frozenset[int],
-                 matched: dict[int, int]) -> bool:
-    # Every unmatched upper vertex must keep an unmatched lower neighbour.
-    for y in Y:
-        if y in matched:
-            continue
-        if not any(w in X and w not in matched for w in adj[y]):
-            return False
-    return True
-
-
 def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevelResult:
     """Run the two-level local search on ``H`` partitioned into ``X`` and ``Y``.
 
@@ -94,45 +91,63 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
 
     adj = H.adj
     edges = H.edges()
-    matched: dict[int, int] = {}
+    matched: set[int] = set()
     matching: set[Edge] = set()
+    # upper neighbours of each lower vertex; unmatched lower neighbours of each upper one
+    upper = [tuple(adj[w] & Ys) if w in Xs else () for w in range(H.n)]
+    free = [len(adj[y] & Xs) for y in range(H.n)]
+
+    def set_matched(e: Edge, on: bool) -> None:
+        (matched.update if on else matched.difference_update)(e)
+        step = -1 if on else 1
+        for y in upper[e[0]] + upper[e[1]]:
+            free[y] += step
+
+    def dead(e: Edge) -> set[int]:
+        # unmatched upper vertices that matching e left without a free lower neighbour
+        return {y for w in e for y in upper[w] if not free[y] and y not in matched}
 
     def try_add() -> bool:
-        for u, v in edges:
-            if u in matched or v in matched:
+        for e in edges:
+            if e[0] in matched or e[1] in matched:
                 continue
-            matched[u] = v
-            matched[v] = u
-            if _coverage_ok(adj, Xs, Ys, matched):
-                matching.add((u, v))
+            set_matched(e, True)
+            if not dead(e):
+                matching.add(e)
                 return True
-            del matched[u]
-            del matched[v]
+            set_matched(e, False)
         return False
 
     def try_trade() -> bool:
         for old in sorted(matching):
             if not (old[0] in Xs or old[1] in Xs):
                 continue
-            del matched[old[0]]
-            del matched[old[1]]
-            free_edges = [e for e in edges if e[0] not in matched and e[1] not in matched]
-            for e1, e2 in combinations(free_edges, 2):
-                if len({e1[0], e1[1], e2[0], e2[1]}) != 4:
-                    continue
-                for a, b in (e1, e2):
-                    matched[a] = b
-                    matched[b] = a
-                if _coverage_ok(adj, Xs, Ys, matched):
-                    matching.discard(old)
-                    matching.add(e1)
-                    matching.add(e2)
-                    return True
-                for a, b in (e1, e2):
-                    del matched[a]
-                    del matched[b]
-            matched[old[0]] = old[1]
-            matched[old[1]] = old[0]
+            set_matched(old, False)
+            pool = [e for e in edges if e[0] not in matched and e[1] not in matched]
+            at: dict[int, list[int]] = {}  # pool indices of the edges at each vertex
+            for j, e in enumerate(pool):
+                for w in e:
+                    at.setdefault(w, []).append(j)
+            for i, e1 in enumerate(pool):
+                set_matched(e1, True)
+                lost = dead(e1)
+                # e2 only lowers counts, so it must match every vertex e1 left dead
+                later: Iterable[int] = () if lost else range(i + 1, len(pool))
+                if 0 < len(lost) <= 2:
+                    later = [j for j in at.get(lost.pop(), ()) if j > i and lost <= set(pool[j])]
+                for j in later:
+                    e2 = pool[j]
+                    if e2[0] in matched or e2[1] in matched:
+                        continue
+                    set_matched(e2, True)
+                    if not dead(e2):
+                        matching.discard(old)
+                        matching.add(e1)
+                        matching.add(e2)
+                        return True
+                    set_matched(e2, False)
+                set_matched(e1, False)
+            set_matched(old, True)
         return False
 
     while try_add() or try_trade():

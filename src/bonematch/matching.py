@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Any, NamedTuple
 
 from .errors import GuardExceededError
-from .graphs import Graph, build_graph, induced_subgraph
+from .graphs import Graph, build_graph, induced_subgraph, is_connected
 
 __all__ = [
     "MatchingResult",
@@ -311,6 +311,16 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lex_less(a: int, b: int) -> bool:
+    # Whether the sorted vertex tuple of mask a precedes that of mask b (a != b).
+    # Both agree below d, the lowest differing bit; the mask holding d comes
+    # first unless the other one stops there (then it is a prefix).
+    d = (a ^ b) & -(a ^ b)
+    if a & d:
+        return bool(b & -(d << 1))
+    return not (a & -(d << 1))
+
+
 @dataclass(frozen=True)
 class CriticalityResult:
     """Verdict on whether every proper connected induced subgraph has smaller deficiency.
@@ -345,7 +355,7 @@ def is_deficiency_critical(G: Graph, mode: str = "exhaustive") -> CriticalityRes
             if not rest:
                 continue
             H, vmap = induced_subgraph(G, rest)
-            if _connected_graph(H) and deficiency(H) >= kd:
+            if is_connected(H) and deficiency(H) >= kd:
                 return CriticalityResult("not-critical", mode, kd, H, vmap)
         return CriticalityResult("partial-pass", mode, kd)
 
@@ -354,22 +364,15 @@ def is_deficiency_critical(G: Graph, mode: str = "exhaustive") -> CriticalityRes
     masks = G.adjacency_masks()
     f = _matching_size_table(masks, G.n)
     full = (1 << G.n) - 1
-    witnesses = []
+    best = 0
     for mask in range(1, full):
-        size = mask.bit_count()
-        if size - 2 * f[mask] >= kd and _mask_connected(masks, mask):
-            witnesses.append(_mask_vertices(mask))
-    if not witnesses:
+        if (mask.bit_count() - 2 * f[mask] >= kd and (not best or _lex_less(mask, best))
+                and _mask_connected(masks, mask)):
+            best = mask
+    if not best:
         return CriticalityResult("critical", mode, kd)
-    best = min(witnesses)
-    H, vmap = induced_subgraph(G, best)
+    H, vmap = induced_subgraph(G, _mask_vertices(best))
     return CriticalityResult("not-critical", mode, kd, H, vmap)
-
-
-def _connected_graph(G: Graph) -> bool:
-    from .graphs import is_connected
-
-    return is_connected(G)
 
 
 def critical_core(G: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -387,7 +390,7 @@ def critical_core(G: Graph) -> tuple[Graph, tuple[int, ...]]:
     f = _matching_size_table(masks, G.n)
     best_kd = -1
     best_size = 0
-    best_vs: tuple[int, ...] = ()
+    best = 0
     for mask in range(1, 1 << G.n):
         kd = mask.bit_count() - 2 * f[mask]
         if kd < best_kd:
@@ -397,8 +400,7 @@ def critical_core(G: Graph) -> tuple[Graph, tuple[int, ...]]:
             continue
         if not _mask_connected(masks, mask):
             continue
-        vs = _mask_vertices(mask)
-        if kd > best_kd or size < best_size or vs < best_vs:
-            best_kd, best_size, best_vs = kd, size, vs
-    H, vmap = induced_subgraph(G, best_vs)
+        if kd > best_kd or size < best_size or _lex_less(mask, best):
+            best_kd, best_size, best = kd, size, mask
+    H, vmap = induced_subgraph(G, _mask_vertices(best))
     return H, vmap

@@ -12,7 +12,7 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
-from bonematch import Graph, build_graph
+from bonematch import Graph, TwoLevelResult, build_graph
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +311,81 @@ def check_two_level_postconditions(H: Graph, X, Y, result) -> list[str]:
         if len(spoiled) > 1:
             errs.append(f"(4) matched {v} spoils {len(spoiled)} residuals")
     return errs
+
+
+# ---------------------------------------------------------------------------
+# reference two-level local search: the plain move loop with a full coverage
+# rescan per candidate move and every pair of free edges per trade
+
+
+def two_level_matching_reference(H: Graph, X, Y) -> TwoLevelResult:
+    """The two-level local search as first written, for differential tests.
+
+    Same moves in the same order as ``bonematch.lm.two_level_matching``, but
+    every candidate move re-checks coverage over all upper vertices.  Input
+    validation and the runtime postcondition check are left to the package.
+    """
+    Xs, Ys = frozenset(X), frozenset(Y)
+    adj = H.adj
+    edges = H.edges()
+    matched: dict[int, int] = {}
+    matching: set[tuple[int, int]] = set()
+
+    def coverage_ok() -> bool:
+        # every unmatched upper vertex must keep an unmatched lower neighbour
+        return all(
+            any(w in Xs and w not in matched for w in adj[y])
+            for y in Ys if y not in matched
+        )
+
+    def try_add() -> bool:
+        for u, v in edges:
+            if u in matched or v in matched:
+                continue
+            matched[u] = v
+            matched[v] = u
+            if coverage_ok():
+                matching.add((u, v))
+                return True
+            del matched[u]
+            del matched[v]
+        return False
+
+    def try_trade() -> bool:
+        for old in sorted(matching):
+            if not (old[0] in Xs or old[1] in Xs):
+                continue
+            del matched[old[0]]
+            del matched[old[1]]
+            free_edges = [e for e in edges if e[0] not in matched and e[1] not in matched]
+            for e1, e2 in combinations(free_edges, 2):
+                if len({e1[0], e1[1], e2[0], e2[1]}) != 4:
+                    continue
+                for a, b in (e1, e2):
+                    matched[a] = b
+                    matched[b] = a
+                if coverage_ok():
+                    matching.discard(old)
+                    matching.add(e1)
+                    matching.add(e2)
+                    return True
+                for a, b in (e1, e2):
+                    del matched[a]
+                    del matched[b]
+            matched[old[0]] = old[1]
+            matched[old[1]] = old[0]
+        return False
+
+    while try_add() or try_trade():
+        pass
+
+    y_res = frozenset(y for y in Ys if y not in matched)
+    x_res = frozenset(x for x in Xs if x not in matched and adj[x] & y_res)
+    private = []
+    for x in sorted(x_res):
+        witnesses = sorted(
+            y for y in y_res
+            if x in adj[y] and all(w in matched for w in adj[y] if w != x)
+        )
+        private.append((x, (witnesses[0], witnesses[1])))
+    return TwoLevelResult(frozenset(matching), x_res, y_res, tuple(private))

@@ -54,6 +54,19 @@ def test_analyze_criticality_and_artifact(tmp_path, capsys):
     assert data["profile"]["admitting"] == [3]
 
 
+def test_analyze_prints_unknown_omega_above_clique_guard(tmp_path, capsys):
+    path = make_graph_file(tmp_path, "t_tree", "m=7,n=5")  # 69 vertices
+    out_path = tmp_path / "analysis.json"
+    capsys.readouterr()
+    assert run_cli(["analyze", str(path), "--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "omega          ?" in out
+    assert "triangle-free  ?" in out
+    assert "admitting      {3, 5, 7, 9}" in out
+    profile = json.loads(out_path.read_text())["profile"]
+    assert profile["omega"] is None and profile["triangle_free"] is None
+
+
 def test_lm_reports_tight_bound_and_valid_trace(tmp_path, capsys):
     path = make_graph_file(tmp_path, "bs", "n=2,p=3")
     capsys.readouterr()

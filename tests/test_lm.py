@@ -13,13 +13,20 @@ from bonematch import (
     lm_run,
     path_graph,
     s_family,
+    snail_horns,
     star_graph,
     structure_profile,
     t_tree,
     two_level_matching,
     validate_trace,
 )
-from .helpers import check_two_level_postconditions, random_connected_graph
+from bonematch import lm as lm_module
+from .helpers import (
+    check_two_level_postconditions,
+    random_connected_graph,
+    two_level_matching_reference,
+)
+from .test_acceptance import _family_instances
 
 
 def test_two_level_star_keeps_center_unmatched():
@@ -39,12 +46,12 @@ def test_two_level_matches_shared_lower_vertex():
     assert res.private_map() == {}
 
 
-def test_two_level_rejects_empty_upper_class():
+def test_two_level_rejects_empty_lower_class():
     with pytest.raises(ValueError):
         two_level_matching(star_graph(3), set(), {0, 1, 2, 3})
 
 
-def test_two_level_allows_empty_lower_class():
+def test_two_level_allows_empty_upper_class():
     res = two_level_matching(build_graph(1, []), {0}, set())
     assert res.matching == frozenset()
     assert res.x_residual == frozenset()
@@ -63,9 +70,9 @@ def test_two_level_validates_partition():
     assert len(res.matching) == 1
 
 
-def _random_two_level_instance(seed):
+def _random_two_level_instance(seed, n_max=14):
     rng = random.Random(seed)
-    n = rng.randint(3, 14)
+    n = rng.randint(3, n_max)
     H = random_connected_graph(rng, n, extra=0.2)
     verts = list(range(n))
     rng.shuffle(verts)
@@ -89,6 +96,25 @@ def test_two_level_postconditions_hold(seed):
 def test_two_level_is_deterministic(seed):
     H, X, Y = _random_two_level_instance(seed)
     assert two_level_matching(H, X, Y) == two_level_matching(H, X, Y)
+
+
+def test_two_level_matches_reference_move_loop():
+    # the coverage counters and the trade prune must pick the very same moves
+    large = both_same_level = 0
+    for seed in range(320):
+        H, X, Y = _random_two_level_instance(seed, n_max=60 if seed % 4 == 0 else 14)
+        assert two_level_matching(H, X, Y) == two_level_matching_reference(H, X, Y), seed
+        large += H.n > 40
+        both_same_level += any(u in X and v in X for u, v in H.edges()) and any(
+            u in Y and v in Y for u, v in H.edges())
+    assert large >= 20 and both_same_level >= 150
+
+
+def test_lm_run_matches_reference_on_family_instances(monkeypatch):
+    graphs = [G for G in _family_instances() if snail_horns(G)]
+    traces = [lm_run(G) for G in graphs]
+    monkeypatch.setattr(lm_module, "two_level_matching", two_level_matching_reference)
+    assert [lm_run(G) for G in graphs] == traces
 
 
 def test_lm_run_on_double_broom_worked_example():

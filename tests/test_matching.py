@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,8 @@ from bonematch import (
     t_tree,
 )
 from .helpers import (
+    bfs_levels,
+    induced_on,
     is_valid_matching,
     matching_number_subsets,
     random_connected_graph,
@@ -167,3 +170,30 @@ def test_critical_core():
     assert core.edges() == [(0, 1), (0, 2), (0, 3)]
     assert deficiency(core) == 2
     assert is_deficiency_critical(core).verdict == "critical"
+
+
+def test_criticality_choices_match_tuple_min_reference():
+    # both scans compare masks bitwise; the reference takes min over vertex tuples
+    rng = random.Random(23)
+    witnesses = 0
+    for k in range(80):
+        n = rng.randint(1, 10)
+        if k % 2:
+            G = random_connected_graph(rng, n, extra=rng.choice([0.1, 0.3, 0.5]))
+        else:
+            G = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+        subgraphs = []  # (vertex tuple, deficiency) of every connected induced subgraph
+        for size in range(1, n + 1):
+            for vs in combinations(range(n), size):
+                H = induced_on(G, vs)
+                if len(bfs_levels(H, 0)) == size:
+                    subgraphs.append((vs, deficiency(H)))
+        kd = deficiency(G)
+        witness = min((vs for vs, d in subgraphs if len(vs) < n and d >= kd), default=None)
+        res = is_deficiency_critical(G)
+        assert res.verdict == ("critical" if witness is None else "not-critical")
+        assert res.witness_vertices == witness
+        witnesses += witness is not None
+        core = min(subgraphs, key=lambda t: (-t[1], len(t[0]), t[0]))[0]
+        assert critical_core(G)[1] == core
+    assert witnesses >= 30
