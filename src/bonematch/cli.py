@@ -253,6 +253,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         report = exhaustive_sweep(args.nmax, spec, out_dir=args.out)
         _print_kv("theorem", report.theorem)
         _print_kv("n_max", report.n_max)
+        _print_kv("classes", report.class_count)
         _print_kv("connected", report.connected_count)
         _print_kv("hyp met", report.hypotheses_met_count)
         _print_kv("vacuous", report.vacuous_count)

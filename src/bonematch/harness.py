@@ -2,9 +2,10 @@
 
 Each check identifier names one quantitative claim (an upper bound on the
 deficiency under structural hypotheses, or a structural consequence).  The
-sweep driver runs a check over every labelled connected graph up to a size
-cap; the search driver explores constrained graphs by hill climbing on the
-deficiency.  A reported violation of any check would refute the underlying
+sweep driver runs a check on one graph per isomorphism class of connected
+graphs up to a size cap and counts each result for every labelled graph of
+its class; the search driver explores constrained graphs by hill climbing on
+the deficiency.  A reported violation of any check would refute the underlying
 claim and is treated as an implementation bug until proven otherwise.
 """
 
@@ -15,10 +16,12 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
+from math import factorial
 from pathlib import Path
 from typing import Any, Callable
 
+from .canon import CanonicalForm, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
 from .matching import deficiency, is_deficiency_critical
@@ -32,7 +35,6 @@ __all__ = [
     "check_theorem",
     "SweepReport",
     "exhaustive_sweep",
-    "canonical_code",
     "random_connected",
     "SearchConstraints",
     "SearchReport",
@@ -40,7 +42,7 @@ __all__ = [
     "rows_to_csv",
 ]
 
-_SWEEP_MAX = 7
+_SWEEP_MAX = 8
 
 THEOREM_IDS = (
     "thm-1.2-clawfree",
@@ -331,10 +333,16 @@ def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Aggregate outcome of a sweep; empty ``violations`` means the sweep passed."""
+    """Aggregate outcome of a sweep; empty ``violations`` means the sweep passed.
+
+    ``class_count`` counts the isomorphism classes checked.  Every other
+    count is a count of labelled graphs: a class adds ``n!/|Aut|`` to each
+    count its result falls in.
+    """
 
     theorem: str
     n_max: int
+    class_count: int
     connected_count: int
     checked_count: int
     hypotheses_met_count: int
@@ -351,6 +359,7 @@ class SweepReport:
         return {
             "theorem": self.theorem,
             "n_max": self.n_max,
+            "classes": self.class_count,
             "connected": self.connected_count,
             "checked": self.checked_count,
             "hypotheses_met": self.hypotheses_met_count,
@@ -361,50 +370,74 @@ class SweepReport:
         }
 
 
-def _all_labelled_graphs(n: int):
-    pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        yield build_graph(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
+def _connected_classes(n_max: int):
+    """Yield ``(G, labelled)`` once per isomorphism class of connected graphs
+    on ``1..n_max`` vertices, order by order.
+
+    ``G`` is the canonical relabelling of the class and ``labelled`` is
+    ``n!/|Aut(G)|``, the number of labelled graphs in it.  Order ``n`` adds
+    a vertex with every non-empty neighbourhood to every class of order
+    ``n - 1`` and keeps one graph per canonical code.  That reaches every
+    class, because every connected graph has a vertex whose removal leaves
+    it connected (a leaf of a spanning tree).
+    """
+    forms = [canonical_form(build_graph(1, []))]
+    for n in range(1, n_max + 1):
+        if n > 1:
+            new = n - 1
+            found: dict[int, CanonicalForm] = {}
+            for H in graphs:
+                for nbrs in range(1, 1 << new):
+                    adj = tuple(a | {new} if nbrs >> v & 1 else a for v, a in enumerate(H.adj))
+                    adj += (frozenset(v for v in range(new) if nbrs >> v & 1),)
+                    form = canonical_form(Graph(n, adj))
+                    found.setdefault(form.code, form)
+            forms = [found[code] for code in sorted(found)]
+        graphs = [form.graph() for form in forms]
+        for G, form in zip(graphs, forms):
+            yield G, factorial(n) // form.automorphisms
 
 
 def exhaustive_sweep(n_max: int, spec: TheoremSpec,
                      out_dir: str | Path | None = None) -> SweepReport:
-    """Run a check over every labelled connected graph on at most ``n_max`` vertices.
+    """Run a check over every connected graph on at most ``n_max`` vertices.
 
-    ``n_max`` is capped at 7.  With ``out_dir`` set, a per-instance CSV and a
-    JSON dump of any violations are written there.
+    The check runs once per isomorphism class, on its canonical graph, and
+    the report counts labelled graphs: each class adds ``n!/|Aut|``.
+    ``n_max`` is capped at 8.  With ``out_dir`` set, a per-class CSV and a
+    JSON dump of any violations are written there; each row and violation
+    carries its class's labelled multiplicity.
     """
     if n_max < 1 or n_max > _SWEEP_MAX:
         raise GuardExceededError(f"sweep needs 1 <= n_max <= {_SWEEP_MAX}, got {n_max}")
-    connected = checked = met = vacuous = indeterminate = 0
+    classes = connected = checked = met = vacuous = indeterminate = 0
     max_kd: int | None = None
     violations: list[dict[str, Any]] = []
     rows: list[dict[str, Any]] = []
-    for n in range(1, n_max + 1):
-        for G in _all_labelled_graphs(n):
-            if not is_connected(G):
-                continue
-            connected += 1
-            result = check_theorem(G, spec)
-            checked += 1
-            if result.indeterminate:
-                indeterminate += 1
-            elif not result.hypotheses_met:
-                vacuous += 1
-            else:
-                met += 1
-                kd = result.actual_deficiency
-                if kd is not None and (max_kd is None or kd > max_kd):
-                    max_kd = kd
-                if not result.passed:
-                    violations.append({
-                        "graph": graph_to_json_dict(G),
-                        "result": result.to_json_dict(),
-                    })
-            if out_dir is not None:
-                rows.append(_instance_row(G, result))
+    for G, labelled in _connected_classes(n_max):
+        classes += 1
+        connected += labelled
+        result = check_theorem(G, spec)
+        checked += labelled
+        if result.indeterminate:
+            indeterminate += labelled
+        elif not result.hypotheses_met:
+            vacuous += labelled
+        else:
+            met += labelled
+            kd = result.actual_deficiency
+            if kd is not None and (max_kd is None or kd > max_kd):
+                max_kd = kd
+            if not result.passed:
+                violations.append({
+                    "graph": graph_to_json_dict(G),
+                    "result": result.to_json_dict(),
+                    "labelled": labelled,
+                })
+        if out_dir is not None:
+            rows.append(_instance_row(G, result, labelled))
     report = SweepReport(
-        theorem=spec.id, n_max=n_max, connected_count=connected,
+        theorem=spec.id, n_max=n_max, class_count=classes, connected_count=connected,
         checked_count=checked, hypotheses_met_count=met, vacuous_count=vacuous,
         indeterminate_count=indeterminate, max_deficiency_met=max_kd,
         violations=tuple(violations))
@@ -413,7 +446,7 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
     return report
 
 
-def _instance_row(G: Graph, result: CheckResult) -> dict[str, Any]:
+def _instance_row(G: Graph, result: CheckResult, labelled: int) -> dict[str, Any]:
     details = dict(result.details)
     return {
         "instance": G.name or graph_key(G),
@@ -424,10 +457,12 @@ def _instance_row(G: Graph, result: CheckResult) -> dict[str, Any]:
         "deficiency": "" if result.actual_deficiency is None else result.actual_deficiency,
         "bound": "" if result.bound_value is None else result.bound_value,
         "pass": result.passed,
+        "labelled": labelled,
     }
 
 
-_CSV_COLUMNS = ["instance", "n", "alpha_l", "omega", "admitting", "deficiency", "bound", "pass"]
+_CSV_COLUMNS = ["instance", "n", "alpha_l", "omega", "admitting", "deficiency", "bound", "pass",
+                "labelled"]
 
 
 def rows_to_csv(rows: list[dict[str, Any]]) -> str:
@@ -448,26 +483,6 @@ def _write_sweep_artifacts(out_dir: Path, report: SweepReport,
     for k, violation in enumerate(report.violations):
         (out_dir / f"violation-{k:04d}.json").write_text(
             json.dumps(violation, indent=2, sort_keys=True) + "\n")
-
-
-def canonical_code(G: Graph) -> int:
-    """Smallest adjacency bit-string over all vertex relabellings (guard: 7 vertices).
-
-    Optional isomorphism dedup for sweep reporting; correctness never needs it.
-    """
-    if G.n > _SWEEP_MAX:
-        raise GuardExceededError(f"canonical form limited to {_SWEEP_MAX} vertices")
-    pairs = list(combinations(range(G.n), 2))
-    index = {pair: k for k, pair in enumerate(pairs)}
-    best: int | None = None
-    for perm in permutations(range(G.n)):
-        code = 0
-        for u, v in G.edges():
-            a, b = perm[u], perm[v]
-            code |= 1 << index[(a, b) if a < b else (b, a)]
-        if best is None or code < best:
-            best = code
-    return 0 if best is None else best
 
 
 def random_connected(n: int, edge_prob: float, seed: int) -> Graph:

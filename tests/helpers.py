@@ -12,7 +12,7 @@ import random
 from collections import deque
 from itertools import combinations, permutations
 
-from bonematch import Graph, TwoLevelResult, build_graph
+from bonematch import Graph, TwoLevelResult, build_graph, check_theorem
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,42 @@ def tree_admitting_oracle(T: Graph) -> set[int]:
             if w != u and dist[w] + 1 >= 2:
                 out.add(dist[w] + 1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# labelled sweep: every connected labelled graph, one check each
+
+
+def labelled_sweep(n_max: int, spec):
+    """Check ``spec`` on every connected labelled graph on ``1..n_max`` vertices.
+
+    Returns the labelled counts under their ``SweepReport.to_json_dict``
+    keys, and each violating graph with its result JSON.
+    """
+    counts = {"connected": 0, "checked": 0, "hypotheses_met": 0, "vacuous": 0,
+              "indeterminate": 0, "max_deficiency_met": None}
+    violations = []
+    for n in range(1, n_max + 1):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            G = build_graph(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
+            if len(bfs_levels(G, 0)) < n:
+                continue
+            counts["connected"] += 1
+            counts["checked"] += 1
+            result = check_theorem(G, spec)
+            if result.indeterminate:
+                counts["indeterminate"] += 1
+            elif not result.hypotheses_met:
+                counts["vacuous"] += 1
+            else:
+                counts["hypotheses_met"] += 1
+                kd, top = result.actual_deficiency, counts["max_deficiency_met"]
+                if kd is not None and (top is None or kd > top):
+                    counts["max_deficiency_met"] = kd
+                if not result.passed:
+                    violations.append((G, result.to_json_dict()))
+    return counts, violations
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,7 @@ def test_sweep_theorem_mode(tmp_path, capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["violations", "0"] in lines
     assert ["connected", "44"] in lines
+    assert ["classes", "10"] in lines
     assert run_cli(["sweep", "--theorem", "thm-1.2-clawfree", "--nmax", "9"]) == 2
     assert "guard exceeded" in capsys.readouterr().err
 

@@ -1,4 +1,6 @@
 import json
+import random
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -10,12 +12,13 @@ from bonematch import (
     TheoremSpec,
     bs,
     build_graph,
-    canonical_code,
+    canonical_form,
     check_theorem,
     complete_graph,
     e_family,
     exhaustive_sweep,
     extremal_search,
+    graph_from_json_dict,
     path_graph,
     random_connected,
     s_family,
@@ -23,7 +26,16 @@ from bonematch import (
     t_family,
     t_tree,
 )
-from bonematch.harness import _instance_row, rows_to_csv
+from bonematch import canon
+from bonematch.harness import _connected_classes, _instance_row, rows_to_csv
+
+from .helpers import (
+    are_isomorphic,
+    bfs_levels,
+    labelled_sweep,
+    random_connected_graph,
+    random_tree,
+)
 
 
 def cycle(k):
@@ -181,6 +193,8 @@ def test_exhaustive_sweep_counts():
     d = rep.to_json_dict()
     # connected labelled graphs on 1..4 vertices: 1 + 1 + 4 + 38
     assert d["connected"] == 44 and d["checked"] == 44
+    # one check per isomorphism class: 1 + 1 + 2 + 6
+    assert d["classes"] == 10
     # exactly the 4 labelled claws fail the hypothesis
     assert d["hypotheses_met"] == 40 and d["vacuous"] == 4
     assert d["max_deficiency_met"] == 1
@@ -195,7 +209,7 @@ def test_exhaustive_sweep_multiple_theorems_clean_at_five():
 
 def test_exhaustive_sweep_guard():
     with pytest.raises(GuardExceededError):
-        exhaustive_sweep(8, TheoremSpec("thm-1.2-clawfree"))
+        exhaustive_sweep(9, TheoremSpec("thm-1.2-clawfree"))
 
 
 def test_exhaustive_sweep_artifacts(tmp_path):
@@ -204,26 +218,121 @@ def test_exhaustive_sweep_artifacts(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary == rep.to_json_dict()
     lines = (tmp_path / "instances.csv").read_text().splitlines()
-    assert lines[0] == "instance,n,alpha_l,omega,admitting,deficiency,bound,pass"
-    assert len(lines) == 1 + 44
+    assert lines[0] == "instance,n,alpha_l,omega,admitting,deficiency,bound,pass,labelled"
+    # one row per class, each weighted by its labelled multiplicity
+    assert len(lines) == 1 + 10
+    assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == 44
 
 
 def test_instance_rows_and_csv():
     r = check_theorem(bs(2, 3), TheoremSpec("thm-1.4-m3", n=4))
-    row = _instance_row(bs(2, 3), r)
+    row = _instance_row(bs(2, 3), r, 1)
     assert row["instance"] == "BS(2,3)"
     assert (row["n"], row["alpha_l"], row["admitting"]) == (7, 3, "3")
     assert rows_to_csv([row]) == (
-        "instance,n,alpha_l,omega,admitting,deficiency,bound,pass\n"
-        '"BS(2,3)",7,3,,3,3,3,True\n'
+        "instance,n,alpha_l,omega,admitting,deficiency,bound,pass,labelled\n"
+        '"BS(2,3)",7,3,,3,3,3,True,1\n'
     )
 
 
-def test_canonical_code():
-    assert canonical_code(path_graph(3)) == canonical_code(build_graph(3, [(1, 0), (1, 2)]))
-    assert canonical_code(path_graph(4)) != canonical_code(star_graph(3))
+# One spec per theorem id, with the parameters it needs.  cor-1.3 (m=3, n=4)
+# asks for kd == 2 and prop-5.1-mod (n=5) for odd kd, so both report
+# violations and exercise the violation path.
+DIFFERENTIAL_SPECS = [
+    TheoremSpec("thm-1.2-clawfree"),
+    TheoremSpec("thm-1.3-bonefree"),
+    TheoremSpec("thm-1.4-main", m=5),
+    TheoremSpec("thm-1.4-m3"),
+    TheoremSpec("thm-1.6-q=2p+1", p=3),
+    TheoremSpec("thm-1.6-q=2p-1", p=3),
+    TheoremSpec("thm-1.8-single-even", m=4, p=1),
+    TheoremSpec("thm-1.8-all-even"),
+    TheoremSpec("cor-1.3", m=3, n=4),
+    TheoremSpec("cor-2.3-snailhorn"),
+    TheoremSpec("prop-5.1-mod", m=4, n=5),
+]
+
+
+def test_differential_specs_cover_every_theorem():
+    assert [spec.id for spec in DIFFERENTIAL_SPECS] == list(THEOREM_IDS)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=lambda spec: spec.id)
+def test_isomorph_free_sweep_matches_labelled_sweep(spec):
+    report = exhaustive_sweep(5, spec).to_json_dict()
+    counts, labelled_violations = labelled_sweep(5, spec)
+    assert {key: report[key] for key in counts} == counts
+    classes = report["violations"]
+    hits = [0] * len(classes)
+    for G, result in labelled_violations:
+        owners = [k for k, v in enumerate(classes)
+                  if are_isomorphic(G, graph_from_json_dict(v["graph"]))]
+        assert len(owners) == 1
+        assert classes[owners[0]]["result"] == result
+        hits[owners[0]] += 1
+    assert hits == [v["labelled"] for v in classes]
+    if spec.id == "cor-1.3":
+        assert len(classes) > 10 and sum(hits) > 500
+
+
+def test_connected_classes_match_oeis():
+    per_order: dict[int, list[int]] = {}
+    for G, labelled in _connected_classes(7):
+        assert len(bfs_levels(G, 0)) == G.n
+        per_order.setdefault(G.n, []).append(labelled)
+    # OEIS A001349 (classes) and A001187 (labelled graphs)
+    assert [len(per_order[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    assert [sum(per_order[n]) for n in range(1, 8)] == [
+        1, 1, 4, 38, 728, 26704, 1866256]
+
+
+def test_canonical_form_on_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(G):
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        return H
+
+    atlas = nx.graph_atlas_g()  # one graph per class on 0..7 vertices
+    codes = set()
+    for H in atlas:
+        G = build_graph(H.number_of_nodes(), H.edges())
+        form = canonical_form(G)
+        codes.add((G.n, form.code))
+        assert form.automorphisms == sum(1 for _ in GraphMatcher(H, H).isomorphisms_iter())
+        C = form.graph()
+        assert nx.is_isomorphic(H, to_nx(C))
+        assert canonical_form(C) == form
+    # isomorphic graphs share a code (the canonical graph above, relabellings
+    # below); the atlas's pairwise non-isomorphic graphs all differ
+    assert len(codes) == len(atlas)
+
+
+def test_canonical_form_is_invariant_under_relabelling():
+    rng = random.Random(2024)
+    graphs = [random_tree(rng, rng.randint(2, 12)) for _ in range(40)]
+    graphs += [random_connected_graph(rng, rng.randint(6, 12), extra=rng.choice((0.1, 0.3, 0.6)))
+               for _ in range(80)]
+    for G in graphs:
+        form = canonical_form(G)
+        assert factorial(G.n) % form.automorphisms == 0
+        for _ in range(3):
+            perm = list(range(G.n))
+            rng.shuffle(perm)
+            H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+            assert canonical_form(H) == form
+            assert are_isomorphic(form.graph(), H)
+
+
+def test_canonical_form_budget_trips_guard(monkeypatch):
+    assert canonical_form(complete_graph(6)).automorphisms == 720
+    monkeypatch.setattr(canon, "_CANON_BUDGET", 100)
     with pytest.raises(GuardExceededError):
-        canonical_code(path_graph(8))
+        canonical_form(complete_graph(6))
+    assert canonical_form(path_graph(6)).automorphisms == 2
 
 
 def test_random_connected():
