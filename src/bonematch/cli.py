@@ -16,13 +16,14 @@ import json
 import sys
 from dataclasses import replace
 from itertools import product
+from math import prod
 from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import GuardExceededError
 from .families import FAMILIES, FamilySpec, build_family
-from .graphs import Graph
 from .harness import (
+    _FACTS,
     SearchConstraints,
     TheoremSpec,
     check_theorem,
@@ -39,12 +40,7 @@ from .serialize import (
     read_graph_json,
     write_graph_json,
 )
-from .structure import (
-    admitting_set,
-    clique_number,
-    local_independence_number,
-    structure_profile,
-)
+from .structure import clique_number, structure_profile
 
 __all__ = ["main", "run_cli"]
 
@@ -68,10 +64,14 @@ def _parse_params(text: str) -> dict[str, Any]:
     return params
 
 
-def _parse_range(text: str) -> list[tuple[str, list[int]]]:
-    """``m=3..7:2,n=4..6`` -> [("m", [3,5,7]), ("n", [4,5,6])]; a bare
-    integer is a single-value range."""
-    ranges: list[tuple[str, list[int]]] = []
+_GRID_MAX = 10_000
+
+
+def _parse_range(text: str) -> list[tuple[str, Sequence[int]]]:
+    """``m=3..7:2,n=4..6`` -> [("m", range(3, 8, 2)), ("n", range(4, 7))]; a
+    bare integer is a single-value range.  A grid of more than ``_GRID_MAX``
+    instances is rejected before anything is built."""
+    ranges: list[tuple[str, Sequence[int]]] = []
     for item in text.split(","):
         key, eq, value = item.partition("=")
         if not eq or not key.strip() or not value.strip():
@@ -84,7 +84,7 @@ def _parse_range(text: str) -> list[tuple[str, list[int]]]:
                 step = int(step_text) if colon else 1
                 if step < 1:
                     raise ValueError
-                values = list(range(int(lo_text), int(hi_text) + 1, step))
+                values: Sequence[int] = range(int(lo_text), int(hi_text) + 1, step)
             else:
                 values = [int(value)]
         except ValueError:
@@ -92,6 +92,9 @@ def _parse_range(text: str) -> list[tuple[str, list[int]]]:
         if not values:
             raise ValueError(f"range for {key!r} is empty")
         ranges.append((key, values))
+    # capped slices, as len() of a range longer than sys.maxsize overflows
+    if prod(len(values[:_GRID_MAX + 1]) for _, values in ranges) > _GRID_MAX:
+        raise ValueError(f"range grid has more than {_GRID_MAX} instances")
     return ranges
 
 
@@ -105,10 +108,6 @@ def _fmt_edges(edges) -> str:
 
 def _print_kv(label: str, value: Any) -> None:
     print(f"{label:<14} {value}")
-
-
-def _load_graph(path: str) -> Graph:
-    return read_graph_json(path)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -129,7 +128,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    G = _load_graph(args.graph)
+    G = read_graph_json(args.graph)
     profile = structure_profile(G, i_max=args.max_bone, with_omega=False)
     try:
         omega = clique_number(G)
@@ -160,7 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_lm(args: argparse.Namespace) -> int:
-    G = _load_graph(args.graph)
+    G = read_graph_json(args.graph)
     root = None if args.root == "auto" else int(args.root)
     trace = lm_run(G, root)
     exact = deficiency(G)
@@ -203,7 +202,7 @@ def _cmd_lm(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    G = _load_graph(args.graph)
+    G = read_graph_json(args.graph)
     spec = TheoremSpec(args.theorem, m=args.m, n=args.n, p=args.p)
     result = check_theorem(G, spec)
     _print_kv("graph", G.name or graph_key(G))
@@ -265,9 +264,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.range is None:
         raise ValueError("sweep --family requires --range")
     ranges = _parse_range(args.range)
-    names, _ = FAMILIES[args.family] if args.family in FAMILIES else ((), None)
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
+    names, _ = FAMILIES[args.family]
     extra = [k for k, _ in ranges if k not in names]
     if extra:
         raise ValueError(f"family {args.family!r} takes parameters {names}; "
@@ -289,16 +288,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             label = FamilySpec(args.family, tuple(params.items())).label()
             print(f"{label:<22} skipped: {exc}")
             continue
-        kd = deficiency(G)
-        # guarded fields degrade to "?" per instance instead of aborting the sweep
-        fields: dict[str, Any] = {}
-        for key, compute in (("alpha_l", local_independence_number),
-                             ("omega", clique_number),
-                             ("admitting", admitting_set)):
-            try:
-                fields[key] = compute(G)
-            except GuardExceededError:
-                fields[key] = None
+        result = (check_theorem(G, _theorem_spec_for_instance(args.theorem, args, params))
+                  if args.theorem else None)
+        # facts the check read are reused; guarded fields degrade to "?" per
+        # instance instead of aborting the sweep
+        fields = dict(result.details) if result else {}
+        kd = fields["kd"] if "kd" in fields else _FACTS["kd"](G)
+        for key in ("alpha_l", "omega", "admitting"):
+            if key not in fields:
+                try:
+                    fields[key] = _FACTS[key](G)
+                except GuardExceededError:
+                    fields[key] = None
         admitting = fields["admitting"]
         row: dict[str, Any] = {
             "instance": G.name or graph_key(G), "n": G.n,
@@ -310,9 +311,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         line = (f"{row['instance']:<22} {kd:>4} {row['alpha_l']!s:>8} "
                 f"{row['omega']!s:>6} "
                 f"{('?' if admitting is None else _fmt_set(admitting)):>12}")
-        if args.theorem:
-            spec = _theorem_spec_for_instance(args.theorem, args, params)
-            result = check_theorem(G, spec)
+        if result:
             row["bound"] = "" if result.bound_value is None else result.bound_value
             row["pass"] = result.passed and not result.indeterminate
             verdict = ("indet" if result.indeterminate
@@ -359,7 +358,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    G = _load_graph(args.graph)
+    G = read_graph_json(args.graph)
     if args.format == "dot":
         text = graph_to_dot(G)
     else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .canon import CanonicalForm, canonical_form
 from .errors import GuardExceededError
@@ -43,20 +43,6 @@ __all__ = [
 ]
 
 _SWEEP_MAX = 8
-
-THEOREM_IDS = (
-    "thm-1.2-clawfree",
-    "thm-1.3-bonefree",
-    "thm-1.4-main",
-    "thm-1.4-m3",
-    "thm-1.6-q=2p+1",
-    "thm-1.6-q=2p-1",
-    "thm-1.8-single-even",
-    "thm-1.8-all-even",
-    "cor-1.3",
-    "cor-2.3-snailhorn",
-    "prop-5.1-mod",
-)
 
 
 @dataclass(frozen=True)
@@ -107,228 +93,162 @@ class CheckResult:
         }
 
 
-def _need(spec: TheoremSpec, name: str) -> int:
-    value = getattr(spec, name)
-    if value is None:
-        raise ValueError(f"{spec.id} requires parameter {name}")
-    return value
+# Each fact is looked up through this module's globals at call time, so a
+# function wrapped by replacing its module global is seen by every check.
+_FACTS: dict[str, Callable[[Graph], Any]] = {
+    "connected": lambda G: is_connected(G),
+    "nontrivial": lambda G: G.n >= 2,
+    "alpha_l": lambda G: local_independence_number(G),
+    "omega": lambda G: clique_number(G),
+    "admitting": lambda G: admitting_set(G),
+    "kd": lambda G: deficiency(G),
+    "critical": lambda G: is_deficiency_critical(G, "exhaustive"),
+    "snail_horns": lambda G: len(snail_horns(G)),
+}
 
 
-def _auto_n(spec: TheoremSpec, alpha_l: int) -> int:
-    # The star-freeness parameter defaults to the smallest legal value that
-    # the graph satisfies, so sweeps can run without per-graph parameters.
-    return spec.n if spec.n is not None else max(alpha_l + 1, 4)
+class _Theorem(NamedTuple):
+    """One check: required ``params``, ``rules`` (a test on m, n, p and its message)
+    that reject them, the ``facts`` read in order, hypotheses, bound, and a pass
+    rule (default kd <= bound) asked only when they hold.  ``m`` fixes m."""
+
+    facts: tuple[str, ...]
+    hypotheses: Callable[..., list[tuple[str, bool]]]
+    bound: Callable[[Any, Any, Any], int] | None = None
+    passes: Callable[..., bool] | None = None
+    params: tuple[str, ...] = ()
+    rules: tuple[tuple[Callable[[Any, Any, Any], bool], str], ...] = ()
+    m: int | None = None
+    note: str = ""
 
 
-def _finish(spec: TheoremSpec, hyps: list[tuple[str, bool]], bound: int | None,
-            actual: int | None, ok_when_met: bool, note: str = "",
-            details: dict[str, Any] | None = None) -> CheckResult:
-    met = all(v for _, v in hyps)
-    return CheckResult(
-        theorem=spec.id,
-        hypotheses=tuple(hyps),
-        hypotheses_met=met,
-        bound_value=bound,
-        actual_deficiency=actual,
-        passed=True if not met else ok_when_met,
-        vacuous=not met,
-        note=note,
-        details=tuple(sorted((details or {}).items())),
-    )
-
-
-def _check_clawfree(G: Graph, spec: TheoremSpec) -> CheckResult:
-    alpha_l = local_independence_number(G)
-    hyps = [("connected", is_connected(G)), ("alpha_l < 3", alpha_l < 3)]
-    actual = deficiency(G)
-    return _finish(spec, hyps, 1, actual, actual <= 1, details={"alpha_l": alpha_l})
-
-
-def _check_bonefree(G: Graph, spec: TheoremSpec) -> CheckResult:
-    alpha_l = local_independence_number(G)
-    n = _auto_n(spec, alpha_l)
-    admitting = admitting_set(G)
-    hyps = [
-        ("connected", is_connected(G)),
-        ("n > 3", n > 3),
-        ("alpha_l < n", alpha_l < n),
-        ("no bones", not admitting),
-    ]
-    actual = deficiency(G)
-    return _finish(spec, hyps, n - 2, actual, actual <= n - 2,
-                   details={"alpha_l": alpha_l, "n": n, "admitting": sorted(admitting)})
+def _star(f: dict[str, Any], n: int) -> list[tuple[str, bool]]:
+    # The hypotheses every bound with a star parameter n starts with.
+    return [("connected", f["connected"]), ("n > 3", n > 3), ("alpha_l < n", f["alpha_l"] < n)]
 
 
 def _pair_sum_condition(admitting: frozenset[int], m: int) -> bool:
     high = [a for a in admitting if a >= m]
-    for p in high:
-        for q in high:
-            if p + q + 1 in admitting or p + q - 1 in admitting:
-                return False
-    return True
+    return not any(p + q + 1 in admitting or p + q - 1 in admitting for p in high for q in high)
 
 
-def _check_main(G: Graph, spec: TheoremSpec, m: int) -> CheckResult:
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"{spec.id} needs odd m >= 3, got {m}")
-    alpha_l = local_independence_number(G)
-    n = _auto_n(spec, alpha_l)
-    admitting = admitting_set(G)
-    hyps = [
-        ("connected", is_connected(G)),
-        ("n > 3", n > 3),
-        ("alpha_l < n", alpha_l < n),
-        ("admitting all odd", all(a % 2 == 1 for a in admitting)),
-        ("no p+q+-1 in admitting", _pair_sum_condition(admitting, m)),
-    ]
-    bound = 2 * n - 5 if m == 3 else m * (n - 3) * (n - 2) ** ((m - 3) // 2) + 1
-    actual = deficiency(G)
-    return _finish(spec, hyps, bound, actual, actual <= bound,
-                   details={"alpha_l": alpha_l, "n": n, "m": m, "admitting": sorted(admitting)})
+_STAR_FACTS = ("alpha_l", "admitting", "connected", "kd")
+_ODD_P = ((lambda m, n, p: p < 3 or p % 2 == 0, "needs odd p >= 3, got {p}"),)
+_MAIN = _Theorem(
+    params=("m",),
+    rules=((lambda m, n, p: m < 3 or m % 2 == 0, "needs odd m >= 3, got {m}"),),
+    facts=_STAR_FACTS,
+    hypotheses=lambda f, m, n, p: _star(f, n) + [
+        ("admitting all odd", all(a % 2 == 1 for a in f["admitting"])),
+        ("no p+q+-1 in admitting", _pair_sum_condition(f["admitting"], m))],
+    bound=lambda m, n, p: (2 * n - 5 if m == 3
+                           else m * (n - 3) * (n - 2) ** ((m - 3) // 2) + 1))
 
-
-def _check_two_odd(G: Graph, spec: TheoremSpec, delta: int) -> CheckResult:
-    p = _need(spec, "p")
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"{spec.id} needs odd p >= 3, got {p}")
-    q = 2 * p + delta
-    alpha_l = local_independence_number(G)
-    n = _auto_n(spec, alpha_l)
-    admitting = admitting_set(G)
-    hyps = [
-        ("connected", is_connected(G)),
-        ("n > 3", n > 3),
-        ("alpha_l < n", alpha_l < n),
-        (f"admitting within {{{p},{q}}}", admitting <= {p, q}),
-    ]
-    bound = 3 * n - 8 if delta == 1 else n * n - 3 * n + 1
-    actual = deficiency(G)
-    return _finish(spec, hyps, bound, actual, actual <= bound,
-                   details={"alpha_l": alpha_l, "n": n, "p": p, "admitting": sorted(admitting)})
-
-
-def _check_single_even(G: Graph, spec: TheoremSpec) -> CheckResult:
-    m = _need(spec, "m")
-    p = _need(spec, "p")
-    if m <= 3:
-        raise ValueError(f"{spec.id} needs m > 3, got {m}")
-    if p < 1:
-        raise ValueError(f"{spec.id} needs p >= 1, got {p}")
-    alpha_l = local_independence_number(G)
-    omega = clique_number(G)
-    n = _auto_n(spec, alpha_l)
-    admitting = admitting_set(G)
-    hyps = [
-        ("connected", is_connected(G)),
-        ("n > 3", n > 3),
-        ("alpha_l < n", alpha_l < n),
-        ("omega < m", omega < m),
-        (f"admitting within {{{2 * p}}}", admitting <= {2 * p}),
-    ]
-    bound = (m - 1) * (n - 3) + 1
-    actual = deficiency(G)
-    return _finish(spec, hyps, bound, actual, actual <= bound,
-                   details={"alpha_l": alpha_l, "omega": omega, "n": n,
-                            "admitting": sorted(admitting)})
-
-
-def _check_all_even(G: Graph, spec: TheoremSpec) -> CheckResult:
-    alpha_l = local_independence_number(G)
-    omega = clique_number(G)
-    n = _auto_n(spec, alpha_l)
-    admitting = admitting_set(G)
-    hyps = [
-        ("connected", is_connected(G)),
-        ("n > 3", n > 3),
-        ("alpha_l < n", alpha_l < n),
-        ("omega < 3", omega < 3),
-        ("admitting all even", all(a % 2 == 0 for a in admitting)),
-    ]
-    bound = 2 * n - 6
-    actual = deficiency(G)
-    return _finish(spec, hyps, bound, actual, actual <= bound,
-                   details={"alpha_l": alpha_l, "omega": omega, "n": n,
-                            "admitting": sorted(admitting)})
-
-
-def _check_tree_value(G: Graph, spec: TheoremSpec) -> CheckResult:
-    m = _need(spec, "m")
-    n = _need(spec, "n")
-    if m < 3 or m % 2 == 0 or n <= 3:
-        raise ValueError(f"{spec.id} needs odd m >= 3 and n > 3")
-    hyps = [("connected", is_connected(G))]
-    target = (n - 1) * (n - 2) ** ((m - 3) // 2) - 1
-    actual = deficiency(G)
-    return _finish(spec, hyps, target, actual, actual == target,
-                   note="equality check", details={"m": m, "n": n})
-
-
-def _check_snailhorn(G: Graph, spec: TheoremSpec) -> CheckResult:
-    crit = is_deficiency_critical(G, "exhaustive")
-    hyps = [
-        ("connected", is_connected(G)),
-        ("nontrivial", G.n >= 2),
-        ("deficiency-critical", crit.verdict == "critical"),
-    ]
-    horns = len(snail_horns(G))
-    return _finish(spec, hyps, None, crit.deficiency, horns >= 1,
-                   details={"snail_horns": horns})
-
-
-def _check_mod(G: Graph, spec: TheoremSpec) -> CheckResult:
-    m = _need(spec, "m")
-    n = _need(spec, "n")
-    if m <= 3 or n <= 3:
-        raise ValueError(f"{spec.id} needs m, n > 3")
-    alpha_l = local_independence_number(G)
-    omega = clique_number(G)
-    hyps = [
-        ("connected", is_connected(G)),
-        ("alpha_l < n", alpha_l < n),
-        ("omega < m", omega < m),
-    ]
-    actual = deficiency(G)
-    return _finish(spec, hyps, None, actual, actual % (n - 3) == 1 % (n - 3),
-                   note="congruence report, not an asserted bound",
-                   details={"alpha_l": alpha_l, "omega": omega, "mod_base": n - 3})
+_THEOREMS: dict[str, _Theorem] = {
+    "thm-1.2-clawfree": _Theorem(
+        facts=("alpha_l", "connected", "kd"),
+        hypotheses=lambda f, m, n, p: [("connected", f["connected"]),
+                                       ("alpha_l < 3", f["alpha_l"] < 3)],
+        bound=lambda m, n, p: 1),
+    "thm-1.3-bonefree": _Theorem(
+        facts=_STAR_FACTS,
+        hypotheses=lambda f, m, n, p: _star(f, n) + [("no bones", not f["admitting"])],
+        bound=lambda m, n, p: n - 2),
+    "thm-1.4-main": _MAIN,
+    "thm-1.4-m3": _MAIN._replace(params=(), m=3),
+    "thm-1.6-q=2p+1": _Theorem(
+        params=("p",), rules=_ODD_P, facts=_STAR_FACTS,
+        hypotheses=lambda f, m, n, p: _star(f, n) + [
+            (f"admitting within {{{p},{2 * p + 1}}}", f["admitting"] <= {p, 2 * p + 1})],
+        bound=lambda m, n, p: 3 * n - 8),
+    "thm-1.6-q=2p-1": _Theorem(
+        params=("p",), rules=_ODD_P, facts=_STAR_FACTS,
+        hypotheses=lambda f, m, n, p: _star(f, n) + [
+            (f"admitting within {{{p},{2 * p - 1}}}", f["admitting"] <= {p, 2 * p - 1})],
+        bound=lambda m, n, p: n * n - 3 * n + 1),
+    "thm-1.8-single-even": _Theorem(
+        params=("m", "p"),
+        rules=((lambda m, n, p: m <= 3, "needs m > 3, got {m}"),
+               (lambda m, n, p: p < 1, "needs p >= 1, got {p}")),
+        facts=("alpha_l", "omega", "admitting", "connected", "kd"),
+        hypotheses=lambda f, m, n, p: _star(f, n) + [
+            ("omega < m", f["omega"] < m),
+            (f"admitting within {{{2 * p}}}", f["admitting"] <= {2 * p})],
+        bound=lambda m, n, p: (m - 1) * (n - 3) + 1),
+    "thm-1.8-all-even": _Theorem(
+        facts=("alpha_l", "omega", "admitting", "connected", "kd"),
+        hypotheses=lambda f, m, n, p: _star(f, n) + [
+            ("omega < 3", f["omega"] < 3),
+            ("admitting all even", all(a % 2 == 0 for a in f["admitting"]))],
+        bound=lambda m, n, p: 2 * n - 6),
+    "cor-1.3": _Theorem(
+        params=("m", "n"),
+        rules=((lambda m, n, p: m < 3 or m % 2 == 0 or n <= 3, "needs odd m >= 3 and n > 3"),),
+        facts=("connected", "kd"),
+        hypotheses=lambda f, m, n, p: [("connected", f["connected"])],
+        bound=lambda m, n, p: (n - 1) * (n - 2) ** ((m - 3) // 2) - 1,
+        passes=lambda f, kd, bound, n: kd == bound,
+        note="equality check"),
+    "cor-2.3-snailhorn": _Theorem(
+        facts=("critical", "connected", "nontrivial", "snail_horns"),
+        hypotheses=lambda f, m, n, p: [
+            ("connected", f["connected"]), ("nontrivial", f["nontrivial"]),
+            ("deficiency-critical", f["critical"].verdict == "critical")],
+        passes=lambda f, kd, bound, n: f["snail_horns"] >= 1),
+    "prop-5.1-mod": _Theorem(
+        params=("m", "n"),
+        rules=((lambda m, n, p: m <= 3 or n <= 3, "needs m, n > 3"),),
+        facts=("alpha_l", "omega", "connected", "kd"),
+        hypotheses=lambda f, m, n, p: [("connected", f["connected"]),
+                                       ("alpha_l < n", f["alpha_l"] < n),
+                                       ("omega < m", f["omega"] < m)],
+        passes=lambda f, kd, bound, n: kd % (n - 3) == 1 % (n - 3),
+        note="congruence report, not an asserted bound"),
+}
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
     """Evaluate one check on one graph.
 
-    Hypotheses are evaluated exactly (complete admitting set).  When a size
-    guard trips, the result is marked indeterminate and never counts as a
-    pass.
+    Hypotheses are evaluated exactly (complete admitting set).  A tripped size
+    guard makes the result indeterminate, never a pass.  ``details`` holds the
+    facts the check read, in order, with the admitting set as a sorted list.
+    Adding a theorem means adding one ``_THEOREMS`` entry.
     """
+    facts, hypotheses, bound, passes, params, rules, m, note = _THEOREMS[spec.id]
+    for name in params:
+        if getattr(spec, name) is None:
+            raise ValueError(f"{spec.id} requires parameter {name}")
+    m, n, p = spec.m if m is None else m, spec.n, spec.p
+    for bad, why in rules:
+        if bad(m, n, p):
+            raise ValueError(f"{spec.id} " + why.format(m=m, n=n, p=p))
+    f: dict[str, Any] = {}
     try:
-        if spec.id == "thm-1.2-clawfree":
-            return _check_clawfree(G, spec)
-        if spec.id == "thm-1.3-bonefree":
-            return _check_bonefree(G, spec)
-        if spec.id == "thm-1.4-main":
-            return _check_main(G, spec, _need(spec, "m"))
-        if spec.id == "thm-1.4-m3":
-            return _check_main(G, spec, 3)
-        if spec.id == "thm-1.6-q=2p+1":
-            return _check_two_odd(G, spec, 1)
-        if spec.id == "thm-1.6-q=2p-1":
-            return _check_two_odd(G, spec, -1)
-        if spec.id == "thm-1.8-single-even":
-            return _check_single_even(G, spec)
-        if spec.id == "thm-1.8-all-even":
-            return _check_all_even(G, spec)
-        if spec.id == "cor-1.3":
-            return _check_tree_value(G, spec)
-        if spec.id == "cor-2.3-snailhorn":
-            return _check_snailhorn(G, spec)
-        if spec.id == "prop-5.1-mod":
-            return _check_mod(G, spec)
+        for name in facts:
+            f[name] = _FACTS[name](G)
     except GuardExceededError as exc:
         return CheckResult(
-            theorem=spec.id, hypotheses=(), hypotheses_met=False,
-            bound_value=None, actual_deficiency=None, passed=False,
-            vacuous=False, indeterminate=True, note=str(exc))
-    raise ValueError(f"unknown theorem id {spec.id!r}")
+            theorem=spec.id, hypotheses=(), hypotheses_met=False, bound_value=None,
+            actual_deficiency=None, passed=False, vacuous=False, indeterminate=True,
+            note=str(exc))
+    if n is None and "alpha_l" in f:
+        # the smallest legal star parameter the graph satisfies: sweeps need none
+        n = max(f["alpha_l"] + 1, 4)
+    hyps = hypotheses(f, m, n, p)
+    met = all(ok for _, ok in hyps)
+    if bound is not None:
+        bound = bound(m, n, p)
+    # the criticality scan computes the deficiency when a check runs it
+    kd = f["kd"] if "kd" in f else f["critical"].deficiency
+    passed = not met or (kd <= bound if passes is None else passes(f, kd, bound, n))
+    if "admitting" in f:
+        f["admitting"] = sorted(f["admitting"])
+    return CheckResult(
+        theorem=spec.id, hypotheses=tuple(hyps), hypotheses_met=met, bound_value=bound,
+        actual_deficiency=kd, passed=passed, vacuous=not met, note=note,
+        details=tuple(f.items()))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,24 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import combinations, permutations
+from typing import Any
 
-from bonematch import Graph, TwoLevelResult, build_graph, check_theorem
+from bonematch import (
+    CheckResult,
+    Graph,
+    GuardExceededError,
+    TheoremSpec,
+    TwoLevelResult,
+    admitting_set,
+    build_graph,
+    check_theorem,
+    clique_number,
+    deficiency,
+    is_connected,
+    is_deficiency_critical,
+    local_independence_number,
+    snail_horns,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +441,227 @@ def two_level_matching_reference(H: Graph, X, Y) -> TwoLevelResult:
         )
         private.append((x, (witnesses[0], witnesses[1])))
     return TwoLevelResult(frozenset(matching), x_res, y_res, tuple(private))
+
+
+# ---------------------------------------------------------------------------
+# reference theorem checks: one function per check, dispatched by an if chain,
+# as they stood before the checks became one table
+
+
+def _need(spec: TheoremSpec, name: str) -> int:
+    value = getattr(spec, name)
+    if value is None:
+        raise ValueError(f"{spec.id} requires parameter {name}")
+    return value
+
+
+def _auto_n(spec: TheoremSpec, alpha_l: int) -> int:
+    # The star-freeness parameter defaults to the smallest legal value that
+    # the graph satisfies, so sweeps can run without per-graph parameters.
+    return spec.n if spec.n is not None else max(alpha_l + 1, 4)
+
+
+def _finish(spec: TheoremSpec, hyps: list[tuple[str, bool]], bound: int | None,
+            actual: int | None, ok_when_met: bool, note: str = "",
+            details: dict[str, Any] | None = None) -> CheckResult:
+    met = all(v for _, v in hyps)
+    return CheckResult(
+        theorem=spec.id,
+        hypotheses=tuple(hyps),
+        hypotheses_met=met,
+        bound_value=bound,
+        actual_deficiency=actual,
+        passed=True if not met else ok_when_met,
+        vacuous=not met,
+        note=note,
+        details=tuple(sorted((details or {}).items())),
+    )
+
+
+def _check_clawfree(G: Graph, spec: TheoremSpec) -> CheckResult:
+    alpha_l = local_independence_number(G)
+    hyps = [("connected", is_connected(G)), ("alpha_l < 3", alpha_l < 3)]
+    actual = deficiency(G)
+    return _finish(spec, hyps, 1, actual, actual <= 1, details={"alpha_l": alpha_l})
+
+
+def _check_bonefree(G: Graph, spec: TheoremSpec) -> CheckResult:
+    alpha_l = local_independence_number(G)
+    n = _auto_n(spec, alpha_l)
+    admitting = admitting_set(G)
+    hyps = [
+        ("connected", is_connected(G)),
+        ("n > 3", n > 3),
+        ("alpha_l < n", alpha_l < n),
+        ("no bones", not admitting),
+    ]
+    actual = deficiency(G)
+    return _finish(spec, hyps, n - 2, actual, actual <= n - 2,
+                   details={"alpha_l": alpha_l, "n": n, "admitting": sorted(admitting)})
+
+
+def _pair_sum_condition(admitting: frozenset[int], m: int) -> bool:
+    high = [a for a in admitting if a >= m]
+    for p in high:
+        for q in high:
+            if p + q + 1 in admitting or p + q - 1 in admitting:
+                return False
+    return True
+
+
+def _check_main(G: Graph, spec: TheoremSpec, m: int) -> CheckResult:
+    if m < 3 or m % 2 == 0:
+        raise ValueError(f"{spec.id} needs odd m >= 3, got {m}")
+    alpha_l = local_independence_number(G)
+    n = _auto_n(spec, alpha_l)
+    admitting = admitting_set(G)
+    hyps = [
+        ("connected", is_connected(G)),
+        ("n > 3", n > 3),
+        ("alpha_l < n", alpha_l < n),
+        ("admitting all odd", all(a % 2 == 1 for a in admitting)),
+        ("no p+q+-1 in admitting", _pair_sum_condition(admitting, m)),
+    ]
+    bound = 2 * n - 5 if m == 3 else m * (n - 3) * (n - 2) ** ((m - 3) // 2) + 1
+    actual = deficiency(G)
+    return _finish(spec, hyps, bound, actual, actual <= bound,
+                   details={"alpha_l": alpha_l, "n": n, "m": m, "admitting": sorted(admitting)})
+
+
+def _check_two_odd(G: Graph, spec: TheoremSpec, delta: int) -> CheckResult:
+    p = _need(spec, "p")
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"{spec.id} needs odd p >= 3, got {p}")
+    q = 2 * p + delta
+    alpha_l = local_independence_number(G)
+    n = _auto_n(spec, alpha_l)
+    admitting = admitting_set(G)
+    hyps = [
+        ("connected", is_connected(G)),
+        ("n > 3", n > 3),
+        ("alpha_l < n", alpha_l < n),
+        (f"admitting within {{{p},{q}}}", admitting <= {p, q}),
+    ]
+    bound = 3 * n - 8 if delta == 1 else n * n - 3 * n + 1
+    actual = deficiency(G)
+    return _finish(spec, hyps, bound, actual, actual <= bound,
+                   details={"alpha_l": alpha_l, "n": n, "p": p, "admitting": sorted(admitting)})
+
+
+def _check_single_even(G: Graph, spec: TheoremSpec) -> CheckResult:
+    m = _need(spec, "m")
+    p = _need(spec, "p")
+    if m <= 3:
+        raise ValueError(f"{spec.id} needs m > 3, got {m}")
+    if p < 1:
+        raise ValueError(f"{spec.id} needs p >= 1, got {p}")
+    alpha_l = local_independence_number(G)
+    omega = clique_number(G)
+    n = _auto_n(spec, alpha_l)
+    admitting = admitting_set(G)
+    hyps = [
+        ("connected", is_connected(G)),
+        ("n > 3", n > 3),
+        ("alpha_l < n", alpha_l < n),
+        ("omega < m", omega < m),
+        (f"admitting within {{{2 * p}}}", admitting <= {2 * p}),
+    ]
+    bound = (m - 1) * (n - 3) + 1
+    actual = deficiency(G)
+    return _finish(spec, hyps, bound, actual, actual <= bound,
+                   details={"alpha_l": alpha_l, "omega": omega, "n": n,
+                            "admitting": sorted(admitting)})
+
+
+def _check_all_even(G: Graph, spec: TheoremSpec) -> CheckResult:
+    alpha_l = local_independence_number(G)
+    omega = clique_number(G)
+    n = _auto_n(spec, alpha_l)
+    admitting = admitting_set(G)
+    hyps = [
+        ("connected", is_connected(G)),
+        ("n > 3", n > 3),
+        ("alpha_l < n", alpha_l < n),
+        ("omega < 3", omega < 3),
+        ("admitting all even", all(a % 2 == 0 for a in admitting)),
+    ]
+    bound = 2 * n - 6
+    actual = deficiency(G)
+    return _finish(spec, hyps, bound, actual, actual <= bound,
+                   details={"alpha_l": alpha_l, "omega": omega, "n": n,
+                            "admitting": sorted(admitting)})
+
+
+def _check_tree_value(G: Graph, spec: TheoremSpec) -> CheckResult:
+    m = _need(spec, "m")
+    n = _need(spec, "n")
+    if m < 3 or m % 2 == 0 or n <= 3:
+        raise ValueError(f"{spec.id} needs odd m >= 3 and n > 3")
+    hyps = [("connected", is_connected(G))]
+    target = (n - 1) * (n - 2) ** ((m - 3) // 2) - 1
+    actual = deficiency(G)
+    return _finish(spec, hyps, target, actual, actual == target,
+                   note="equality check", details={"m": m, "n": n})
+
+
+def _check_snailhorn(G: Graph, spec: TheoremSpec) -> CheckResult:
+    crit = is_deficiency_critical(G, "exhaustive")
+    hyps = [
+        ("connected", is_connected(G)),
+        ("nontrivial", G.n >= 2),
+        ("deficiency-critical", crit.verdict == "critical"),
+    ]
+    horns = len(snail_horns(G))
+    return _finish(spec, hyps, None, crit.deficiency, horns >= 1,
+                   details={"snail_horns": horns})
+
+
+def _check_mod(G: Graph, spec: TheoremSpec) -> CheckResult:
+    m = _need(spec, "m")
+    n = _need(spec, "n")
+    if m <= 3 or n <= 3:
+        raise ValueError(f"{spec.id} needs m, n > 3")
+    alpha_l = local_independence_number(G)
+    omega = clique_number(G)
+    hyps = [
+        ("connected", is_connected(G)),
+        ("alpha_l < n", alpha_l < n),
+        ("omega < m", omega < m),
+    ]
+    actual = deficiency(G)
+    return _finish(spec, hyps, None, actual, actual % (n - 3) == 1 % (n - 3),
+                   note="congruence report, not an asserted bound",
+                   details={"alpha_l": alpha_l, "omega": omega, "mod_base": n - 3})
+
+
+def check_theorem_reference(G: Graph, spec: TheoremSpec) -> CheckResult:
+    """``check_theorem`` as eleven functions and an ``if`` chain, for differential tests."""
+    try:
+        if spec.id == "thm-1.2-clawfree":
+            return _check_clawfree(G, spec)
+        if spec.id == "thm-1.3-bonefree":
+            return _check_bonefree(G, spec)
+        if spec.id == "thm-1.4-main":
+            return _check_main(G, spec, _need(spec, "m"))
+        if spec.id == "thm-1.4-m3":
+            return _check_main(G, spec, 3)
+        if spec.id == "thm-1.6-q=2p+1":
+            return _check_two_odd(G, spec, 1)
+        if spec.id == "thm-1.6-q=2p-1":
+            return _check_two_odd(G, spec, -1)
+        if spec.id == "thm-1.8-single-even":
+            return _check_single_even(G, spec)
+        if spec.id == "thm-1.8-all-even":
+            return _check_all_even(G, spec)
+        if spec.id == "cor-1.3":
+            return _check_tree_value(G, spec)
+        if spec.id == "cor-2.3-snailhorn":
+            return _check_snailhorn(G, spec)
+        if spec.id == "prop-5.1-mod":
+            return _check_mod(G, spec)
+    except GuardExceededError as exc:
+        return CheckResult(
+            theorem=spec.id, hypotheses=(), hypotheses_met=False,
+            bound_value=None, actual_deficiency=None, passed=False,
+            vacuous=False, indeterminate=True, note=str(exc))
+    raise ValueError(f"unknown theorem id {spec.id!r}")

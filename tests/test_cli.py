@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from bonematch import bs, graph_from_json_dict, read_graph_json, t_tree
-from bonematch.cli import run_cli
+from bonematch import bs, graph_from_json_dict, read_graph_json, structure, t_tree
+from bonematch.cli import _parse_range, run_cli
 
 
 def make_graph_file(tmp_path, name, argv_params):
@@ -184,6 +184,46 @@ def test_sweep_family_mode_with_check(tmp_path, capsys):
     csv_lines = (out_dir / "instances.csv").read_text().splitlines()
     assert csv_lines[0].startswith("instance,n,")
     assert len(csv_lines) == 1 + 6
+
+
+def test_sweep_family_mode_computes_each_fact_once(tmp_path, capsys, monkeypatch):
+    scans = []
+    bone_scan = structure._bone_scan
+    monkeypatch.setattr(structure, "_bone_scan", lambda *a: scans.append(1) or bone_scan(*a))
+    out_dir = tmp_path / "artifacts"
+    assert run_cli([
+        "sweep", "--family", "bs", "--range", "n=2..4,p=3..5:2",
+        "--theorem", "thm-1.4-m3", "--n", "4", "--out", str(out_dir),
+    ]) == 0
+    assert len(scans) == 6  # one admitting-set scan per instance, shared with the check
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        "instance                 kd  alpha_l  omega    admitting   bound  verdict",
+        "BS(2,3)                   3        3      2          {3}       3     pass",
+        "BS(2,5)                   3        3      2          {5}       3     pass",
+        "BS(3,3)                   5        4      2          {3}       3  vacuous",
+        "BS(3,5)                   5        4      2          {5}       3  vacuous",
+        "BS(4,3)                   7        5      2          {3}       3  vacuous",
+        "BS(4,5)                   7        5      2          {5}       3  vacuous",
+    ]
+    assert (out_dir / "instances.csv").read_text() == (
+        "instance,n,alpha_l,omega,admitting,deficiency,bound,pass,labelled\n"
+        '"BS(2,3)",7,3,2,3,3,3,True,\n'
+        '"BS(2,5)",9,3,2,5,3,3,True,\n'
+        '"BS(3,3)",9,4,2,3,5,3,True,\n'
+        '"BS(3,5)",11,4,2,5,5,3,True,\n'
+        '"BS(4,3)",11,5,2,3,7,3,True,\n'
+        '"BS(4,5)",13,5,2,5,7,3,True,\n'
+    )
+
+
+def test_sweep_family_mode_caps_the_range_grid(capsys):
+    # ranges stay lazy: these grids are rejected without being built
+    for text in ("n=1..100000000000", "n=1..10000000000000000000000", "n=1..200,p=1..200"):
+        with pytest.raises(ValueError, match="more than 10000 instances"):
+            _parse_range(text)
+    assert _parse_range("n=1..100,p=1..100") == [("n", range(1, 101)), ("p", range(1, 101))]
+    assert run_cli(["sweep", "--family", "bs", "--range", "n=2..100000000000,p=3"]) == 2
+    assert "more than 10000 instances" in capsys.readouterr().err
 
 
 def test_sweep_family_mode_rejects_unknown_range_keys(capsys):

@@ -19,6 +19,7 @@ from bonematch import (
     exhaustive_sweep,
     extremal_search,
     graph_from_json_dict,
+    graph_key,
     path_graph,
     random_connected,
     s_family,
@@ -26,16 +27,19 @@ from bonematch import (
     t_family,
     t_tree,
 )
-from bonematch import canon
+from bonematch import canon, harness, matching
 from bonematch.harness import _connected_classes, _instance_row, rows_to_csv
 
+from . import helpers
 from .helpers import (
     are_isomorphic,
     bfs_levels,
+    check_theorem_reference,
     labelled_sweep,
     random_connected_graph,
     random_tree,
 )
+from .test_acceptance import _family_instances
 
 
 def cycle(k):
@@ -383,3 +387,102 @@ def test_extremal_search_is_deterministic_and_reports_congruence():
         "n", "alpha_l_max", "omega_max", "admitting", "iterations", "seed",
         "best_graph", "best_deficiency", "feasible_seen", "mod_base", "mod_hit",
     }
+
+
+# The specs of the differential test against the frozen reference: the
+# automatic n, explicit n with non-default m and p, and every parameter error.
+REFERENCE_SPECS = DIFFERENTIAL_SPECS + [
+    TheoremSpec("thm-1.2-clawfree", n=7),
+    TheoremSpec("thm-1.3-bonefree", n=6),
+    TheoremSpec("thm-1.4-main", m=7, n=5),
+    TheoremSpec("thm-1.4-m3", m=5, n=5),
+    TheoremSpec("thm-1.6-q=2p+1", p=5, n=5),
+    TheoremSpec("thm-1.6-q=2p-1", p=5, n=6),
+    TheoremSpec("thm-1.8-single-even", m=6, p=2, n=5),
+    TheoremSpec("thm-1.8-all-even", n=5),
+    TheoremSpec("cor-1.3", m=5, n=5),
+    TheoremSpec("cor-2.3-snailhorn", m=4, n=5, p=1),
+    TheoremSpec("prop-5.1-mod", m=6, n=6),
+    TheoremSpec("thm-1.4-main"),
+    TheoremSpec("thm-1.4-main", m=4),
+    TheoremSpec("thm-1.6-q=2p+1"),
+    TheoremSpec("thm-1.6-q=2p-1", p=4),
+    TheoremSpec("thm-1.8-single-even", p=1),
+    TheoremSpec("thm-1.8-single-even", m=4),
+    TheoremSpec("thm-1.8-single-even", m=3, p=1),
+    TheoremSpec("thm-1.8-single-even", m=4, p=0),
+    TheoremSpec("cor-1.3", n=4),
+    TheoremSpec("cor-1.3", m=3),
+    TheoremSpec("cor-1.3", m=4, n=4),
+    TheoremSpec("prop-5.1-mod", n=5),
+    TheoremSpec("prop-5.1-mod", m=5),
+    TheoremSpec("prop-5.1-mod", m=5, n=3),
+]
+
+
+def _reference_inputs():
+    graphs = [G for G, _ in _connected_classes(6)]
+    graphs += [random_connected(8 + k % 13, 0.12 + 0.02 * (k % 11), 500 + k) for k in range(150)]
+    graphs += _family_instances() + [t_tree(7, 5)]
+    return graphs
+
+
+def _outcome(check, G, spec):
+    try:
+        r = check(G, spec)
+    except ValueError as exc:
+        return str(exc)
+    details = dict(r.details)
+    return (r.to_json_dict(), r.hypotheses,
+            [details.get(k) for k in ("alpha_l", "omega", "admitting")])
+
+
+def test_check_theorem_matches_frozen_reference(monkeypatch):
+    # Both sides call the same fact functions, so each fact is computed once
+    # per graph and shared: what is compared is the logic of the checks.  A
+    # guard that trips is not cached and trips again on the other side.  The
+    # criticality scan is exponential and the checks see only its verdict or
+    # its guard, so the guard is lowered: above 14 vertices it trips.
+    cache = {}
+    for name in ("local_independence_number", "clique_number", "admitting_set",
+                 "deficiency", "is_deficiency_critical"):
+        def cached(G, *args, _fn=getattr(harness, name), _name=name):
+            key = (_name, G, args)
+            if key not in cache:
+                cache[key] = _fn(G, *args)
+            return cache[key]
+        monkeypatch.setattr(harness, name, cached)
+        monkeypatch.setattr(helpers, name, cached)
+    monkeypatch.setattr(matching, "_CRITICALITY_MAX", 14)
+    assert {spec.id for spec in REFERENCE_SPECS} == set(THEOREM_IDS)
+    mismatches = []
+    kinds = set()
+    for G in _reference_inputs():
+        for spec in REFERENCE_SPECS:
+            want = _outcome(check_theorem_reference, G, spec)
+            if _outcome(check_theorem, G, spec) != want:
+                mismatches.append((G.name or graph_key(G), spec))
+            kinds.add("error" if isinstance(want, str) else
+                      "indeterminate" if want[0]["indeterminate"] else
+                      "vacuous" if want[0]["vacuous"] else "met")
+    assert mismatches == []
+    assert kinds == {"error", "indeterminate", "vacuous", "met"}
+
+
+def test_parameter_errors_come_before_any_fact(monkeypatch):
+    # t_tree(7, 5) trips the clique guard, but the bad m is reported first
+    with pytest.raises(ValueError, match="needs m > 3, got 3"):
+        check_theorem(t_tree(7, 5), TheoremSpec("thm-1.8-single-even", m=3, p=1, n=5))
+    # facts are looked up through the module at call time, so a wrapper is seen
+    monkeypatch.setattr(harness, "local_independence_number", lambda G: 99)
+    r = check_theorem(bs(2, 3), TheoremSpec("thm-1.4-m3"))
+    assert r.bound_value == 2 * 100 - 5 and ("alpha_l < n", True) in r.hypotheses
+
+
+def test_details_hold_the_facts_the_check_read_in_order():
+    r = check_theorem(bs(2, 3), TheoremSpec("thm-1.4-m3", n=4))
+    assert r.details == (("alpha_l", 3), ("admitting", [3]), ("connected", True), ("kd", 3))
+    r = check_theorem(bs(2, 3), TheoremSpec("cor-2.3-snailhorn"))
+    assert [k for k, _ in r.details] == ["critical", "connected", "nontrivial", "snail_horns"]
+    r = check_theorem(t_tree(7, 5), TheoremSpec("thm-1.8-all-even"))
+    assert r.indeterminate and r.details == ()
