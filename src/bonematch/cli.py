@@ -288,11 +288,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             label = FamilySpec(args.family, tuple(params.items())).label()
             print(f"{label:<22} skipped: {exc}")
             continue
-        result = (check_theorem(G, _theorem_spec_for_instance(args.theorem, args, params))
+        # facts the check computed are reused, also when a later guard tripped;
+        # guarded fields degrade to "?" per instance instead of aborting the sweep
+        fields: dict[str, Any] = {}
+        result = (check_theorem(G, _theorem_spec_for_instance(args.theorem, args, params), fields)
                   if args.theorem else None)
-        # facts the check read are reused; guarded fields degrade to "?" per
-        # instance instead of aborting the sweep
-        fields = dict(result.details) if result else {}
+        if "critical" in fields:  # the criticality scan computes the deficiency
+            fields.setdefault("kd", fields["critical"].deficiency)
         kd = fields["kd"] if "kd" in fields else _FACTS["kd"](G)
         for key in ("alpha_l", "omega", "admitting"):
             if key not in fields:

@@ -104,8 +104,8 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     if vs and not (0 <= vs[0] and vs[-1] < G.n):
         raise ValueError(f"vertex set not contained in 0..{G.n - 1}")
     index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
-    return build_graph(len(vs), edges, name=G.name), tuple(vs)
+    adj = tuple(frozenset(index[u] for u in G.adj[v] if u in index) for v in vs)
+    return Graph(len(vs), adj, G.name), tuple(vs)
 
 
 def is_connected(G: Graph) -> bool:

@@ -208,12 +208,15 @@ _THEOREMS: dict[str, _Theorem] = {
 THEOREM_IDS = tuple(_THEOREMS)
 
 
-def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
+def check_theorem(G: Graph, spec: TheoremSpec,
+                  out: dict[str, Any] | None = None) -> CheckResult:
     """Evaluate one check on one graph.
 
     Hypotheses are evaluated exactly (complete admitting set).  A tripped size
     guard makes the result indeterminate, never a pass.  ``details`` holds the
     facts the check read, in order, with the admitting set as a sorted list.
+    ``out``, if given, is an empty dict that receives each fact as it is
+    computed, so the caller keeps them also when a later guard trips.
     Adding a theorem means adding one ``_THEOREMS`` entry.
     """
     facts, hypotheses, bound, passes, params, rules, m, note = _THEOREMS[spec.id]
@@ -224,7 +227,7 @@ def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
     for bad, why in rules:
         if bad(m, n, p):
             raise ValueError(f"{spec.id} " + why.format(m=m, n=n, p=p))
-    f: dict[str, Any] = {}
+    f: dict[str, Any] = {} if out is None else out
     try:
         for name in facts:
             f[name] = _FACTS[name](G)

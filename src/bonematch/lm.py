@@ -9,12 +9,41 @@ the deficiency from above.
 
 The local search is incremental.  Every upper vertex keeps a count of its
 unmatched lower neighbours, and a move is legal iff no unmatched upper vertex
-whose count it lowers drops to 0.  This is exact because coverage holds before
-every move: the precondition gives it for the empty matching, accepted moves
-keep it, and unmatching a traded edge only raises counts while its freed upper
-end sees its freed lower one.  A trade's second edge only lowers counts, so it
-must match every upper vertex the first left dead: a first edge leaving more
-than two is skipped, and pairs are still tried in lexicographic order.
+whose count it lowers drops to 0: an unmatched upper ``y`` off an edge ``e``
+dies iff its count equals the number of lower ends of ``e`` that it sees, so
+legality is tested without changing any state.  This is exact because
+coverage holds before every move: the precondition gives it for the empty
+matching, accepted moves keep it, and unmatching a traded edge only raises
+counts while its freed upper end sees its freed lower one.
+
+A trade pass starts from a state ``M`` where no edge can be added, so every
+free edge ``e`` has a non-empty lost set ``L(e)``: the vertices it would kill.
+So it has a lower end, as an edge between upper vertices lowers no count.
+Trading ``old`` for ``e1, e2`` is legal iff ``M - old + e1 + e2`` keeps
+coverage, a condition symmetric in ``e1`` and ``e2``.  ``old`` itself is never
+a member, as that trade would be an add.  Unmatching ``old`` raises only the
+counts of ``R``, the upper neighbours of its lower ends.  Call an edge special
+if it touches an end of ``old``, or if it is free in ``M`` and ``L(e)`` meets
+``R``.  Two facts bound the pairs worth checking:
+
+1. A member ``e`` that is not special is free in ``M`` and leaves ``L(e)`` at
+   count 0, so the other member ``f`` must match all of it.  For ``v`` in
+   ``L(e)``, ``f = vt``, and a free ``f`` would have a lower end ``t``: a free
+   lower neighbour of ``v`` outside ``e``.  So ``f`` touches ``old`` at ``t``,
+   and ``L(e) = {v}``.
+2. If a member loses a vertex ``y`` once ``old`` is unmatched, the other member
+   is ``yw``, and ``w`` is no lower vertex, as it would be a free lower
+   neighbour of ``y`` off the first member.  So the other member joins two
+   upper vertices and loses nothing; as no free edge could be added to ``M``,
+   it touches ``old``.
+
+So every legal pair has a special member that loses nothing (by 1 there is a
+special member, and by 2 if it loses a vertex its partner is one), and its
+partner is special or an edge whose lost set is one of its ends.  A pass
+lists these pairs for each ``old`` in sorted order and checks them exactly
+and in index order, so its move is the smallest legal pair, as when every
+pair is tried.  Two free edges with ``L(e1) <= e2`` and ``L(e2) <= e1``
+cannot even be disjoint, by the argument of 1.
 """
 
 from __future__ import annotations
@@ -96,59 +125,37 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     # upper neighbours of each lower vertex; unmatched lower neighbours of each upper one
     upper = [tuple(adj[w] & Ys) if w in Xs else () for w in range(H.n)]
     free = [len(adj[y] & Xs) for y in range(H.n)]
-
-    def set_matched(e: Edge, on: bool) -> None:
-        (matched.update if on else matched.difference_update)(e)
-        step = -1 if on else 1
-        for y in upper[e[0]] + upper[e[1]]:
-            free[y] += step
-
-    def dead(e: Edge) -> set[int]:
-        # unmatched upper vertices that matching e left without a free lower neighbour
-        return {y for w in e for y in upper[w] if not free[y] and y not in matched}
+    at: list[list[int]] = [[] for _ in range(H.n)]
+    for k, (u, v) in enumerate(edges):
+        at[u].append(k)
+        at[v].append(k)
+    touch = [_touch(upper, e) for e in edges]
+    ix = _Index(edges, at, touch, upper, Xs)
 
     def try_add() -> bool:
-        for e in edges:
-            if e[0] in matched or e[1] in matched:
+        for k, (u, v) in enumerate(edges):
+            if u in matched or v in matched:
                 continue
-            set_matched(e, True)
-            if not dead(e):
-                matching.add(e)
+            for y, c in touch[k]:
+                if free[y] == c and y not in matched:
+                    break
+            else:
+                _set_matched(ix, matched, free, edges[k], True)
+                matching.add(edges[k])
                 return True
-            set_matched(e, False)
         return False
 
     def try_trade() -> bool:
-        for old in sorted(matching):
-            if not (old[0] in Xs or old[1] in Xs):
-                continue
-            set_matched(old, False)
-            pool = [e for e in edges if e[0] not in matched and e[1] not in matched]
-            at: dict[int, list[int]] = {}  # pool indices of the edges at each vertex
-            for j, e in enumerate(pool):
-                for w in e:
-                    at.setdefault(w, []).append(j)
-            for i, e1 in enumerate(pool):
-                set_matched(e1, True)
-                lost = dead(e1)
-                # e2 only lowers counts, so it must match every vertex e1 left dead
-                later: Iterable[int] = () if lost else range(i + 1, len(pool))
-                if 0 < len(lost) <= 2:
-                    later = [j for j in at.get(lost.pop(), ()) if j > i and lost <= set(pool[j])]
-                for j in later:
-                    e2 = pool[j]
-                    if e2[0] in matched or e2[1] in matched:
-                        continue
-                    set_matched(e2, True)
-                    if not dead(e2):
-                        matching.discard(old)
-                        matching.add(e1)
-                        matching.add(e2)
-                        return True
-                    set_matched(e2, False)
-                set_matched(e1, False)
-            set_matched(old, True)
-        return False
+        move = _best_trade(ix, matching, matched, free)
+        if move is None:
+            return False
+        old, i, j = move
+        _set_matched(ix, matched, free, old, False)
+        matching.discard(old)
+        for e in (edges[i], edges[j]):
+            _set_matched(ix, matched, free, e, True)
+            matching.add(e)
+        return True
 
     while try_add() or try_trade():
         pass
@@ -168,6 +175,92 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     result = TwoLevelResult(frozenset(matching), x_res, y_res, tuple(private))
     _verify_two_level(H, Xs, Ys, result)
     return result
+
+
+class _Index(NamedTuple):
+    """The fixed part of one two-level search."""
+
+    edges: list[Edge]  # every edge, in the order moves are tried
+    at: list[list[int]]  # indices of the edges at each vertex, ascending
+    # per edge: (y, c) for each upper y off it that sees c of its lower ends
+    touch: list[tuple[tuple[int, int], ...]]
+    upper: list[tuple[int, ...]]  # upper neighbours of each lower vertex
+    lower: frozenset[int]
+
+
+def _touch(upper: list[tuple[int, ...]], e: Edge) -> tuple[tuple[int, int], ...]:
+    a, b = e
+    if not upper[a] or not upper[b]:
+        return tuple((y, 1) for y in upper[a] + upper[b] if y != a and y != b)
+    seen = dict.fromkeys(upper[a], 1)
+    for y in upper[b]:
+        seen[y] = seen.get(y, 0) + 1
+    return tuple(seen.items())
+
+
+def _set_matched(ix: _Index, matched: set[int], free: list[int], e: Edge, on: bool) -> None:
+    (matched.update if on else matched.difference_update)(e)
+    step = -1 if on else 1
+    for y in ix.upper[e[0]] + ix.upper[e[1]]:
+        free[y] += step
+
+
+def _best_trade(ix: _Index, matching: set[Edge], matched: set[int],
+                free: list[int]) -> tuple[Edge, int, int] | None:
+    """First legal trade from a state where no edge can be added, or ``None``.
+
+    Returns ``(old, i, j)``: the first matched edge ``old`` in sorted order
+    that touches the lower side and can be traded, and the smallest index
+    pair ``i < j`` of edges that can replace it.  Only the candidate pairs
+    of the module docstring are checked.  The state is left as it was.
+    """
+    edges, at, touch, upper, lower = ix
+    olds = [e for e in sorted(matching) if e[0] in lower or e[1] in lower]
+    if not olds:
+        return None
+
+    def lost(k: int) -> list[int]:
+        # unmatched upper vertices that matching edge k would leave with no free lower neighbour
+        return [y for y, c in touch[k] if free[y] == c and y not in matched]
+
+    # every edge listed below is unmatched once old is, so only disjointness is checked
+    losing: dict[int, list[int]] = {}  # upper vertex -> free edges that lose it
+    single_at: dict[int, list[int]] = {}  # upper vertex -> free edges that lose only it
+    for k, (u, v) in enumerate(edges):
+        if u in matched or v in matched:
+            continue
+        ls = lost(k)
+        for y in ls:
+            losing.setdefault(y, []).append(k)
+        if len(ls) == 1:
+            single_at.setdefault(ls[0], []).append(k)
+
+    for old in olds:
+        _set_matched(ix, matched, free, old, False)
+        # edges at an end of old whose other end is unmatched, and rescued edges
+        special = {k for v in old for k in at[v]
+                   if edges[k] != old and sum(edges[k]) - v not in matched}
+        for y in upper[old[0]] + upper[old[1]]:
+            special.update(losing.get(y, ()))
+        pairs = set()
+        for s in special:
+            if lost(s):
+                continue
+            a, b = edges[s]
+            for t in (*special, *single_at.get(a, ()), *single_at.get(b, ())):
+                if a not in edges[t] and b not in edges[t]:
+                    pairs.add((s, t) if s < t else (t, s))
+        for i, j in sorted(pairs):
+            e1, e2 = edges[i], edges[j]
+            drop: dict[int, int] = dict(touch[i])
+            for y, c in touch[j]:
+                drop[y] = drop.get(y, 0) + c
+            if not any(free[y] == c and y not in matched and y not in e1 and y not in e2
+                       for y, c in drop.items()):
+                _set_matched(ix, matched, free, old, True)
+                return old, i, j
+        _set_matched(ix, matched, free, old, True)
+    return None
 
 
 def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int],
@@ -283,9 +376,8 @@ def lm_run(G: Graph, root: int | None = None) -> LMTrace:
     """
     if root is None:
         root = _auto_root(G)
-    else:
-        if not any(h.head == root for h in snail_horns(G)):
-            raise ValueError(f"root {root} is not a snail-horn head")
+    elif not (0 <= root < G.n and sum(G.degree(y) == 1 for y in G.adj[root]) >= 2):
+        raise ValueError(f"root {root} is not a snail-horn head")
     L = levelling(G, root)
     records: list[LMLevel] = []
     upper_saturated: frozenset[int] = frozenset()

@@ -21,6 +21,15 @@ __all__ = [
     "graph_key",
 ]
 
+# Largest vertex count a loader accepts.  ``build_graph`` allocates one set
+# per vertex before it reads an edge, so the count is checked first.
+_VERTEX_CAP = 100_000
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > _VERTEX_CAP:
+        raise ValueError(f"vertex count {n} exceeds the loader cap of {_VERTEX_CAP}")
+
 
 def graph_to_json_dict(G: Graph, family: dict[str, Any] | None = None) -> dict[str, Any]:
     """Canonical JSON form: sorted ``[u, v]`` pairs with ``u < v``.
@@ -46,6 +55,7 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
     # ``type(...) is int`` because bool is a subclass of int: JSON true/false are refused.
     if type(n) is not int or not isinstance(edges, list):
         raise ValueError("'n' must be an integer and 'edges' a list")
+    _check_vertex_count(n)
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
@@ -85,6 +95,7 @@ def graph_from_edgelist_text(text: str) -> Graph:
         n = int(lines[0])
     except ValueError as exc:
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from exc
+    _check_vertex_count(n)
     edges = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -187,6 +187,16 @@ def induced_on(G: Graph, subset) -> Graph:
     return build_graph(len(verts), edges)
 
 
+def induced_subgraph_reference(G: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """``graphs.induced_subgraph`` as first written: filter the sorted edge list."""
+    vs = sorted(set(vertices))
+    if vs and not (0 <= vs[0] and vs[-1] < G.n):
+        raise ValueError(f"vertex set not contained in 0..{G.n - 1}")
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
+    return build_graph(len(vs), edges, name=G.name), tuple(vs)
+
+
 def has_induced_bone_subsets(G: Graph, i: int) -> bool:
     bone = reference_bone(i)
     if i + 4 > G.n:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bonematch import bs, graph_from_json_dict, read_graph_json, structure, t_tree
+from bonematch import bs, graph_from_json_dict, harness, read_graph_json, structure, t_tree
 from bonematch.cli import _parse_range, run_cli
 
 
@@ -214,6 +214,31 @@ def test_sweep_family_mode_computes_each_fact_once(tmp_path, capsys, monkeypatch
         '"BS(4,3)",11,5,2,3,7,3,True,\n'
         '"BS(4,5)",13,5,2,5,7,3,True,\n'
     )
+
+
+def test_sweep_family_mode_reuses_facts_of_guarded_and_criticality_checks(capsys, monkeypatch):
+    calls = []
+    for name in ("local_independence_number", "deficiency"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda G, _n=name, _f=real: calls.append(_n) or _f(G))
+    # the clique guard trips after alpha_l: the check is indeterminate, alpha_l is kept
+    assert run_cli([
+        "sweep", "--family", "t_tree", "--range", "m=7,n=5",
+        "--theorem", "thm-1.8-single-even", "--m", "5", "--p", "1",
+    ]) == 1
+    assert capsys.readouterr().out.splitlines()[1].split() == [
+        "T_tree(7,5)", "35", "4", "?", "{3,", "5,", "7,", "9}", "indet"]
+    assert calls.count("local_independence_number") == 1
+    # the criticality scan of cor-2.3 computes the deficiency as well
+    calls.clear()
+    assert run_cli([
+        "sweep", "--family", "bs", "--range", "n=2..3,p=3", "--theorem", "cor-2.3-snailhorn",
+    ]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "BS(2,3)                   3        3      2          {3}             pass",
+        "BS(3,3)                   5        4      2          {3}             pass",
+    ]
+    assert "deficiency" not in calls and calls.count("local_independence_number") == 2
 
 
 def test_sweep_family_mode_caps_the_range_grid(capsys):

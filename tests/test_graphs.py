@@ -18,7 +18,7 @@ from bonematch import (
     path_graph,
     star_graph,
 )
-from .helpers import bfs_levels, random_connected_graph, random_tree
+from .helpers import bfs_levels, induced_subgraph_reference, random_connected_graph, random_tree
 
 
 def test_build_graph_basics():
@@ -59,6 +59,22 @@ def test_induced_subgraph_relabels_ascending():
     H2, vmap2 = induced_subgraph(G, [5, 2, 6])
     assert vmap2 == (2, 5, 6)
     assert H2.edges() == [(0, 1), (0, 2)]
+
+
+def test_induced_subgraph_matches_edge_filter_reference():
+    rng = random.Random(97)
+    for seed in range(200):
+        n = rng.randint(1, 40)
+        G = random_connected_graph(random.Random(seed), n, extra=rng.choice([0.05, 0.3]))
+        G = G.with_name(f"g{seed}")
+        picks = [[], [rng.randrange(n)], list(range(n)), rng.sample(range(n), rng.randint(0, n))]
+        for vs in picks + [vs[::-1] + vs[:1] for vs in picks]:  # order and repeats do not matter
+            H, vmap = induced_subgraph(G, vs)
+            H_ref, vmap_ref = induced_subgraph_reference(G, vs)
+            assert (H, H.name, vmap) == (H_ref, H_ref.name, vmap_ref), (seed, vs)
+    for bad in ([-1, 0], [0, 5]):
+        with pytest.raises(ValueError):
+            induced_subgraph(path_graph(5), bad)
 
 
 def test_is_connected_small_cases():

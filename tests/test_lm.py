@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -108,6 +109,72 @@ def test_two_level_matches_reference_move_loop():
         both_same_level += any(u in X and v in X for u, v in H.edges()) and any(
             u in Y and v in Y for u, v in H.edges())
     assert large >= 20 and both_same_level >= 150
+
+
+def _bipartite_two_level_instance(seed, k_max):
+    # mostly lower-upper edges, each upper vertex sees one to three lower ones,
+    # plus a few same-side edges; labels shuffled
+    rng = random.Random(seed)
+    k = rng.randint(2, k_max)
+    n = k + rng.randint(k, 3 * k)
+    edges = {(x, y) for y in range(k, n)
+             for x in rng.sample(range(k), min(k, rng.choice([1, 1, 2, 2, 3])))}
+    for _ in range(rng.randint(0, k)):
+        a, b = sorted(rng.sample(range(n), 2))
+        if (a < k) == (b < k):
+            edges.add((a, b))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    H = build_graph(n, [(perm[a], perm[b]) for a, b in edges])
+    return H, {perm[x] for x in range(k)}, {perm[y] for y in range(k, n)}
+
+
+def _trade_kind(H, X, M, old, e1, e2):
+    # "touching": a new edge meets old; "rescued": a new edge would kill, in M,
+    # an upper neighbour of old's lower ends; the candidate rule allows no other
+    if set(old) & {*e1, *e2}:
+        return "touching"
+    matched = {v for e in M for v in e}
+
+    def lost(e):
+        gone = matched | set(e)
+        return {y for y in range(H.n) if y not in X and y not in gone
+                and not any(w in X and w not in gone for w in H.adj[y])}
+
+    R = {y for w in old if w in X for y in H.adj[w] if y not in X}
+    return "rescued" if (lost(e1) | lost(e2)) & R else "other"
+
+
+def test_trade_candidates_match_reference_and_cover_both_kinds(monkeypatch):
+    kinds, results, instance = Counter(), [], []
+    best_trade, verify = lm_module._best_trade, lm_module._verify_two_level
+
+    def spy_trade(ix, matching, matched, free):
+        before = frozenset(matching)
+        move = best_trade(ix, matching, matched, free)
+        if move is not None:
+            old, i, j = move
+            kinds[_trade_kind(*instance, before, old, ix.edges[i], ix.edges[j])] += 1
+        return move
+
+    def spy_verify(H, X, Y, res):
+        results.append(res)
+        verify(H, X, Y, res)
+
+    monkeypatch.setattr(lm_module, "_best_trade", spy_trade)
+    monkeypatch.setattr(lm_module, "_verify_two_level", spy_verify)
+    for seed in range(800):
+        H, X, Y = _bipartite_two_level_instance(seed, k_max=5 if seed % 2 else 9)
+        instance[:] = [H, X]
+        # some of these inputs fail postcondition (4) in every version of the
+        # search; the terminal states are compared all the same
+        try:
+            two_level_matching(H, X, Y)
+        except PostconditionError:
+            pass
+        assert results[-1] == two_level_matching_reference(H, X, Y), seed
+    assert kinds["other"] == 0, kinds
+    assert kinds["touching"] >= 150 and kinds["rescued"] >= 30, kinds
 
 
 def test_lm_run_matches_reference_on_family_instances(monkeypatch):

@@ -14,10 +14,13 @@ from bonematch import (
     critical_core,
     deficiency,
     is_deficiency_critical,
+    lm_run,
     maximum_matching,
     path_graph,
     reduce_pendants,
+    snail_horns,
     star_graph,
+    t_family,
     t_tree,
 )
 from .helpers import (
@@ -28,6 +31,7 @@ from .helpers import (
     random_connected_graph,
     random_tree,
 )
+from .test_acceptance import _family_instances
 
 
 def test_maximum_matching_examples():
@@ -197,3 +201,54 @@ def test_criticality_choices_match_tuple_min_reference():
         core = min(subgraphs, key=lambda t: (-t[1], len(t[0]), t[0]))[0]
         assert critical_core(G)[1] == core
     assert witnesses >= 30
+
+
+def _odd_cycles_joined_by_paths(rng, cycles):
+    # odd cycles of length 3..11 in a row, consecutive ones joined by a path of
+    # 1..4 edges, with two pendants on the first vertex (a snail horn)
+    edges, prev, n = [], None, 2
+    edges += [(0, 2), (1, 2)]
+    for _ in range(cycles):
+        k = rng.choice(range(3, 12, 2))
+        ring = list(range(n, n + k))
+        edges += [(ring[i], ring[(i + 1) % k]) for i in range(k)]
+        n += k
+        if prev is not None:
+            path = [prev] + list(range(n, n + rng.randint(0, 3))) + [rng.choice(ring)]
+            n += len(path) - 2
+            edges += list(zip(path, path[1:]))
+        prev = rng.choice(ring)
+    return build_graph(n, edges)
+
+
+def _gnp(rng, n, p):
+    return build_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def test_blossom_matches_networkx_beyond_brute_force_reach():
+    # Edmonds, "Paths, trees, and flowers" (1965): maximum matchings are
+    # compared with networkx's own implementation far above n = 16
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1965)
+    graphs = [random_connected_graph(rng, n, extra=2.5 / n) for n in (40, 80, 120, 200, 300)]
+    graphs += [random_tree(rng, n) for n in (150, 300)]
+    graphs += _family_instances() + [t_tree(9, 5), t_family(8, 5)]
+    graphs += [_odd_cycles_joined_by_paths(rng, c) for c in (3, 8, 15, 30)]
+    graphs += [_gnp(rng, n, 0.5) for n in (17, 30, 45, 60)]
+    horns = 0
+    for G in graphs:
+        res = maximum_matching(G)
+        assert is_valid_matching(G, res.edges)
+        saturated = {v for e in res.edges for v in e}
+        assert res.unsaturated == frozenset(range(G.n)) - saturated
+        assert res.deficiency == len(res.unsaturated) == deficiency(G)
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        theirs = nx.max_weight_matching(H, maxcardinality=True)
+        assert is_valid_matching(G, theirs)
+        assert len(res.edges) == len(theirs), (G, G.n)
+        if snail_horns(G):
+            horns += 1
+            assert lm_run(G).bound >= res.deficiency
+    assert horns >= 30 and max(G.n for G in graphs) >= 300

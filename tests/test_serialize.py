@@ -16,6 +16,8 @@ from bonematch import (
     read_graph_json,
     write_graph_json,
 )
+from bonematch import serialize
+from bonematch.cli import run_cli
 from .helpers import random_connected_graph
 
 
@@ -66,6 +68,28 @@ def test_json_dict_rejects_bool_vertex_ids():
         graph_from_json_dict({"n": 3, "edges": [[True, 2]]})
     with pytest.raises(ValueError):
         graph_from_json_dict({"n": 3, "edges": [[0, False]]})
+
+
+def test_loaders_cap_the_vertex_count_before_allocating(tmp_path, monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the cap must trip before any graph is built")
+
+    monkeypatch.setattr(serialize, "build_graph", no_build)
+    for load in (lambda: graph_from_json_dict({"n": 10**9, "edges": []}),
+                 lambda: graph_from_edgelist_text("1000000000\n0 1\n")):
+        with pytest.raises(ValueError, match="exceeds the loader cap of 100000"):
+            load()
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "edges": []}')
+    assert run_cli(["lm", str(path)]) == 2
+    assert "exceeds the loader cap" in capsys.readouterr().err
+    monkeypatch.undo()
+    # the cap is read at call time and admits a graph of exactly its size
+    monkeypatch.setattr(serialize, "_VERTEX_CAP", 3)
+    assert graph_from_json_dict({"n": 3, "edges": [[0, 1]]}).n == 3
+    assert graph_from_edgelist_text("3\n0 2\n").n == 3
+    with pytest.raises(ValueError, match="vertex count 4 exceeds"):
+        graph_from_json_dict({"n": 4, "edges": []})
 
 
 def test_read_graph_json_rejects_bad_json(tmp_path):
