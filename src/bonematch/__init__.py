@@ -1,185 +1,22 @@
 """bonematch: matching deficiency, induced-bone structure, levelling-matching
 bounds, and the extremal constructions that attain them.
 
-The public API re-exports the main operations of each module; see the module
+The package re-exports the ``__all__`` of each module below; see the module
 docstrings for the contracts.
 """
 
-from .canon import CanonicalForm, canonical_form
-from .errors import GuardExceededError, PostconditionError
-from .families import (
-    FAMILIES,
-    FamilySpec,
-    attach_broom,
-    broom,
-    bs,
-    build_family,
-    complete_bipartite_graph,
-    complete_graph,
-    e_family,
-    e_plus_family,
-    f_family,
-    path_graph,
-    s_family,
-    skeleton_tree,
-    star_graph,
-    t_family,
-    t_tree,
-    y_delta,
-)
-from .graphs import (
-    FriendlyLevel,
-    Graph,
-    Levelling,
-    SnailHorn,
-    build_graph,
-    children,
-    friendly_level,
-    induced_subgraph,
-    is_clean_level,
-    is_connected,
-    levelling,
-    pendant_edges,
-    snail_horns,
-)
-from .harness import (
-    THEOREM_IDS,
-    CheckResult,
-    SearchConstraints,
-    SearchReport,
-    SweepReport,
-    TheoremSpec,
-    check_theorem,
-    exhaustive_sweep,
-    extremal_search,
-    random_connected,
-)
-from .lm import (
-    LMLevel,
-    LMTrace,
-    TraceViolation,
-    TwoLevelResult,
-    lm_root_sweep,
-    lm_run,
-    two_level_matching,
-    validate_trace,
-)
-from .matching import (
-    CriticalityResult,
-    MatchingResult,
-    PendantReduction,
-    berge_tutte_deficiency,
-    brute_force_matching_size,
-    critical_core,
-    deficiency,
-    is_deficiency_critical,
-    maximum_matching,
-    reduce_pendants,
-)
-from .serialize import (
-    graph_from_edgelist_text,
-    graph_from_json_dict,
-    graph_key,
-    graph_to_dot,
-    graph_to_edgelist_text,
-    graph_to_json_dict,
-    read_graph_json,
-    write_graph_json,
-)
-from .structure import (
-    BoneEmbedding,
-    StructureProfile,
-    admitting_set,
-    clique_number,
-    find_induced_bone,
-    independence_number,
-    local_independence_number,
-    max_independent_set,
-    structure_profile,
-)
+from . import canon, errors, families, graphs, harness, lm, matching, serialize, structure
+from .canon import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .lm import *  # noqa: F401,F403
+from .matching import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
+from .structure import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GuardExceededError",
-    "PostconditionError",
-    "Graph",
-    "build_graph",
-    "induced_subgraph",
-    "is_connected",
-    "Levelling",
-    "levelling",
-    "children",
-    "FriendlyLevel",
-    "friendly_level",
-    "SnailHorn",
-    "snail_horns",
-    "pendant_edges",
-    "is_clean_level",
-    "graph_to_json_dict",
-    "graph_from_json_dict",
-    "write_graph_json",
-    "read_graph_json",
-    "graph_to_edgelist_text",
-    "graph_from_edgelist_text",
-    "graph_to_dot",
-    "graph_key",
-    "MatchingResult",
-    "maximum_matching",
-    "deficiency",
-    "brute_force_matching_size",
-    "berge_tutte_deficiency",
-    "PendantReduction",
-    "reduce_pendants",
-    "CriticalityResult",
-    "is_deficiency_critical",
-    "critical_core",
-    "independence_number",
-    "max_independent_set",
-    "local_independence_number",
-    "clique_number",
-    "BoneEmbedding",
-    "find_induced_bone",
-    "admitting_set",
-    "StructureProfile",
-    "structure_profile",
-    "attach_broom",
-    "broom",
-    "bs",
-    "s_family",
-    "t_family",
-    "e_family",
-    "e_plus_family",
-    "t_tree",
-    "skeleton_tree",
-    "y_delta",
-    "f_family",
-    "path_graph",
-    "star_graph",
-    "complete_graph",
-    "complete_bipartite_graph",
-    "FamilySpec",
-    "FAMILIES",
-    "build_family",
-    "TwoLevelResult",
-    "two_level_matching",
-    "LMLevel",
-    "LMTrace",
-    "lm_run",
-    "lm_root_sweep",
-    "TraceViolation",
-    "validate_trace",
-    "THEOREM_IDS",
-    "TheoremSpec",
-    "CheckResult",
-    "check_theorem",
-    "SweepReport",
-    "exhaustive_sweep",
-    "CanonicalForm",
-    "canonical_form",
-    "random_connected",
-    "SearchConstraints",
-    "SearchReport",
-    "extremal_search",
-    "__version__",
-]
+__all__ = [name for module in (canon, errors, families, graphs, harness, lm, matching, serialize,
+                               structure) for name in module.__all__] + ["__version__"]

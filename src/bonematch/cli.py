@@ -3,8 +3,8 @@
 Subcommands: ``construct``, ``analyze``, ``lm``, ``verify``, ``sweep``,
 ``search``, ``export``.  Human-readable tables go to standard output;
 machine-readable artifacts are written only through ``--out`` / ``--format``.
-Exit codes: 0 all checks passed, 1 a check or trace validation failed,
-2 usage error or size guard exceeded.
+Exit codes: 0 all checks passed, 1 a check, trace validation or internal
+check failed, 2 usage error or size guard exceeded.
 
 Randomized commands take an explicit ``--seed`` so runs are reproducible.
 """
@@ -12,7 +12,6 @@ Randomized commands take an explicit ``--seed`` so runs are reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from itertools import product
@@ -20,7 +19,7 @@ from math import prod
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import GuardExceededError
+from .errors import GuardExceededError, PostconditionError
 from .families import FAMILIES, FamilySpec, build_family
 from .harness import (
     _FACTS,
@@ -37,6 +36,7 @@ from .serialize import (
     graph_key,
     graph_to_dot,
     graph_to_json_dict,
+    json_text,
     read_graph_json,
     write_graph_json,
 )
@@ -153,7 +153,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.out:
         payload = {"graph": graph_to_json_dict(G), "deficiency": kd,
                    "profile": profile.to_json_dict()}
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(json_text(payload))
         _print_kv("written", args.out)
     return 0
 
@@ -190,7 +190,7 @@ def _cmd_lm(args: argparse.Namespace) -> int:
     if args.out:
         payload = {"graph": graph_to_json_dict(G), "trace": trace.to_json_dict(),
                    "exact": exact, "violations": [str(v) for v in violations]}
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(json_text(payload))
         _print_kv("written", args.out)
     if violations:
         print("trace INVALID:")
@@ -218,7 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _print_kv("note", result.note)
     if args.out:
         payload = {"graph": graph_to_json_dict(G), "result": result.to_json_dict()}
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(json_text(payload))
         _print_kv("written", args.out)
     if result.indeterminate:
         _print_kv("verdict", "INDETERMINATE (guard exceeded)")
@@ -290,9 +290,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             continue
         # facts the check computed are reused, also when a later guard tripped;
         # guarded fields degrade to "?" per instance instead of aborting the sweep
-        fields: dict[str, Any] = {}
-        result = (check_theorem(G, _theorem_spec_for_instance(args.theorem, args, params), fields)
+        result = (check_theorem(G, _theorem_spec_for_instance(args.theorem, args, params))
                   if args.theorem else None)
+        fields = dict(result.details) if result else {}
         if "critical" in fields:  # the criticality scan computes the deficiency
             fields.setdefault("kd", fields["critical"].deficiency)
         kd = fields["kd"] if "kd" in fields else _FACTS["kd"](G)
@@ -353,8 +353,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             _print_kv("mod check",
                        f"kd == 1 (mod {report.mod_base}): {'yes' if report.mod_hit else 'no'}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_text(json_text(report.to_json_dict()))
         _print_kv("written", args.out)
     return 0
 
@@ -364,7 +363,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.format == "dot":
         text = graph_to_dot(G)
     else:
-        text = json.dumps(graph_to_json_dict(G), indent=2, sort_keys=True) + "\n"
+        text = json_text(graph_to_json_dict(G))
     if args.out:
         Path(args.out).write_text(text)
         _print_kv("written", args.out)
@@ -459,6 +458,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2
+    except PostconditionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,24 +156,8 @@ def t_tree(m: int, n: int) -> Graph:
         raise ValueError(f"t_tree needs n > 3, got {n}")
     if m == 3:
         return star_graph(n - 1).with_name(f"T_tree({m},{n})")
-    edges = []
-    level = [0]
-    next_id = 1
-    for i in range(m - 2):
-        if i == 0:
-            per_parent = n - 1
-        elif i % 2 == 0:
-            per_parent = n - 2
-        else:
-            per_parent = 1
-        nxt = []
-        for u in level:
-            for _ in range(per_parent):
-                edges.append((u, next_id))
-                nxt.append(next_id)
-                next_id += 1
-        level = nxt
-    return build_graph(next_id, edges, name=f"T_tree({m},{n})")
+    fan_outs = [n - 1] + [1 if i % 2 else n - 2 for i in range(1, m - 2)]
+    return _layered_tree(fan_outs, f"T_tree({m},{n})")
 
 
 def skeleton_tree(*branch_levels: int) -> Graph:
@@ -190,26 +174,21 @@ def skeleton_tree(*branch_levels: int) -> Graph:
     if any(x < 1 for x in a) or any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
         raise ValueError(f"branch levels must be strictly ascending positive, got {a}")
     splitting = set(a[:-1])
-    depth = a[-1]
-    edges = []
-    level = [0]
-    next_id = 1
-    for i in range(depth):
-        if i == 0:
-            per_parent = 3
-        elif i in splitting:
-            per_parent = 2
-        else:
-            per_parent = 1
-        nxt = []
-        for u in level:
-            for _ in range(per_parent):
-                edges.append((u, next_id))
-                nxt.append(next_id)
-                next_id += 1
-        level = nxt
-    name = "T(" + ",".join(str(x) for x in a) + ")"
-    return build_graph(next_id, edges, name=name)
+    fan_outs = [3] + [2 if i in splitting else 1 for i in range(1, a[-1])]
+    return _layered_tree(fan_outs, "T(" + ",".join(str(x) for x in a) + ")")
+
+
+def _layered_tree(fan_outs: Sequence[int], name: str) -> Graph:
+    """Tree grown from root 0 level by level, each vertex of level ``i`` getting
+    ``fan_outs[i]`` children; ids follow levels, and a parent's children are
+    consecutive."""
+    edges: list[tuple[int, int]] = []
+    level: Sequence[int] = [0]
+    for k in fan_outs:
+        parents = [u for u in level for _ in range(k)]
+        level = range(len(edges) + 1, len(edges) + 1 + len(parents))
+        edges += zip(parents, level)
+    return build_graph(len(edges) + 1, edges, name=name)
 
 
 def y_delta(G: Graph, v: int) -> Graph:
@@ -285,13 +264,6 @@ class FamilySpec:
         return f"{self.family}({inner})"
 
 
-def _build_list_family(builder: Callable[..., Graph]) -> Callable[..., Graph]:
-    def build(a: Sequence[int]) -> Graph:
-        return builder(*a)
-
-    return build
-
-
 # family id -> (parameter names, builder taking keyword arguments)
 FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph]]] = {
     "d": (("n", "p"), broom),
@@ -301,8 +273,8 @@ FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph]]] = {
     "e": (("m", "n", "p"), e_family),
     "e_plus": (("m", "n", "p"), e_plus_family),
     "t_tree": (("m", "n"), t_tree),
-    "skeleton": (("a",), _build_list_family(skeleton_tree)),
-    "f": (("a",), _build_list_family(f_family)),
+    "skeleton": (("a",), lambda a: skeleton_tree(*a)),
+    "f": (("a",), lambda a: f_family(*a)),
     "path": (("k",), path_graph),
     "star": (("k",), star_graph),
     "complete": (("k",), complete_graph),

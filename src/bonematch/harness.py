@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -25,7 +24,7 @@ from .canon import CanonicalForm, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
 from .matching import deficiency, is_deficiency_critical
-from .serialize import graph_key, graph_to_json_dict
+from .serialize import graph_key, graph_to_json_dict, json_text
 from .structure import admitting_set, clique_number, local_independence_number
 
 __all__ = [
@@ -208,15 +207,20 @@ _THEOREMS: dict[str, _Theorem] = {
 THEOREM_IDS = tuple(_THEOREMS)
 
 
-def check_theorem(G: Graph, spec: TheoremSpec,
-                  out: dict[str, Any] | None = None) -> CheckResult:
+def _details(f: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
+    # the last use of ``f``, so the admitting set is sorted in place
+    if "admitting" in f:
+        f["admitting"] = sorted(f["admitting"])
+    return tuple(f.items())
+
+
+def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
     """Evaluate one check on one graph.
 
     Hypotheses are evaluated exactly (complete admitting set).  A tripped size
     guard makes the result indeterminate, never a pass.  ``details`` holds the
-    facts the check read, in order, with the admitting set as a sorted list.
-    ``out``, if given, is an empty dict that receives each fact as it is
-    computed, so the caller keeps them also when a later guard trips.
+    facts the check computed, in order, with the admitting set as a sorted
+    list; on an indeterminate result, those computed before the guard tripped.
     Adding a theorem means adding one ``_THEOREMS`` entry.
     """
     facts, hypotheses, bound, passes, params, rules, m, note = _THEOREMS[spec.id]
@@ -227,7 +231,7 @@ def check_theorem(G: Graph, spec: TheoremSpec,
     for bad, why in rules:
         if bad(m, n, p):
             raise ValueError(f"{spec.id} " + why.format(m=m, n=n, p=p))
-    f: dict[str, Any] = {} if out is None else out
+    f: dict[str, Any] = {}
     try:
         for name in facts:
             f[name] = _FACTS[name](G)
@@ -235,7 +239,7 @@ def check_theorem(G: Graph, spec: TheoremSpec,
         return CheckResult(
             theorem=spec.id, hypotheses=(), hypotheses_met=False, bound_value=None,
             actual_deficiency=None, passed=False, vacuous=False, indeterminate=True,
-            note=str(exc))
+            note=str(exc), details=_details(f))
     if n is None and "alpha_l" in f:
         # the smallest legal star parameter the graph satisfies: sweeps need none
         n = max(f["alpha_l"] + 1, 4)
@@ -246,12 +250,10 @@ def check_theorem(G: Graph, spec: TheoremSpec,
     # the criticality scan computes the deficiency when a check runs it
     kd = f["kd"] if "kd" in f else f["critical"].deficiency
     passed = not met or (kd <= bound if passes is None else passes(f, kd, bound, n))
-    if "admitting" in f:
-        f["admitting"] = sorted(f["admitting"])
     return CheckResult(
         theorem=spec.id, hypotheses=tuple(hyps), hypotheses_met=met, bound_value=bound,
         actual_deficiency=kd, passed=passed, vacuous=not met, note=note,
-        details=tuple(f.items()))
+        details=_details(f))
 
 
 @dataclass(frozen=True)
@@ -400,12 +402,10 @@ def rows_to_csv(rows: list[dict[str, Any]]) -> str:
 def _write_sweep_artifacts(out_dir: Path, report: SweepReport,
                            rows: list[dict[str, Any]]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    (out_dir / "summary.json").write_text(json_text(report.to_json_dict()))
     (out_dir / "instances.csv").write_text(rows_to_csv(rows))
     for k, violation in enumerate(report.violations):
-        (out_dir / f"violation-{k:04d}.json").write_text(
-            json.dumps(violation, indent=2, sort_keys=True) + "\n")
+        (out_dir / f"violation-{k:04d}.json").write_text(json_text(violation))
 
 
 def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
@@ -516,6 +516,8 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     restarts after a stretch of non-improving steps.  Exploratory tooling:
     the result is a lower bound witness, nothing more.
     """
+    if iters < 0:
+        raise ValueError(f"iteration count must be non-negative, got {iters}")
     rng = random.Random(seed)
     n = constraints.n
     seed_prob = min(1.0, 2.5 / n) if n > 1 else 1.0

@@ -340,13 +340,6 @@ class LMTrace:
     levels: tuple[LMLevel, ...]
     bound: int
 
-    def all_matching_edges(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for lv in self.levels:
-            out.update(lv.matching)
-            out.update(lv.witness_matching)
-        return frozenset(out)
-
     def leftover_union(self) -> frozenset[int]:
         return frozenset(v for lv in self.levels for v in lv.leftover)
 
@@ -359,11 +352,11 @@ class LMTrace:
         }
 
 
-def _auto_root(G: Graph) -> int:
+def _horn_heads(G: Graph) -> list[int]:
     horns = snail_horns(G)
     if not horns:
         raise ValueError("graph has no snail horn; no valid root exists")
-    return horns[0].head
+    return [h.head for h in horns]
 
 
 def lm_run(G: Graph, root: int | None = None) -> LMTrace:
@@ -375,7 +368,7 @@ def lm_run(G: Graph, root: int | None = None) -> LMTrace:
     one.  Returns the full per-level trace.
     """
     if root is None:
-        root = _auto_root(G)
+        root = _horn_heads(G)[0]
     elif not (0 <= root < G.n and sum(G.degree(y) == 1 for y in G.adj[root]) >= 2):
         raise ValueError(f"root {root} is not a snail-horn head")
     L = levelling(G, root)
@@ -409,10 +402,7 @@ def lm_run(G: Graph, root: int | None = None) -> LMTrace:
 
 def lm_root_sweep(G: Graph) -> list[tuple[int, int]]:
     """Bound from every snail-horn head, as ``(root, bound)`` pairs, roots ascending."""
-    horns = snail_horns(G)
-    if not horns:
-        raise ValueError("graph has no snail horn; no valid root exists")
-    return [(h.head, lm_run(G, h.head).bound) for h in horns]
+    return [(r, lm_run(G, r).bound) for r in _horn_heads(G)]
 
 
 class TraceViolation(NamedTuple):

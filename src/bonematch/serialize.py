@@ -19,6 +19,7 @@ __all__ = [
     "graph_from_edgelist_text",
     "graph_to_dot",
     "graph_key",
+    "json_text",
 ]
 
 # Largest vertex count a loader accepts.  ``build_graph`` allocates one set
@@ -67,9 +68,13 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
     return build_graph(n, pairs, name=name)
 
 
+def json_text(obj: Any) -> str:
+    """The text of every JSON artifact: sorted keys, two-space indent, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_graph_json(G: Graph, path: str | Path, family: dict[str, Any] | None = None) -> None:
-    text = json.dumps(graph_to_json_dict(G, family), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(json_text(graph_to_json_dict(G, family)))
 
 
 def read_graph_json(path: str | Path) -> Graph:

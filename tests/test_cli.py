@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from bonematch import bs, graph_from_json_dict, harness, read_graph_json, structure, t_tree
+from bonematch import (PostconditionError, bs, cli, graph_from_json_dict, harness, read_graph_json,
+                       structure, t_tree)
 from bonematch.cli import _parse_range, run_cli
 
 
@@ -110,6 +112,20 @@ def test_lm_rejects_non_head_root(tmp_path, capsys):
     path = make_graph_file(tmp_path, "bs", "n=2,p=3")
     assert run_cli(["lm", str(path), "--root", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lm_reports_a_failed_internal_check_without_traceback(tmp_path, capsys, monkeypatch):
+    path = make_graph_file(tmp_path, "bs", "n=2,p=3")
+    capsys.readouterr()
+
+    def failing_run(G, root=None):
+        raise PostconditionError("matched vertex 5 spoils 2 residual vertices")
+
+    monkeypatch.setattr(cli, "lm_run", failing_run)
+    assert run_cli(["lm", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: matched vertex 5 spoils 2 residual vertices\n"
 
 
 def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
@@ -270,6 +286,33 @@ def test_search_cli(tmp_path, capsys):
 
 def test_search_requires_seed(capsys):
     assert run_cli(["search", "--n", "7", "--iters", "10"]) == 2
+
+
+def test_search_rejects_negative_iterations(capsys):
+    assert run_cli(["search", "--n", "5", "--iters", "-3", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: iteration count must be non-negative, got -3\n"
+
+
+def test_every_json_artifact_has_one_format(tmp_path, capsys):
+    graph = str(make_graph_file(tmp_path, "bs", "n=2,p=3"))
+    out = {name: str(tmp_path / f"{name}.json") for name in ("analyze", "lm", "verify", "search")}
+    commands = [
+        ["analyze", graph, "--critical", "exhaustive", "--out", out["analyze"]],
+        ["lm", graph, "--explain", "--sweep-roots", "--out", out["lm"]],
+        ["verify", graph, "--theorem", "thm-1.4-m3", "--out", out["verify"]],
+        ["search", "--n", "6", "--iters", "50", "--seed", "3", "--out", out["search"]],
+        ["sweep", "--theorem", "cor-1.3", "--m", "3", "--n", "4", "--nmax", "3",
+         "--out", str(tmp_path / "sweep")],
+    ]
+    # the cor-1.3 sweep finds violations, so it exits 1 and dumps them
+    assert [run_cli(argv) for argv in commands] == [0, 0, 0, 0, 1]
+    paths = [graph, *out.values()]
+    paths += [tmp_path / "sweep" / "summary.json", tmp_path / "sweep" / "violation-0000.json"]
+    for path in paths:
+        text = Path(path).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
 
 
 def test_export_round_trip(tmp_path, capsys):

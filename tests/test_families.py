@@ -15,6 +15,7 @@ from bonematch import (
     e_family,
     e_plus_family,
     f_family,
+    graph_key,
     is_connected,
     path_graph,
     s_family,
@@ -116,6 +117,33 @@ def test_layered_tree_validation_and_shape():
     G = t_tree(5, 4)
     assert G.n == 13
     assert G.edge_count() == 12 and is_connected(G)
+
+
+# (arguments, graph_key, name) of the layered trees, fixed when both were
+# built by their own level loops; ids and names must not move
+T_TREE_IDENTITY = [
+    ((3, 4), "f1ec58bbbe5b", "T_tree(3,4)"), ((3, 5), "fad598e9d1b8", "T_tree(3,5)"),
+    ((3, 6), "ee76345c388c", "T_tree(3,6)"), ((5, 4), "5fc60497f43a", "T_tree(5,4)"),
+    ((5, 5), "dcc594800014", "T_tree(5,5)"), ((5, 6), "ee1ee348b527", "T_tree(5,6)"),
+    ((7, 4), "6b300fde9ebc", "T_tree(7,4)"), ((7, 5), "fe8f8ac8eeba", "T_tree(7,5)"),
+    ((7, 6), "3b135d7bfc11", "T_tree(7,6)"), ((9, 4), "affc33b7312a", "T_tree(9,4)"),
+    ((9, 5), "33e9ead58e95", "T_tree(9,5)"), ((9, 6), "dcc51ff8d56b", "T_tree(9,6)"),
+]
+SKELETON_IDENTITY = [
+    ((1,), "f1ec58bbbe5b", "T(1)", "7f4515cb7714", "F(1)"),
+    ((1, 2), "ad2bba5f2a1b", "T(1,2)", "6efd10e805a5", "F(1,2)"),
+    ((1, 2, 3), "545ae6a097e8", "T(1,2,3)", "eeacd1751699", "F(1,2,3)"),
+    ((2, 4, 5), "6b300fde9ebc", "T(2,4,5)", "eae6a09f887a", "F(2,4,5)"),
+]
+
+
+def test_layered_trees_keep_their_ids_and_names():
+    for args, key, name in T_TREE_IDENTITY:
+        G = t_tree(*args)
+        assert (graph_key(G), G.name) == (key, name)
+    for args, tree_key, tree_name, f_key, f_name in SKELETON_IDENTITY:
+        T, F = skeleton_tree(*args), f_family(*args)
+        assert (graph_key(T), T.name, graph_key(F), F.name) == (tree_key, tree_name, f_key, f_name)
 
 
 def test_skeleton_tree():

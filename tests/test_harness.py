@@ -432,9 +432,11 @@ def _outcome(check, G, spec):
         r = check(G, spec)
     except ValueError as exc:
         return str(exc)
+    # the reference keeps no facts when a guard trips; the facts an
+    # indeterminate result keeps are checked against the guard below
     details = dict(r.details)
-    return (r.to_json_dict(), r.hypotheses,
-            [details.get(k) for k in ("alpha_l", "omega", "admitting")])
+    facts = None if r.indeterminate else [details.get(k) for k in ("alpha_l", "omega", "admitting")]
+    return (r.to_json_dict(), r.hypotheses, facts)
 
 
 def test_check_theorem_matches_frozen_reference(monkeypatch):
@@ -485,4 +487,27 @@ def test_details_hold_the_facts_the_check_read_in_order():
     r = check_theorem(bs(2, 3), TheoremSpec("cor-2.3-snailhorn"))
     assert [k for k, _ in r.details] == ["critical", "connected", "nontrivial", "snail_horns"]
     r = check_theorem(t_tree(7, 5), TheoremSpec("thm-1.8-all-even"))
-    assert r.indeterminate and r.details == ()
+    assert r.indeterminate and r.details == (("alpha_l", 4),)
+
+
+def test_indeterminate_details_hold_the_facts_computed_before_the_guard():
+    seen = 0
+    for G in [t_tree(7, 5), t_tree(7, 6)]:
+        for spec in REFERENCE_SPECS:
+            try:
+                r = check_theorem(G, spec)
+            except ValueError:
+                continue
+            if not r.indeterminate:
+                continue
+            facts = harness._THEOREMS[spec.id].facts
+            k = len(r.details)
+            assert [name for name, _ in r.details] == list(facts[:k])
+            for name, value in r.details:
+                want = harness._FACTS[name](G)
+                assert value == (sorted(want) if name == "admitting" else want)
+            with pytest.raises(GuardExceededError) as exc:
+                harness._FACTS[facts[k]](G)
+            assert r.note == str(exc.value)
+            seen += k > 0
+    assert seen >= 6
