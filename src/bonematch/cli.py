@@ -147,12 +147,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _print_kv("snail horns", profile.snail_horn_count)
     _print_kv("claw-free", "yes" if profile.claw_free else "no")
     _print_kv("triangle-free", {None: "?", True: "yes", False: "no"}[profile.triangle_free])
+    payload = {"graph": graph_to_json_dict(G), "deficiency": kd,
+               "profile": profile.to_json_dict()}
     if args.critical != "skip":
         crit = is_deficiency_critical(G, args.critical)
         _print_kv("criticality", f"{crit.verdict} (mode {crit.mode})")
+        payload["criticality"] = {"verdict": crit.verdict, "mode": crit.mode,
+                                  "witness_vertices": crit.witness_vertices}
     if args.out:
-        payload = {"graph": graph_to_json_dict(G), "deficiency": kd,
-                   "profile": profile.to_json_dict()}
         Path(args.out).write_text(json_text(payload))
         _print_kv("written", args.out)
     return 0

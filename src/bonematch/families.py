@@ -264,6 +264,11 @@ class FamilySpec:
         return f"{self.family}({inner})"
 
 
+def _levels(a: int | Sequence[int]) -> Sequence[int]:
+    # list-valued parameters: a single integer is the one-level list
+    return [a] if isinstance(a, int) else a
+
+
 # family id -> (parameter names, builder taking keyword arguments)
 FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph]]] = {
     "d": (("n", "p"), broom),
@@ -273,8 +278,8 @@ FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph]]] = {
     "e": (("m", "n", "p"), e_family),
     "e_plus": (("m", "n", "p"), e_plus_family),
     "t_tree": (("m", "n"), t_tree),
-    "skeleton": (("a",), lambda a: skeleton_tree(*a)),
-    "f": (("a",), lambda a: f_family(*a)),
+    "skeleton": (("a",), lambda a: skeleton_tree(*_levels(a))),
+    "f": (("a",), lambda a: f_family(*_levels(a))),
     "path": (("k",), path_graph),
     "star": (("k",), star_graph),
     "complete": (("k",), complete_graph),

@@ -5,6 +5,16 @@ The production maximum-matching path is a hand-written blossom algorithm
 oracles, ``brute_force_matching_size`` and ``berge_tutte_deficiency``, exist
 purely so tests can cross-check the blossom on small graphs; they are never
 called by other production code.
+
+Criticality (``is_deficiency_critical``, ``critical_core``) never builds a
+table over all 2^n vertex sets.  One scan grows every connected vertex set
+once from its lowest vertex, adding one neighbour at a time (Wernicke's ESU
+enumeration), and keeps a matching of the set as it grows: a new vertex w is
+matched to its partner in one maximum matching M of G if that partner is in
+the set and still free, else to its lowest free neighbour in the set, else
+left free.  Any matching of G[S] leaves at least kd(S) vertices of S free, so
+the free count is an exact upper bound on kd(S), and the blossom runs only on
+the sets where it reaches the deficiency sought.
 """
 
 from __future__ import annotations
@@ -265,43 +275,6 @@ def reduce_pendants(G: Graph) -> PendantReduction:
     return PendantReduction(reduced, tuple(keep), tuple(removed), isolated)
 
 
-def _matching_size_table(masks: list[int], n: int) -> list[int]:
-    # f[mask] = maximum matching size of the induced subgraph on `mask`,
-    # filled bottom-up by branching at the lowest vertex of the mask.
-    f = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        best = f[rest]
-        nb = masks[v] & rest
-        while nb:
-            u = nb & -nb
-            cand = 1 + f[rest ^ u]
-            if cand > best:
-                best = cand
-            nb ^= u
-        f[mask] = best
-    return f
-
-
-def _mask_connected(masks: list[int], mask: int) -> bool:
-    if mask == 0:
-        return False
-    comp = mask & -mask
-    frontier = comp
-    while frontier:
-        grow = 0
-        f = frontier
-        while f:
-            b = f & -f
-            grow |= masks[b.bit_length() - 1]
-            f &= f - 1
-        frontier = grow & mask & ~comp
-        comp |= frontier
-    return comp == mask
-
-
 def _mask_vertices(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -311,14 +284,41 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lex_less(a: int, b: int) -> bool:
-    # Whether the sorted vertex tuple of mask a precedes that of mask b (a != b).
-    # Both agree below d, the lowest differing bit; the mask holding d comes
-    # first unless the other one stops there (then it is a prefix).
-    d = (a ^ b) & -(a ^ b)
-    if a & d:
-        return bool(b & -(d << 1))
-    return not (a & -(d << 1))
+def _set_deficiency(masks: list[int], S: int) -> int:
+    vs = _mask_vertices(S)
+    index = {v: i for i, v in enumerate(vs)}
+    adj = [[index[u] for u in _mask_vertices(masks[v] & S)] for v in vs]
+    return _blossom(len(vs), adj).count(-1)
+
+
+def _connected_sets(masks: list[int], match: list[int], floor: int):
+    # For each start vertex v in turn, the list of (bound, mask) of the
+    # connected sets of two or more vertices with lowest vertex v whose
+    # deficiency bound (see the module docstring) reaches floor.
+    for v in range(len(masks)):
+        above = -1 << (v + 1)
+        found = []
+        stack = [(1 << v, masks[v] & above, masks[v] | 1 << v, 1 << v)]
+        while stack:
+            S, ext, closed, free = stack.pop()
+            while ext:
+                w = ext & -ext
+                ext ^= w
+                i = w.bit_length() - 1
+                nb = masks[i] & free
+                if match[i] >= 0 and nb >> match[i] & 1:
+                    grown = free ^ (1 << match[i])
+                elif nb:
+                    grown = free ^ (nb & -nb)
+                else:
+                    grown = free | w
+                bound = grown.bit_count()
+                if bound >= floor:
+                    found.append((bound, S | w))
+                ext2 = ext | (masks[i] & above & ~closed)
+                if ext2:
+                    stack.append((S | w, ext2, closed | masks[i], grown))
+        yield found
 
 
 @dataclass(frozen=True)
@@ -348,7 +348,8 @@ def is_deficiency_critical(G: Graph, mode: str = "exhaustive") -> CriticalityRes
     """
     if mode not in ("exhaustive", "delete-one"):
         raise ValueError(f"unknown mode {mode!r}")
-    kd = deficiency(G)
+    match = _blossom(G.n, [sorted(s) for s in G.adj])
+    kd = match.count(-1)
     if mode == "delete-one":
         for v in range(G.n):
             rest = [u for u in range(G.n) if u != v]
@@ -361,18 +362,18 @@ def is_deficiency_critical(G: Graph, mode: str = "exhaustive") -> CriticalityRes
 
     if G.n > _CRITICALITY_MAX:
         raise GuardExceededError(f"exhaustive criticality limited to {_CRITICALITY_MAX} vertices")
+    if kd <= 1 and G.n >= 2:  # vertex 0 alone: deficiency 1, the smallest vertex tuple
+        H, vmap = induced_subgraph(G, (0,))
+        return CriticalityResult("not-critical", mode, kd, H, vmap)
     masks = G.adjacency_masks()
-    f = _matching_size_table(masks, G.n)
     full = (1 << G.n) - 1
-    best = 0
-    for mask in range(1, full):
-        if (mask.bit_count() - 2 * f[mask] >= kd and (not best or _lex_less(mask, best))
-                and _mask_connected(masks, mask)):
-            best = mask
-    if not best:
-        return CriticalityResult("critical", mode, kd)
-    H, vmap = induced_subgraph(G, _mask_vertices(best))
-    return CriticalityResult("not-critical", mode, kd, H, vmap)
+    # every set grown from a lower vertex has a smaller sorted vertex tuple
+    for found in _connected_sets(masks, match, kd):
+        for _, S in sorted(found, key=lambda c: _mask_vertices(c[1])):
+            if S != full and _set_deficiency(masks, S) >= kd:
+                H, vmap = induced_subgraph(G, _mask_vertices(S))
+                return CriticalityResult("not-critical", mode, kd, H, vmap)
+    return CriticalityResult("critical", mode, kd)
 
 
 def critical_core(G: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -387,20 +388,12 @@ def critical_core(G: Graph) -> tuple[Graph, tuple[int, ...]]:
     if G.n == 0:
         raise ValueError("critical core of the empty graph is undefined")
     masks = G.adjacency_masks()
-    f = _matching_size_table(masks, G.n)
-    best_kd = -1
-    best_size = 0
-    best = 0
-    for mask in range(1, 1 << G.n):
-        kd = mask.bit_count() - 2 * f[mask]
-        if kd < best_kd:
-            continue
-        size = mask.bit_count()
-        if kd == best_kd and size > best_size:
-            continue
-        if not _mask_connected(masks, mask):
-            continue
-        if kd > best_kd or size < best_size or _lex_less(mask, best):
-            best_kd, best_size, best = kd, size, mask
-    H, vmap = induced_subgraph(G, _mask_vertices(best))
-    return H, vmap
+    match = _blossom(G.n, [sorted(s) for s in G.adj])
+    best = (-1, 1, (0,))  # (-deficiency, size, vertices); vertex 0 alone is the best of size 1
+    found = [c for group in _connected_sets(masks, match, 2) for c in group]
+    for bound, S in sorted(found, reverse=True):
+        if bound < -best[0]:
+            break
+        if (-bound, S.bit_count()) <= best[:2]:  # else it loses even at deficiency = bound
+            best = min(best, (-_set_deficiency(masks, S), S.bit_count(), _mask_vertices(S)))
+    return induced_subgraph(G, best[2])

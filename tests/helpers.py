@@ -454,6 +454,95 @@ def two_level_matching_reference(H: Graph, X, Y) -> TwoLevelResult:
 
 
 # ---------------------------------------------------------------------------
+# reference criticality: the matching size of every one of the 2^n vertex
+# sets, then a scan over all masks, as the exhaustive scans stood before they
+# visited connected vertex sets only
+
+
+def _matching_size_table(masks: list[int], n: int) -> list[int]:
+    # f[mask] = maximum matching size of the induced subgraph on `mask`,
+    # filled bottom-up by branching at the lowest vertex of the mask.
+    f = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        best = f[rest]
+        nb = masks[v] & rest
+        while nb:
+            u = nb & -nb
+            cand = 1 + f[rest ^ u]
+            if cand > best:
+                best = cand
+            nb ^= u
+        f[mask] = best
+    return f
+
+
+def _mask_connected(masks: list[int], mask: int) -> bool:
+    if mask == 0:
+        return False
+    comp = mask & -mask
+    frontier = comp
+    while frontier:
+        grow = 0
+        f = frontier
+        while f:
+            b = f & -f
+            grow |= masks[b.bit_length() - 1]
+            f &= f - 1
+        frontier = grow & mask & ~comp
+        comp |= frontier
+    return comp == mask
+
+
+def _lex_less(a: int, b: int) -> bool:
+    # Whether the sorted vertex tuple of mask a precedes that of mask b (a != b).
+    # Both agree below d, the lowest differing bit; the mask holding d comes
+    # first unless the other one stops there (then it is a prefix).
+    d = (a ^ b) & -(a ^ b)
+    if a & d:
+        return bool(b & -(d << 1))
+    return not (a & -(d << 1))
+
+
+def _mask_tuple(mask: int) -> tuple[int, ...] | None:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1) or None
+
+
+def criticality_table_reference(G: Graph):
+    """``(kd, witness, core)`` of ``G`` from one 2^n table: ``witness`` is the
+    vertex tuple ``is_deficiency_critical`` reports (``None`` when critical)
+    and ``core`` the one ``critical_core`` returns.  The two mask loops are
+    the package's as they stood; kd comes from the table, not the blossom."""
+    masks = G.adjacency_masks()
+    f = _matching_size_table(masks, G.n)
+    full = (1 << G.n) - 1
+    kd = G.n - 2 * f[full]
+    best = 0
+    for mask in range(1, full):
+        if (mask.bit_count() - 2 * f[mask] >= kd and (not best or _lex_less(mask, best))
+                and _mask_connected(masks, mask)):
+            best = mask
+    witness = _mask_tuple(best)
+    best_kd = -1
+    best_size = 0
+    best = 0
+    for mask in range(1, 1 << G.n):
+        kd = mask.bit_count() - 2 * f[mask]
+        if kd < best_kd:
+            continue
+        size = mask.bit_count()
+        if kd == best_kd and size > best_size:
+            continue
+        if not _mask_connected(masks, mask):
+            continue
+        if kd > best_kd or size < best_size or _lex_less(mask, best):
+            best_kd, best_size, best = kd, size, mask
+    return G.n - 2 * f[full], witness, _mask_tuple(best)
+
+
+# ---------------------------------------------------------------------------
 # reference theorem checks: one function per check, dispatched by an if chain,
 # as they stood before the checks became one table
 

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from bonematch import (PostconditionError, bs, cli, graph_from_json_dict, harness, read_graph_json,
-                       structure, t_tree)
+from bonematch import (PostconditionError, bs, cli, f_family, graph_from_json_dict, harness,
+                       read_graph_json, skeleton_tree, structure, t_tree)
 from bonematch.cli import _parse_range, run_cli
 
 
@@ -27,6 +27,19 @@ def test_construct_list_valued_params(tmp_path):
     path = tmp_path / "f.json"
     assert run_cli(["construct", "--family", "f", "--params", "a=1:2", "--out", str(path)]) == 0
     assert json.loads(path.read_text())["family"]["params"] == {"a": [1, 2]}
+
+
+@pytest.mark.parametrize("family, params, built", [
+    ("skeleton", "a=1", skeleton_tree(1)),
+    ("skeleton", "a=3", skeleton_tree(3)),
+    ("f", "a=2", f_family(2)),
+])
+def test_construct_single_value_builds_one_level_family(tmp_path, family, params, built):
+    path = tmp_path / "g.json"
+    assert run_cli(["construct", "--family", family, "--params", params, "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert graph_from_json_dict(data) == built
+    assert data["family"]["params"] == {"a": int(params[2:])}
 
 
 def test_construct_rejects_bad_params(capsys):
@@ -54,6 +67,23 @@ def test_analyze_criticality_and_artifact(tmp_path, capsys):
     data = json.loads(out_path.read_text())
     assert data["deficiency"] == 3
     assert data["profile"]["admitting"] == [3]
+
+
+def test_analyze_artifact_keeps_the_printed_criticality(tmp_path, capsys):
+    path = str(make_graph_file(tmp_path, "bs", "n=2,p=2"))
+    out_path = str(tmp_path / "analysis.json")
+    verdicts = {}
+    for mode in ("exhaustive", "delete-one", "skip"):
+        assert run_cli(["analyze", path, "--critical", mode, "--out", out_path]) == 0
+        verdicts[mode] = json.loads(Path(out_path).read_text()).get("criticality")
+    assert verdicts == {
+        "exhaustive": {"verdict": "not-critical", "mode": "exhaustive",
+                       "witness_vertices": [0, 1, 2, 3]},
+        "delete-one": {"verdict": "partial-pass", "mode": "delete-one",
+                       "witness_vertices": None},
+        "skip": None,
+    }
+    assert "criticality    not-critical (mode exhaustive)" in capsys.readouterr().out
 
 
 def test_analyze_prints_unknown_omega_above_clique_guard(tmp_path, capsys):
@@ -200,6 +230,12 @@ def test_sweep_family_mode_with_check(tmp_path, capsys):
     csv_lines = (out_dir / "instances.csv").read_text().splitlines()
     assert csv_lines[0].startswith("instance,n,")
     assert len(csv_lines) == 1 + 6
+
+
+def test_sweep_family_mode_builds_one_level_list_families(capsys):
+    assert run_cli(["sweep", "--family", "skeleton", "--range", "a=1..2"]) == 0
+    rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == ["T(1)", "T(2)"]
 
 
 def test_sweep_family_mode_computes_each_fact_once(tmp_path, capsys, monkeypatch):

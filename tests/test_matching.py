@@ -23,9 +23,12 @@ from bonematch import (
     t_family,
     t_tree,
 )
+from bonematch.harness import _connected_classes
 from .helpers import (
     bfs_levels,
+    criticality_table_reference,
     induced_on,
+    induced_subgraph_reference,
     is_valid_matching,
     matching_number_subsets,
     random_connected_graph,
@@ -201,6 +204,47 @@ def test_criticality_choices_match_tuple_min_reference():
         core = min(subgraphs, key=lambda t: (-t[1], len(t[0]), t[0]))[0]
         assert critical_core(G)[1] == core
     assert witnesses >= 30
+
+
+def _criticality_graph(rng, kind, n):
+    if kind == "tree":
+        return random_tree(rng, n)
+    if kind == "path+":  # a spanning path keeps kd <= 1
+        perm = rng.sample(range(n), n)
+        edges = set(zip(perm, perm[1:]))
+        edges |= {e for e in combinations(range(n), 2) if rng.random() < 0.15}
+        return build_graph(n, [tuple(sorted(e)) for e in edges])
+    if kind == "k2m":  # two hubs on most of n - 2 leaves, a few leaf edges: large kd
+        hubs = rng.sample(range(n), 2)
+        leaves = [v for v in range(n) if v not in hubs]
+        edges = {(h, v) for v in leaves for h in hubs if rng.random() < 0.9}
+        edges |= {e for e in combinations(leaves, 2) if rng.random() < 0.05}
+        return build_graph(n, [tuple(sorted(e)) for e in edges])
+    return _gnp(rng, n, kind)
+
+
+def test_criticality_matches_the_frozen_table_scan():
+    # Each connected vertex set is grown once and the blossom runs only where
+    # a matching bound lets it reach the target; the reference fills the
+    # whole 2^n table.  Verdicts, witnesses and cores must agree exactly.
+    graphs = [G for G in _family_instances() if G.n <= 18]
+    graphs += [G for G, _ in _connected_classes(7)]
+    rng = random.Random(2006)
+    kinds = ["tree", 0.2, 0.5, 0.8, "path+", "k2m"]
+    sizes = [rng.randint(8, 12) for _ in range(300)] + [14, 15, 16, 17, 18, 18]
+    graphs += [_criticality_graph(rng, kinds[k % 6], n) for k, n in enumerate(sizes)]
+    verdicts = {"critical": 0, "not-critical": 0}
+    for G in graphs:
+        kd, witness, core = criticality_table_reference(G)
+        res = is_deficiency_critical(G)
+        assert (res.verdict, res.deficiency, res.witness_vertices) == (
+            "critical" if witness is None else "not-critical", kd, witness), G
+        if witness is not None:
+            assert res.witness == induced_subgraph_reference(G, witness)[0], G
+        assert critical_core(G) == induced_subgraph_reference(G, core), G
+        verdicts[res.verdict] += 1
+    assert len(graphs) >= 1300 and verdicts["critical"] >= 50
+    assert max(G.n for G in graphs) == 18
 
 
 def _odd_cycles_joined_by_paths(rng, cycles):
