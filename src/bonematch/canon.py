@@ -1,20 +1,26 @@
 """Canonical form and automorphism count by individualisation and refinement.
 
 The search follows McKay & Piperno, "Practical graph isomorphism II" (JSC 60,
-2014), without automorphism pruning.  The unit partition is refined to an
-equitable ordered partition; while a cell has more than one vertex, each
-vertex of the first such cell is individualised in turn and the partition is
-refined again.  Every leaf of this tree is a discrete ordered partition, that
+2014), with first-path automorphism pruning.  The unit partition is refined
+to an equitable ordered partition; while a cell has more than one vertex,
+each vertex of the first such cell is individualised in turn and the
+partition is refined again.  Every leaf is a discrete ordered partition, that
 is a relabelling of the graph, and the canonical code is the largest
 relabelled adjacency bit-string over all leaves.
 
-Refinement and the choice of target cell depend on the ordered partition
-only, never on vertex names, so ``Aut(G)`` maps leaves to leaves and acts on
-them without fixed points, and two leaves with the same code differ by an
-automorphism.  Hence ``|Aut(G)|`` is exactly the number of leaves that reach
-the canonical code.  The search is iterative and counts its nodes against
-``_CANON_BUDGET``; highly symmetric graphs (``K_n`` has ``n!`` leaves) trip it
-with ``GuardExceededError``.
+Refinement and the choice of target cell never depend on vertex names, so an
+automorphism maps each subtree onto one with the same leaf codes, and a leaf
+with the first leaf's code yields the automorphism between the two.  The
+search descends the first path (first vertex of every target cell) and
+climbs back up it.  At a first-path node it skips each child in the orbit of
+an earlier child under the automorphisms found so far, which all fix that
+node; any other child is left at its first leaf that yields an automorphism,
+as its subtree is then the image of the first child's.  Pruned subtrees are
+automorphic images of explored ones, so the best code is unchanged, and every
+child in the orbit of the first child under the stabiliser of the node has
+yielded an automorphism, so ``|Aut(G)|`` is the product of these orbit sizes
+down the first path (orbit-stabiliser).  The search is iterative and counts
+its nodes against ``_CANON_BUDGET``; ``K_n`` takes ``n (n + 1) / 2`` nodes.
 """
 
 from __future__ import annotations
@@ -85,11 +91,83 @@ def _refine(adj: list[int], cells: list[list[int]], queue: list[int]) -> list[li
     return cells
 
 
-def _children(adj: list[int], cells: list[list[int]], t: int):
-    head, cell, tail = cells[:t], cells[t], cells[t + 1:]
-    for v in cell:
-        rest = [u for u in cell if u != v]
-        yield _refine(adj, head + [[v], rest] + tail, [1 << v])
+def _individualise(adj: list[int], cells: list[list[int]], t: int, v: int) -> list[list[int]]:
+    rest = [u for u in cells[t] if u != v]
+    return _refine(adj, cells[:t] + [[v], rest] + cells[t + 1:], [1 << v])
+
+
+def _code(adj: list[int], order: list[int]) -> int:
+    n = len(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = n - 1 - i
+    code = 0
+    for v in order:
+        row = 0
+        m = adj[v]
+        while m:
+            low = m & -m
+            row |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        code = code << n | row
+    return code
+
+
+def _search(adj: list[int]) -> tuple[int, int, list[dict[int, int]]]:
+    """Canonical code, ``|Aut|`` and generators of ``Aut`` of the graph with
+    neighbour masks ``adj``; a generator ``g`` maps vertex ``v`` to ``g[v]``.
+    """
+    n = len(adj)
+    budget = _CANON_BUDGET
+    cells = _refine(adj, [list(range(n))], [(1 << n) - 1]) if n else []
+    path = []  # (cells, target cell) of every inner node of the first path
+    while len(cells) < n:
+        t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        path.append((cells, t))
+        cells = _individualise(adj, cells, t, cells[t][0])
+    # the first path's nodes are checked with the first node off it, which the
+    # last inner node of the path always has
+    nodes = len(path) + 1
+    first = [cell[0] for cell in cells]
+    best = first_code = _code(adj, first)
+    # orbits of the generators found so far: a union-find whose root is the
+    # least vertex of its orbit, with the orbit's size at the root
+    parent = list(range(n))
+    size = [1] * n
+    gens: list[dict[int, int]] = []
+    count = 1
+    for cells, t in reversed(path):
+        cell = cells[t]
+        for w in cell[1:]:
+            if parent[w] != w:
+                continue
+            stack = [(cells, t, w)]
+            while stack:
+                node = _individualise(adj, *stack.pop())
+                nodes += 1
+                if nodes > budget:
+                    raise GuardExceededError(f"canonical form search exceeded {budget} nodes")
+                if len(node) < n:
+                    i = next(j for j, cell in enumerate(node) if len(cell) > 1)
+                    stack += [(node, i, v) for v in reversed(node[i])]
+                    continue
+                order = [c[0] for c in node]
+                code = _code(adj, order)
+                if code == first_code:
+                    gens.append(dict(zip(first, order)))
+                    for a, b in zip(first, order):
+                        while parent[a] != a:
+                            a = parent[a]
+                        while parent[b] != b:
+                            b = parent[b]
+                        if a != b:
+                            a, b = min(a, b), max(a, b)
+                            parent[b] = a
+                            size[a] += size[b]
+                    break
+                best = max(best, code)
+        count *= size[cell[0]]
+    return best, count, gens
 
 
 def canonical_form(G: Graph) -> CanonicalForm:
@@ -98,39 +176,5 @@ def canonical_form(G: Graph) -> CanonicalForm:
     Raises ``GuardExceededError`` when the search tree exceeds
     ``_CANON_BUDGET`` nodes.
     """
-    n = G.n
-    adj = G.adjacency_masks()
-    budget = _CANON_BUDGET
-    root = _refine(adj, [list(range(n))], [(1 << n) - 1]) if n else []
-    best, count, nodes = -1, 0, 0
-    stack = [iter((root,))]
-    while stack:
-        cells = next(stack[-1], None)
-        if cells is None:
-            stack.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise GuardExceededError(f"canonical form search exceeded {budget} nodes")
-        if len(cells) < n:
-            t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
-            stack.append(_children(adj, cells, t))
-            continue
-        order = [cell[0] for cell in cells]
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = n - 1 - i
-        code = 0
-        for v in order:
-            row = 0
-            m = adj[v]
-            while m:
-                low = m & -m
-                row |= 1 << pos[low.bit_length() - 1]
-                m ^= low
-            code = code << n | row
-        if code > best:
-            best, count = code, 1
-        elif code == best:
-            count += 1
-    return CanonicalForm(n, best, count)
+    code, count, _ = _search(G.adjacency_masks())
+    return CanonicalForm(G.n, code, count)

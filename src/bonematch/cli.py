@@ -31,7 +31,7 @@ from .harness import (
     rows_to_csv,
 )
 from .lm import lm_root_sweep, lm_run, validate_trace
-from .matching import deficiency, is_deficiency_critical, maximum_matching
+from .matching import deficiency, is_deficiency_critical
 from .serialize import (
     graph_key,
     graph_to_dot,

@@ -254,13 +254,14 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family id plus its integer parameters, as used by the CLI and sweeps."""
+    """A family id plus its integer parameters, as used by the CLI and sweeps;
+    a list-valued parameter is a tuple and prints as the CLI takes it (``1:3``)."""
 
     family: str
-    params: tuple[tuple[str, int], ...]
+    params: tuple[tuple[str, int | tuple[int, ...]], ...]
 
     def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
+        inner = ",".join(f"{k}={':'.join(map(str, _levels(v)))}" for k, v in self.params)
         return f"{self.family}({inner})"
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "children",
     "friendly_level",
     "snail_horns",
-    "pendant_edges",
     "is_clean_level",
 ]
 
@@ -250,19 +249,6 @@ def snail_horns(G: Graph) -> list[SnailHorn]:
         if len(beards) >= 2:
             horns.append(SnailHorn(x, tuple(beards)))
     return horns
-
-
-def pendant_edges(G: Graph) -> list[tuple[int, int]]:
-    """All pairs ``(x, y)`` where ``y`` has degree one and ``x`` is its unique neighbour.
-
-    Sorted by the pendant vertex ``y``.
-    """
-    out = []
-    for y in range(G.n):
-        if G.degree(y) == 1:
-            (x,) = G.adj[y]
-            out.append((x, y))
-    return out
 
 
 def is_clean_level(L: Levelling, i: int) -> bool:

@@ -20,7 +20,7 @@ from math import factorial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .canon import CanonicalForm, canonical_form
+from .canon import CanonicalForm, _search, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
 from .matching import deficiency, is_deficiency_critical
@@ -304,7 +304,9 @@ def _connected_classes(n_max: int):
     a vertex with every non-empty neighbourhood to every class of order
     ``n - 1`` and keeps one graph per canonical code.  That reaches every
     class, because every connected graph has a vertex whose removal leaves
-    it connected (a leaf of a spanning tree).
+    it connected (a leaf of a spanning tree).  Only one neighbourhood per
+    orbit of ``Aut(H)`` is canonicalised: ``H + S`` and ``H + g(S)`` are
+    isomorphic for every automorphism ``g`` of ``H``.
     """
     forms = [canonical_form(build_graph(1, []))]
     for n in range(1, n_max + 1):
@@ -312,7 +314,24 @@ def _connected_classes(n_max: int):
             new = n - 1
             found: dict[int, CanonicalForm] = {}
             for H in graphs:
+                images = []  # images[i][S]: image of the mask S under generator i
+                for g in _search(H.adjacency_masks())[2]:
+                    image = [0] * (1 << new)
+                    for S in range(1, 1 << new):
+                        low = S & -S
+                        image[S] = image[S ^ low] | 1 << g[low.bit_length() - 1]
+                    images.append(image)
+                seen = bytearray(1 << new)
                 for nbrs in range(1, 1 << new):
+                    if seen[nbrs]:
+                        continue
+                    seen[nbrs] = 1
+                    orbit = [nbrs]
+                    for S in orbit:
+                        for image in images:
+                            if not seen[image[S]]:
+                                seen[image[S]] = 1
+                                orbit.append(image[S])
                     adj = tuple(a | {new} if nbrs >> v & 1 else a for v, a in enumerate(H.adj))
                     adj += (frozenset(v for v in range(new) if nbrs >> v & 1),)
                     form = canonical_form(Graph(n, adj))

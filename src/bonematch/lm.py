@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 from .errors import PostconditionError
-from .graphs import Graph, Levelling, induced_subgraph, is_clean_level, levelling, snail_horns
+from .graphs import Graph, induced_subgraph, is_clean_level, levelling, snail_horns
 from .matching import deficiency
 from .structure import StructureProfile
 

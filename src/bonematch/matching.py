@@ -6,15 +6,15 @@ oracles, ``brute_force_matching_size`` and ``berge_tutte_deficiency``, exist
 purely so tests can cross-check the blossom on small graphs; they are never
 called by other production code.
 
-Criticality (``is_deficiency_critical``, ``critical_core``) never builds a
-table over all 2^n vertex sets.  One scan grows every connected vertex set
-once from its lowest vertex, adding one neighbour at a time (Wernicke's ESU
-enumeration), and keeps a matching of the set as it grows: a new vertex w is
-matched to its partner in one maximum matching M of G if that partner is in
-the set and still free, else to its lowest free neighbour in the set, else
-left free.  Any matching of G[S] leaves at least kd(S) vertices of S free, so
-the free count is an exact upper bound on kd(S), and the blossom runs only on
-the sets where it reaches the deficiency sought.
+Criticality (``is_deficiency_critical``) never builds a table over all 2^n
+vertex sets.  One scan grows every connected vertex set once from its lowest
+vertex, adding one neighbour at a time (Wernicke's ESU enumeration), and
+keeps a matching of the set as it grows: a new vertex w is matched to its
+partner in one maximum matching M of G if that partner is in the set and
+still free, else to its lowest free neighbour in the set, else left free.
+Any matching of G[S] leaves at least kd(S) vertices of S free, so the free
+count is an exact upper bound on kd(S), and the blossom runs only on the
+sets where it reaches the deficiency sought.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "reduce_pendants",
     "CriticalityResult",
     "is_deficiency_critical",
-    "critical_core",
 ]
 
 _BRUTE_FORCE_MAX = 16
@@ -292,9 +291,9 @@ def _set_deficiency(masks: list[int], S: int) -> int:
 
 
 def _connected_sets(masks: list[int], match: list[int], floor: int):
-    # For each start vertex v in turn, the list of (bound, mask) of the
-    # connected sets of two or more vertices with lowest vertex v whose
-    # deficiency bound (see the module docstring) reaches floor.
+    # For each start vertex v in turn, the masks of the connected sets of two
+    # or more vertices with lowest vertex v whose deficiency bound (see the
+    # module docstring) reaches floor.
     for v in range(len(masks)):
         above = -1 << (v + 1)
         found = []
@@ -312,9 +311,8 @@ def _connected_sets(masks: list[int], match: list[int], floor: int):
                     grown = free ^ (nb & -nb)
                 else:
                     grown = free | w
-                bound = grown.bit_count()
-                if bound >= floor:
-                    found.append((bound, S | w))
+                if grown.bit_count() >= floor:
+                    found.append(S | w)
                 ext2 = ext | (masks[i] & above & ~closed)
                 if ext2:
                     stack.append((S | w, ext2, closed | masks[i], grown))
@@ -369,31 +367,9 @@ def is_deficiency_critical(G: Graph, mode: str = "exhaustive") -> CriticalityRes
     full = (1 << G.n) - 1
     # every set grown from a lower vertex has a smaller sorted vertex tuple
     for found in _connected_sets(masks, match, kd):
-        for _, S in sorted(found, key=lambda c: _mask_vertices(c[1])):
+        for S in sorted(found, key=_mask_vertices):
             if S != full and _set_deficiency(masks, S) >= kd:
                 H, vmap = induced_subgraph(G, _mask_vertices(S))
                 return CriticalityResult("not-critical", mode, kd, H, vmap)
     return CriticalityResult("critical", mode, kd)
 
-
-def critical_core(G: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """A connected induced subgraph of maximum deficiency (the graph itself allowed).
-
-    Ties break towards fewer vertices, then the lexicographically smallest
-    vertex set.  The result is itself deficiency-critical.  Guard: 18
-    vertices.
-    """
-    if G.n > _CRITICALITY_MAX:
-        raise GuardExceededError(f"critical core limited to {_CRITICALITY_MAX} vertices")
-    if G.n == 0:
-        raise ValueError("critical core of the empty graph is undefined")
-    masks = G.adjacency_masks()
-    match = _blossom(G.n, [sorted(s) for s in G.adj])
-    best = (-1, 1, (0,))  # (-deficiency, size, vertices); vertex 0 alone is the best of size 1
-    found = [c for group in _connected_sets(masks, match, 2) for c in group]
-    for bound, S in sorted(found, reverse=True):
-        if bound < -best[0]:
-            break
-        if (-bound, S.bit_count()) <= best[:2]:  # else it loses even at deficiency = bound
-            best = min(best, (-_set_deficiency(masks, S), S.bit_count(), _mask_vertices(S)))
-    return induced_subgraph(G, best[2])

@@ -1,4 +1,4 @@
-"""Structural parameters: independence numbers, cliques, and induced bones.
+"""Structural parameters: local independence and clique numbers, induced bones.
 
 A bone of index ``i`` is a path on ``i`` vertices with two extra pendant
 vertices hanging off each end, so it has ``i + 4`` vertices and ``i + 3``
@@ -16,8 +16,6 @@ from .errors import GuardExceededError
 from .graphs import Graph, snail_horns
 
 __all__ = [
-    "max_independent_set",
-    "independence_number",
     "local_independence_number",
     "clique_number",
     "BoneEmbedding",
@@ -72,34 +70,6 @@ def _alpha_of_mask(masks: list[int], avail: int) -> int:
 
     rec(avail, 0)
     return best
-
-
-def independence_number(G: Graph) -> int:
-    """Exact independence number (guard: 40 vertices)."""
-    if G.n > _MIS_MAX:
-        raise GuardExceededError(f"exact independence number limited to {_MIS_MAX} vertices")
-    return _alpha_of_mask(G.adjacency_masks(), (1 << G.n) - 1)
-
-
-def max_independent_set(G: Graph) -> tuple[int, ...]:
-    """The lexicographically smallest maximum independent set (guard: 40 vertices)."""
-    if G.n > _MIS_MAX:
-        raise GuardExceededError(f"exact independent set limited to {_MIS_MAX} vertices")
-    masks = G.adjacency_masks()
-    alpha = _alpha_of_mask(masks, (1 << G.n) - 1)
-    chosen: list[int] = []
-    avail = (1 << G.n) - 1
-    for v in range(G.n):
-        bit = 1 << v
-        if not avail & bit:
-            continue
-        rest = avail & ~(masks[v] | bit)
-        if len(chosen) + 1 + _alpha_of_mask(masks, rest) == alpha:
-            chosen.append(v)
-            avail = rest
-        else:
-            avail &= ~bit
-    return tuple(chosen)
 
 
 def local_independence_number(G: Graph) -> int:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import combinations, permutations
+from math import factorial
 from typing import Any
 
 from bonematch import (
+    CanonicalForm,
     CheckResult,
     Graph,
     GuardExceededError,
@@ -104,20 +106,7 @@ def matching_number_subsets(G: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# independence / clique oracles
-
-
-def independence_number_subsets(G: Graph) -> int:
-    best = 0
-    for size in range(G.n, 0, -1):
-        if size <= best:
-            break
-        for subset in combinations(range(G.n), size):
-            chosen = set(subset)
-            if all(not (G.adj[v] & chosen) for v in subset):
-                best = size
-                break
-    return best
+# local independence oracle
 
 
 def has_independent_neighbors(G: Graph, v: int, t: int) -> bool:
@@ -511,10 +500,10 @@ def _mask_tuple(mask: int) -> tuple[int, ...] | None:
 
 
 def criticality_table_reference(G: Graph):
-    """``(kd, witness, core)`` of ``G`` from one 2^n table: ``witness`` is the
-    vertex tuple ``is_deficiency_critical`` reports (``None`` when critical)
-    and ``core`` the one ``critical_core`` returns.  The two mask loops are
-    the package's as they stood; kd comes from the table, not the blossom."""
+    """``(kd, witness)`` of ``G`` from one 2^n table: ``witness`` is the
+    vertex tuple ``is_deficiency_critical`` reports (``None`` when critical).
+    The mask loop is the package's as it stood; kd comes from the table, not
+    the blossom."""
     masks = G.adjacency_masks()
     f = _matching_size_table(masks, G.n)
     full = (1 << G.n) - 1
@@ -524,22 +513,114 @@ def criticality_table_reference(G: Graph):
         if (mask.bit_count() - 2 * f[mask] >= kd and (not best or _lex_less(mask, best))
                 and _mask_connected(masks, mask)):
             best = mask
-    witness = _mask_tuple(best)
-    best_kd = -1
-    best_size = 0
-    best = 0
-    for mask in range(1, 1 << G.n):
-        kd = mask.bit_count() - 2 * f[mask]
-        if kd < best_kd:
+    return kd, _mask_tuple(best)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form and class generation as they stood before automorphism
+# pruning: every leaf of the search tree is visited, and every non-empty
+# neighbourhood of every class is canonicalised
+
+
+_CANON_BUDGET_REFERENCE = 200_000
+
+
+def _canon_refine(adj: list[int], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
+    n = len(adj)
+    while queue and len(cells) < n:
+        w = queue.pop()
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                k = (adj[v] & w).bit_count()
+                if k in groups:
+                    groups[k].append(v)
+                else:
+                    groups[k] = [v]
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            for k in sorted(groups):
+                frag = groups[k]
+                out.append(frag)
+                m = 0
+                for v in frag:
+                    m |= 1 << v
+                queue.append(m)
+        cells = out
+    return cells
+
+
+def _canon_children(adj: list[int], cells: list[list[int]], t: int):
+    head, cell, tail = cells[:t], cells[t], cells[t + 1:]
+    for v in cell:
+        rest = [u for u in cell if u != v]
+        yield _canon_refine(adj, head + [[v], rest] + tail, [1 << v])
+
+
+def canonical_form_reference(G: Graph) -> CanonicalForm:
+    """Canonical code and automorphism count of ``G`` from the unpruned tree:
+    ``|Aut(G)|`` is the number of leaves that reach the canonical code."""
+    n = G.n
+    adj = G.adjacency_masks()
+    budget = _CANON_BUDGET_REFERENCE
+    root = _canon_refine(adj, [list(range(n))], [(1 << n) - 1]) if n else []
+    best, count, nodes = -1, 0, 0
+    stack = [iter((root,))]
+    while stack:
+        cells = next(stack[-1], None)
+        if cells is None:
+            stack.pop()
             continue
-        size = mask.bit_count()
-        if kd == best_kd and size > best_size:
+        nodes += 1
+        if nodes > budget:
+            raise GuardExceededError(f"canonical form search exceeded {budget} nodes")
+        if len(cells) < n:
+            t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+            stack.append(_canon_children(adj, cells, t))
             continue
-        if not _mask_connected(masks, mask):
-            continue
-        if kd > best_kd or size < best_size or _lex_less(mask, best):
-            best_kd, best_size, best = kd, size, mask
-    return G.n - 2 * f[full], witness, _mask_tuple(best)
+        order = [cell[0] for cell in cells]
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = n - 1 - i
+        code = 0
+        for v in order:
+            row = 0
+            m = adj[v]
+            while m:
+                low = m & -m
+                row |= 1 << pos[low.bit_length() - 1]
+                m ^= low
+            code = code << n | row
+        if code > best:
+            best, count = code, 1
+        elif code == best:
+            count += 1
+    return CanonicalForm(n, best, count)
+
+
+def connected_classes_reference(n_max: int):
+    """``(G, labelled)`` once per class of connected graphs on ``1..n_max``
+    vertices, in the order ``harness._connected_classes`` yields them."""
+    forms = [canonical_form_reference(build_graph(1, []))]
+    for n in range(1, n_max + 1):
+        if n > 1:
+            new = n - 1
+            found: dict[int, CanonicalForm] = {}
+            for H in graphs:
+                for nbrs in range(1, 1 << new):
+                    adj = tuple(a | {new} if nbrs >> v & 1 else a for v, a in enumerate(H.adj))
+                    adj += (frozenset(v for v in range(new) if nbrs >> v & 1),)
+                    form = canonical_form_reference(Graph(n, adj))
+                    found.setdefault(form.code, form)
+            forms = [found[code] for code in sorted(found)]
+        graphs = [form.graph() for form in forms]
+        for G, form in zip(graphs, forms):
+            yield G, factorial(n) // form.automorphisms
 
 
 # ---------------------------------------------------------------------------

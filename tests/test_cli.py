@@ -29,6 +29,12 @@ def test_construct_list_valued_params(tmp_path):
     assert json.loads(path.read_text())["family"]["params"] == {"a": [1, 2]}
 
 
+@pytest.mark.parametrize("params", ["a=1:3", "a=1:2:4", "a=3"])
+def test_construct_prints_list_values_in_cli_syntax(capsys, params):
+    assert run_cli(["construct", "--family", "skeleton", "--params", params]) == 0
+    assert f"skeleton({params})" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family, params, built", [
     ("skeleton", "a=1", skeleton_tree(1)),
     ("skeleton", "a=3", skeleton_tree(3)),

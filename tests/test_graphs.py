@@ -11,7 +11,6 @@ from bonematch import (
     is_connected,
     induced_subgraph,
     levelling,
-    pendant_edges,
     snail_horns,
     bs,
     complete_graph,
@@ -196,9 +195,3 @@ def test_snail_horns():
     ]
     assert snail_horns(path_graph(4)) == []
     assert snail_horns(complete_graph(3)) == []
-
-
-def test_pendant_edges():
-    assert pendant_edges(bs(2, 3)) == [(0, 3), (0, 4), (2, 5), (2, 6)]
-    assert set(pendant_edges(path_graph(2))) == {(0, 1), (1, 0)}
-    assert pendant_edges(complete_graph(3)) == []

@@ -34,7 +34,9 @@ from . import helpers
 from .helpers import (
     are_isomorphic,
     bfs_levels,
+    canonical_form_reference,
     check_theorem_reference,
+    connected_classes_reference,
     labelled_sweep,
     random_connected_graph,
     random_tree,
@@ -315,27 +317,94 @@ def test_canonical_form_on_graph_atlas():
     assert len(codes) == len(atlas)
 
 
-def test_canonical_form_is_invariant_under_relabelling():
+def _relabelled_graphs():
+    # seeded random trees and graphs, each with three random relabellings
     rng = random.Random(2024)
     graphs = [random_tree(rng, rng.randint(2, 12)) for _ in range(40)]
     graphs += [random_connected_graph(rng, rng.randint(6, 12), extra=rng.choice((0.1, 0.3, 0.6)))
                for _ in range(80)]
     for G in graphs:
-        form = canonical_form(G)
-        assert factorial(G.n) % form.automorphisms == 0
+        relabelled = []
         for _ in range(3):
             perm = list(range(G.n))
             rng.shuffle(perm)
-            H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+            relabelled.append(build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()]))
+        yield G, relabelled
+
+
+def test_canonical_form_is_invariant_under_relabelling():
+    for G, relabelled in _relabelled_graphs():
+        form = canonical_form(G)
+        assert factorial(G.n) % form.automorphisms == 0
+        for H in relabelled:
             assert canonical_form(H) == form
             assert are_isomorphic(form.graph(), H)
 
 
+def test_canonical_form_matches_the_frozen_unpruned_search():
+    # The pruned search skips subtrees that are automorphic images of explored
+    # ones and counts |Aut| by orbit-stabiliser; the reference visits every
+    # leaf and counts those reaching the best code.  Both must agree exactly.
+    nx = pytest.importorskip("networkx")
+    graphs = [build_graph(H.number_of_nodes(), H.edges()) for H in nx.graph_atlas_g()]
+    graphs += [G for G, _ in connected_classes_reference(7)]
+    graphs += [H for G, relabelled in _relabelled_graphs() for H in [G] + relabelled]
+    symmetric = 0
+    for G in graphs:
+        form = canonical_form(G)
+        assert form == canonical_form_reference(G), G
+        symmetric += form.automorphisms > 1
+    assert len(graphs) >= 1253 + 996 + 480 and symmetric >= 1000
+
+
+def _automorphisms(H):
+    # every vertex permutation that preserves the edges, by backtracking
+    found = []
+
+    def extend(p):
+        u = len(p)
+        if u == H.n:
+            found.append(p)
+            return
+        for x in range(H.n):
+            if x not in p and all((v in H.adj[u]) == (p[v] in H.adj[x]) for v in range(u)):
+                extend(p + [x])
+
+    extend([])
+    return found
+
+
+def test_connected_classes_match_the_frozen_generation(monkeypatch):
+    # One neighbourhood per Aut(H)-orbit is canonicalised, so the classes and
+    # their order must be the reference's, from one canonical form per orbit.
+    calls = []
+    monkeypatch.setattr(harness, "canonical_form", lambda G: calls.append(G) or canonical_form(G))
+    got = [(G.adj, labelled) for G, labelled in _connected_classes(7)]
+    reference = list(connected_classes_reference(7))
+    assert got == [(G.adj, labelled) for G, labelled in reference]
+    orbits = 1  # the call on the single vertex
+    for H in [G for G, _ in reference if G.n < 7]:
+        images = [{sum(1 << p[v] for v in range(H.n) if S >> v & 1) for p in _automorphisms(H)}
+                  for S in range(1, 1 << H.n)]
+        orbits += len({min(orbit) for orbit in images})
+    assert len(calls) == orbits == 4160
+
+
+def test_canonical_form_of_large_complete_graphs_stays_under_the_budget():
+    for n in range(9, 13):
+        assert canonical_form(complete_graph(n)).automorphisms == factorial(n)
+
+
 def test_canonical_form_budget_trips_guard(monkeypatch):
+    # The pruned search on K6 takes 21 nodes: the first path (6 nodes) and,
+    # at each of its 5 inner nodes, one child followed to its first leaf.
     assert canonical_form(complete_graph(6)).automorphisms == 720
-    monkeypatch.setattr(canon, "_CANON_BUDGET", 100)
-    with pytest.raises(GuardExceededError):
-        canonical_form(complete_graph(6))
+    monkeypatch.setattr(canon, "_CANON_BUDGET", 21)
+    assert canonical_form(complete_graph(6)).automorphisms == 720
+    for budget in (1, 5, 20):  # inside the first path, and just short of the whole search
+        monkeypatch.setattr(canon, "_CANON_BUDGET", budget)
+        with pytest.raises(GuardExceededError):
+            canonical_form(complete_graph(6))
     assert canonical_form(path_graph(6)).automorphisms == 2
 
 

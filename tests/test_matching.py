@@ -11,7 +11,6 @@ from bonematch import (
     bs,
     build_graph,
     complete_graph,
-    critical_core,
     deficiency,
     is_deficiency_critical,
     lm_run,
@@ -167,18 +166,6 @@ def test_criticality_of_even_and_odd_bones():
     assert deficiency(even4.witness) == deficiency(bs(2, 4)) == 2
 
 
-def test_critical_core():
-    core, vmap = critical_core(star_graph(3))
-    assert core.n == 4 and vmap == (0, 1, 2, 3)
-    core, vmap = critical_core(path_graph(3))
-    assert core.n == 1 and vmap == (0,) and deficiency(core) == 1
-    core, vmap = critical_core(bs(2, 4))
-    assert vmap == (0, 1, 4, 5)
-    assert core.edges() == [(0, 1), (0, 2), (0, 3)]
-    assert deficiency(core) == 2
-    assert is_deficiency_critical(core).verdict == "critical"
-
-
 def test_criticality_choices_match_tuple_min_reference():
     # both scans compare masks bitwise; the reference takes min over vertex tuples
     rng = random.Random(23)
@@ -201,8 +188,6 @@ def test_criticality_choices_match_tuple_min_reference():
         assert res.verdict == ("critical" if witness is None else "not-critical")
         assert res.witness_vertices == witness
         witnesses += witness is not None
-        core = min(subgraphs, key=lambda t: (-t[1], len(t[0]), t[0]))[0]
-        assert critical_core(G)[1] == core
     assert witnesses >= 30
 
 
@@ -226,7 +211,7 @@ def _criticality_graph(rng, kind, n):
 def test_criticality_matches_the_frozen_table_scan():
     # Each connected vertex set is grown once and the blossom runs only where
     # a matching bound lets it reach the target; the reference fills the
-    # whole 2^n table.  Verdicts, witnesses and cores must agree exactly.
+    # whole 2^n table.  Verdicts and witnesses must agree exactly.
     graphs = [G for G in _family_instances() if G.n <= 18]
     graphs += [G for G, _ in _connected_classes(7)]
     rng = random.Random(2006)
@@ -235,13 +220,12 @@ def test_criticality_matches_the_frozen_table_scan():
     graphs += [_criticality_graph(rng, kinds[k % 6], n) for k, n in enumerate(sizes)]
     verdicts = {"critical": 0, "not-critical": 0}
     for G in graphs:
-        kd, witness, core = criticality_table_reference(G)
+        kd, witness = criticality_table_reference(G)
         res = is_deficiency_critical(G)
         assert (res.verdict, res.deficiency, res.witness_vertices) == (
             "critical" if witness is None else "not-critical", kd, witness), G
         if witness is not None:
             assert res.witness == induced_subgraph_reference(G, witness)[0], G
-        assert critical_core(G) == induced_subgraph_reference(G, core), G
         verdicts[res.verdict] += 1
     assert len(graphs) >= 1300 and verdicts["critical"] >= 50
     assert max(G.n for G in graphs) == 18

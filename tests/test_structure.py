@@ -17,10 +17,7 @@ from bonematch import (
     e_family,
     f_family,
     find_induced_bone,
-    independence_number,
     local_independence_number,
-    max_independent_set,
-    path_graph,
     random_connected,
     star_graph,
     structure_profile,
@@ -31,35 +28,10 @@ from .helpers import (
     admitting_set_by_path_enum,
     has_independent_neighbors,
     has_induced_bone_subsets,
-    independence_number_subsets,
     random_connected_graph,
     random_tree,
     tree_admitting_oracle,
 )
-
-
-def test_independence_number_examples():
-    assert independence_number(complete_graph(4)) == 1
-    C5 = build_graph(5, [(v, (v + 1) % 5) for v in range(5)])
-    assert independence_number(C5) == 2
-    assert independence_number(build_graph(0, [])) == 0
-
-
-def test_max_independent_set_is_lex_smallest():
-    C5 = build_graph(5, [(v, (v + 1) % 5) for v in range(5)])
-    assert max_independent_set(C5) == (0, 2)
-    assert max_independent_set(star_graph(3)) == (1, 2, 3)
-    assert max_independent_set(C5) == max_independent_set(C5)
-
-
-@given(st.integers(0, 10**6), st.integers(1, 11))
-def test_independence_number_matches_subset_oracle(seed, n):
-    G = random_connected_graph(random.Random(seed), n, extra=0.3)
-    alpha = independence_number(G)
-    assert alpha == independence_number_subsets(G)
-    chosen = max_independent_set(G)
-    assert len(chosen) == alpha
-    assert all(not (G.adj[v] & set(chosen)) for v in chosen)
 
 
 def test_local_independence_examples():
@@ -251,7 +223,5 @@ def test_structure_profile_json_keys():
 
 
 def test_structure_guards():
-    with pytest.raises(GuardExceededError):
-        independence_number(path_graph(41))
     with pytest.raises(GuardExceededError):
         local_independence_number(star_graph(41))
