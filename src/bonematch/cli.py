@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -22,9 +21,10 @@ from typing import Any, Sequence
 from .errors import GuardExceededError, PostconditionError
 from .families import FAMILIES, FamilySpec, build_family
 from .harness import (
-    _FACTS,
     SearchConstraints,
     TheoremSpec,
+    _instance_row,
+    _table_facts,
     check_theorem,
     exhaustive_sweep,
     extremal_search,
@@ -40,7 +40,7 @@ from .serialize import (
     read_graph_json,
     write_graph_json,
 )
-from .structure import clique_number, structure_profile
+from .structure import structure_profile
 
 __all__ = ["main", "run_cli"]
 
@@ -129,13 +129,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     G = read_graph_json(args.graph)
-    profile = structure_profile(G, i_max=args.max_bone, with_omega=False)
-    try:
-        omega = clique_number(G)
-    except GuardExceededError:
-        pass  # omega and triangle-free print as "?", as in the family table
-    else:
-        profile = replace(profile, omega=omega, triangle_free=omega < 3)
+    profile = structure_profile(G, i_max=args.max_bone)
     kd = deficiency(G)
     _print_kv("graph", G.name or graph_key(G))
     _print_kv("vertices", G.n)
@@ -290,39 +284,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             label = FamilySpec(args.family, tuple(params.items())).label()
             print(f"{label:<22} skipped: {exc}")
             continue
-        # facts the check computed are reused, also when a later guard tripped;
-        # guarded fields degrade to "?" per instance instead of aborting the sweep
         result = (check_theorem(G, _theorem_spec_for_instance(args.theorem, args, params))
                   if args.theorem else None)
-        fields = dict(result.details) if result else {}
-        if "critical" in fields:  # the criticality scan computes the deficiency
-            fields.setdefault("kd", fields["critical"].deficiency)
-        kd = fields["kd"] if "kd" in fields else _FACTS["kd"](G)
-        for key in ("alpha_l", "omega", "admitting"):
-            if key not in fields:
-                try:
-                    fields[key] = _FACTS[key](G)
-                except GuardExceededError:
-                    fields[key] = None
-        admitting = fields["admitting"]
-        row: dict[str, Any] = {
-            "instance": G.name or graph_key(G), "n": G.n,
-            "alpha_l": "?" if fields["alpha_l"] is None else fields["alpha_l"],
-            "omega": "?" if fields["omega"] is None else fields["omega"],
-            "admitting": "?" if admitting is None else " ".join(str(a) for a in sorted(admitting)),
-            "deficiency": kd, "bound": "", "pass": True,
-        }
-        line = (f"{row['instance']:<22} {kd:>4} {row['alpha_l']!s:>8} "
-                f"{row['omega']!s:>6} "
-                f"{('?' if admitting is None else _fmt_set(admitting)):>12}")
+        facts = _table_facts(G, result)
+        row = _instance_row(G, facts, result)
+        admitting = "?" if facts["admitting"] is None else _fmt_set(facts["admitting"])
+        line = (f"{row['instance']:<22} {row['deficiency']:>4} {row['alpha_l']!s:>8} "
+                f"{row['omega']!s:>6} {admitting:>12}")
         if result:
-            row["bound"] = "" if result.bound_value is None else result.bound_value
-            row["pass"] = result.passed and not result.indeterminate
             verdict = ("indet" if result.indeterminate
                        else "vacuous" if result.vacuous
                        else "pass" if result.passed else "FAIL")
-            if not row["pass"]:
-                failures += 1
+            failures += not row["pass"]
             line += f" {row['bound']!s:>7} {verdict:>8}"
         rows.append(row)
         print(line)

@@ -207,6 +207,11 @@ _THEOREMS: dict[str, _Theorem] = {
 THEOREM_IDS = tuple(_THEOREMS)
 
 
+def _kd(f: dict[str, Any]) -> int | None:
+    # kd among the facts ``f``: the criticality scan computes it too; None if not read
+    return f["kd"] if "kd" in f else f["critical"].deficiency if "critical" in f else None
+
+
 def _details(f: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
     # the last use of ``f``, so the admitting set is sorted in place
     if "admitting" in f:
@@ -247,8 +252,7 @@ def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
     met = all(ok for _, ok in hyps)
     if bound is not None:
         bound = bound(m, n, p)
-    # the criticality scan computes the deficiency when a check runs it
-    kd = f["kd"] if "kd" in f else f["critical"].deficiency
+    kd = _kd(f)
     passed = not met or (kd <= bound if passes is None else passes(f, kd, bound, n))
     return CheckResult(
         theorem=spec.id, hypotheses=tuple(hyps), hypotheses_met=met, bound_value=bound,
@@ -314,8 +318,9 @@ def _connected_classes(n_max: int):
             new = n - 1
             found: dict[int, CanonicalForm] = {}
             for H in graphs:
+                masks = H.adjacency_masks()
                 images = []  # images[i][S]: image of the mask S under generator i
-                for g in _search(H.adjacency_masks())[2]:
+                for g in _search(masks)[2]:
                     image = [0] * (1 << new)
                     for S in range(1, 1 << new):
                         low = S & -S
@@ -332,10 +337,9 @@ def _connected_classes(n_max: int):
                             if not seen[image[S]]:
                                 seen[image[S]] = 1
                                 orbit.append(image[S])
-                    adj = tuple(a | {new} if nbrs >> v & 1 else a for v, a in enumerate(H.adj))
-                    adj += (frozenset(v for v in range(new) if nbrs >> v & 1),)
-                    form = canonical_form(Graph(n, adj))
-                    found.setdefault(form.code, form)
+                    code, count, _ = _search(
+                        [m | (nbrs >> v & 1) << new for v, m in enumerate(masks)] + [nbrs])
+                    found.setdefault(code, CanonicalForm(n, code, count))
             forms = [found[code] for code in sorted(found)]
         graphs = [form.graph() for form in forms]
         for G, form in zip(graphs, forms):
@@ -379,7 +383,7 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
                     "labelled": labelled,
                 })
         if out_dir is not None:
-            rows.append(_instance_row(G, result, labelled))
+            rows.append(_instance_row(G, dict(result.details), result, labelled))
     report = SweepReport(
         theorem=spec.id, n_max=n_max, class_count=classes, connected_count=connected,
         checked_count=checked, hypotheses_met_count=met, vacuous_count=vacuous,
@@ -390,19 +394,38 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
     return report
 
 
-def _instance_row(G: Graph, result: CheckResult, labelled: int) -> dict[str, Any]:
-    details = dict(result.details)
-    return {
+def _table_facts(G: Graph, result: CheckResult | None) -> dict[str, Any]:
+    """The facts ``result`` read, completed with kd, alpha_l, omega and the
+    admitting set; a completed fact whose guard trips is unknown (``None``)."""
+    f = dict(result.details) if result else {}
+    if _kd(f) is None:
+        f["kd"] = _FACTS["kd"](G)
+    for name in ("alpha_l", "omega", "admitting"):
+        if name not in f:
+            try:
+                f[name] = _FACTS[name](G)
+            except GuardExceededError:
+                f[name] = None
+    return f
+
+
+def _instance_row(G: Graph, f: dict[str, Any], result: CheckResult | None,
+                  labelled: int | str = "") -> dict[str, Any]:
+    """CSV row of ``G`` and its facts ``f``: a fact nobody read is empty, an unknown one ``?``."""
+    admitting = f.get("admitting", ())
+    kd = _kd(f)
+    row = {
         "instance": G.name or graph_key(G),
         "n": G.n,
-        "alpha_l": details.get("alpha_l", ""),
-        "omega": details.get("omega", ""),
-        "admitting": " ".join(str(a) for a in details.get("admitting", [])),
-        "deficiency": "" if result.actual_deficiency is None else result.actual_deficiency,
-        "bound": "" if result.bound_value is None else result.bound_value,
-        "pass": result.passed,
+        "alpha_l": f.get("alpha_l", ""),
+        "omega": f.get("omega", ""),
+        "admitting": None if admitting is None else " ".join(str(a) for a in sorted(admitting)),
+        "deficiency": "" if kd is None else kd,
+        "bound": "" if result is None or result.bound_value is None else result.bound_value,
+        "pass": result is None or result.passed,
         "labelled": labelled,
     }
+    return {k: "?" if v is None else v for k, v in row.items()}
 
 
 _CSV_COLUMNS = ["instance", "n", "alpha_l", "omega", "admitting", "deficiency", "bound", "pass",
@@ -565,13 +588,10 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
         v = rng.randrange(n)
         if u == v:
             continue
-        edges = set(current.edges())
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            edges.discard(e)
-        else:
-            edges.add(e)
-        cand = build_graph(n, sorted(edges))
+        adj = list(current.adj)
+        adj[u] ^= {v}
+        adj[v] ^= {u}
+        cand = Graph(n, tuple(adj))
         if not is_connected(cand) or not _satisfies(cand, constraints):
             stale += 1
         else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, induced_subgraph, is_connected
@@ -51,13 +51,6 @@ class MatchingResult:
     edges: frozenset[tuple[int, int]]
     unsaturated: frozenset[int]
     deficiency: int
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "matching": [list(e) for e in sorted(self.edges)],
-            "unsaturated": sorted(self.unsaturated),
-            "deficiency": self.deficiency,
-        }
 
 
 def _blossom(n: int, adj: list[list[int]]) -> list[int]:

@@ -1,4 +1,4 @@
-"""Reading and writing graphs: canonical JSON, edge-list text, and DOT export."""
+"""Reading and writing graphs: canonical JSON and DOT export."""
 
 from __future__ import annotations
 
@@ -15,21 +15,14 @@ __all__ = [
     "graph_from_json_dict",
     "write_graph_json",
     "read_graph_json",
-    "graph_to_edgelist_text",
-    "graph_from_edgelist_text",
     "graph_to_dot",
     "graph_key",
     "json_text",
 ]
 
-# Largest vertex count a loader accepts.  ``build_graph`` allocates one set
-# per vertex before it reads an edge, so the count is checked first.
+# Largest vertex count the JSON loader accepts.  ``build_graph`` allocates one
+# set per vertex before it reads an edge, so the count is checked first.
 _VERTEX_CAP = 100_000
-
-
-def _check_vertex_count(n: int) -> None:
-    if n > _VERTEX_CAP:
-        raise ValueError(f"vertex count {n} exceeds the loader cap of {_VERTEX_CAP}")
 
 
 def graph_to_json_dict(G: Graph, family: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -56,7 +49,8 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
     # ``type(...) is int`` because bool is a subclass of int: JSON true/false are refused.
     if type(n) is not int or not isinstance(edges, list):
         raise ValueError("'n' must be an integer and 'edges' a list")
-    _check_vertex_count(n)
+    if n > _VERTEX_CAP:
+        raise ValueError(f"vertex count {n} exceeds the loader cap of {_VERTEX_CAP}")
     pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
@@ -83,31 +77,6 @@ def read_graph_json(path: str | Path) -> Graph:
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {path}") from exc
     return graph_from_json_dict(data)
-
-
-def graph_to_edgelist_text(G: Graph) -> str:
-    """Plain text: first line the vertex count, then one ``u v`` line per edge."""
-    lines = [str(G.n)]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_edgelist_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("edge-list text is empty")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from exc
-    _check_vertex_count(n)
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(n, edges)
 
 
 def _dot_name(name: str | None) -> str:

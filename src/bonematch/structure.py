@@ -221,7 +221,8 @@ def admitting_set(G: Graph, i_max: int | None = None) -> frozenset[int]:
 class StructureProfile:
     """Summary of the structural parameters used by the deficiency bounds.
 
-    ``omega`` and ``triangle_free`` are ``None`` when the clique number was skipped.
+    ``omega`` and ``triangle_free`` are ``None`` when the clique number was
+    skipped or is unknown because its 40-vertex guard tripped.
     """
 
     alpha_l: int
@@ -250,11 +251,14 @@ def structure_profile(G: Graph, i_max: int | None = None, *,
 
     ``i_max`` caps the bone search; the recorded cap lets consumers tell a
     truncated admitting set from a complete one.  ``with_omega=False`` skips
-    the clique number, whose exact computation is limited to 40 vertices.
+    the clique number; above its 40-vertex guard it is unknown, not an error.
     """
     cap = G.n - 4 if i_max is None else min(i_max, G.n - 4)
     alpha_l = local_independence_number(G)
-    omega = clique_number(G) if with_omega else None
+    try:
+        omega = clique_number(G) if with_omega else None
+    except GuardExceededError:
+        omega = None
     admitting = admitting_set(G, cap)
     return StructureProfile(
         alpha_l=alpha_l,

@@ -27,8 +27,8 @@ from bonematch import (
     t_family,
     t_tree,
 )
-from bonematch import canon, harness, matching
-from bonematch.harness import _connected_classes, _instance_row, rows_to_csv
+from bonematch import canon, graphs, harness, matching
+from bonematch.harness import _connected_classes, _instance_row, _table_facts, rows_to_csv
 
 from . import helpers
 from .helpers import (
@@ -232,12 +232,22 @@ def test_exhaustive_sweep_artifacts(tmp_path):
 
 def test_instance_rows_and_csv():
     r = check_theorem(bs(2, 3), TheoremSpec("thm-1.4-m3", n=4))
-    row = _instance_row(bs(2, 3), r, 1)
+    row = _instance_row(bs(2, 3), dict(r.details), r, 1)
     assert row["instance"] == "BS(2,3)"
     assert (row["n"], row["alpha_l"], row["admitting"]) == (7, 3, "3")
-    assert rows_to_csv([row]) == (
+    # a family row completes the facts the check did not read; the clique
+    # number of t_tree(7, 5) trips its guard, so omega is unknown
+    r = check_theorem(t_tree(7, 5), TheoremSpec("thm-1.8-all-even"))
+    facts = _table_facts(t_tree(7, 5), r)
+    assert r.indeterminate and facts["omega"] is None
+    family = _instance_row(t_tree(7, 5), facts, r)
+    assert (family["omega"], family["admitting"], family["pass"]) == ("?", "3 5 7 9", False)
+    cor = check_theorem(bs(2, 3), TheoremSpec("cor-2.3-snailhorn"))
+    assert _instance_row(bs(2, 3), dict(cor.details), cor, 1)["deficiency"] == 3
+    assert rows_to_csv([row, family]) == (
         "instance,n,alpha_l,omega,admitting,deficiency,bound,pass,labelled\n"
         '"BS(2,3)",7,3,,3,3,3,True,1\n'
+        '"T_tree(7,5)",69,4,?,3 5 7 9,35,,False,\n'
     )
 
 
@@ -377,17 +387,22 @@ def _automorphisms(H):
 def test_connected_classes_match_the_frozen_generation(monkeypatch):
     # One neighbourhood per Aut(H)-orbit is canonicalised, so the classes and
     # their order must be the reference's, from one canonical form per orbit.
+    # Augmentations are searched from their masks, and each class H below the
+    # top order takes one more search, for the generators of Aut(H).
     calls = []
     monkeypatch.setattr(harness, "canonical_form", lambda G: calls.append(G) or canonical_form(G))
+    monkeypatch.setattr(harness, "_search", lambda adj: calls.append(adj) or canon._search(adj))
     got = [(G.adj, labelled) for G, labelled in _connected_classes(7)]
     reference = list(connected_classes_reference(7))
     assert got == [(G.adj, labelled) for G, labelled in reference]
     orbits = 1  # the call on the single vertex
-    for H in [G for G, _ in reference if G.n < 7]:
+    below = [G for G, _ in reference if G.n < 7]
+    for H in below:
         images = [{sum(1 << p[v] for v in range(H.n) if S >> v & 1) for p in _automorphisms(H)}
                   for S in range(1, 1 << H.n)]
         orbits += len({min(orbit) for orbit in images})
-    assert len(calls) == orbits == 4160
+    assert orbits == 4160
+    assert len(calls) == orbits + len(below)
 
 
 def test_canonical_form_of_large_complete_graphs_stays_under_the_budget():
@@ -456,6 +471,18 @@ def test_extremal_search_is_deterministic_and_reports_congruence():
         "n", "alpha_l_max", "omega_max", "admitting", "iterations", "seed",
         "best_graph", "best_deficiency", "feasible_seen", "mod_base", "mod_hit",
     }
+
+
+def test_extremal_search_edits_keep_simple_graphs(monkeypatch):
+    # Every candidate, edited in place one edge at a time, is a simple graph,
+    # and the seeded result is pinned to the one a whole-graph rebuild gave.
+    seen = []
+    monkeypatch.setattr(harness, "is_connected",
+                        lambda G: seen.append(G) or graphs.is_connected(G))
+    rep = extremal_search(SearchConstraints(9, alpha_l_max=4), iters=400, seed=5)
+    assert len(seen) > 300 and all(G == build_graph(G.n, G.edges()) for G in seen)
+    assert (rep.feasible_seen, rep.best_deficiency) == (359, 3)
+    assert graph_key(rep.best_graph) == "3a0767accd43"
 
 
 # The specs of the differential test against the frozen reference: the

@@ -38,13 +38,7 @@ from .test_acceptance import _family_instances
 
 def test_maximum_matching_examples():
     assert maximum_matching(path_graph(2)).deficiency == 0
-    res = maximum_matching(star_graph(3))
-    assert res.deficiency == 2
-    assert res.to_json_dict() == {
-        "matching": [[0, 1]],
-        "unsaturated": [2, 3],
-        "deficiency": 2,
-    }
+    assert maximum_matching(star_graph(3)).deficiency == 2
     assert maximum_matching(bs(2, 3)).deficiency == 3
 
 

@@ -1,9 +1,19 @@
+import ast
 import pkgutil
+from pathlib import Path
 
 import bonematch
-from bonematch import canon, errors, families, graphs, harness, lm, matching, serialize, structure
+from bonematch import (canon, cli, errors, families, graphs, harness, lm, matching, serialize,
+                       structure)
 
 MODULES = (canon, errors, families, graphs, harness, lm, matching, serialize, structure)
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names that nothing calls, each with the reason it stays.
+UNCALLED = {
+    "friendly_level": "reserved for the LM certificate of ROADMAP item 1",
+    "find_induced_bone": "the benchmark names it only as a string, as a traced layer",
+}
 
 
 def test_package_exports_every_module_api_once():
@@ -19,3 +29,18 @@ def test_package_exports_every_module_api_once():
             assert getattr(bonematch, name) is getattr(module, name)
     assert bonematch.rows_to_csv is harness.rows_to_csv
     assert bonematch.json_text is serialize.json_text
+
+
+def test_every_public_name_has_a_caller():
+    # A caller is a use of the name, bare or as an attribute, in the package,
+    # the benchmark or the acceptance tests; unit tests alone do not count.
+    used = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = {name for module in (*MODULES, cli) for name in module.__all__}
+    assert sorted(public - used) == sorted(UNCALLED)

@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from bonematch import (
     build_graph,
     bs,
-    graph_from_edgelist_text,
     graph_from_json_dict,
     graph_key,
     graph_to_dot,
-    graph_to_edgelist_text,
     graph_to_json_dict,
     read_graph_json,
     write_graph_json,
@@ -75,10 +73,8 @@ def test_loaders_cap_the_vertex_count_before_allocating(tmp_path, monkeypatch, c
         raise AssertionError("the cap must trip before any graph is built")
 
     monkeypatch.setattr(serialize, "build_graph", no_build)
-    for load in (lambda: graph_from_json_dict({"n": 10**9, "edges": []}),
-                 lambda: graph_from_edgelist_text("1000000000\n0 1\n")):
-        with pytest.raises(ValueError, match="exceeds the loader cap of 100000"):
-            load()
+    with pytest.raises(ValueError, match="exceeds the loader cap of 100000"):
+        graph_from_json_dict({"n": 10**9, "edges": []})
     path = tmp_path / "huge.json"
     path.write_text('{"n": 1000000000, "edges": []}')
     assert run_cli(["lm", str(path)]) == 2
@@ -87,7 +83,6 @@ def test_loaders_cap_the_vertex_count_before_allocating(tmp_path, monkeypatch, c
     # the cap is read at call time and admits a graph of exactly its size
     monkeypatch.setattr(serialize, "_VERTEX_CAP", 3)
     assert graph_from_json_dict({"n": 3, "edges": [[0, 1]]}).n == 3
-    assert graph_from_edgelist_text("3\n0 2\n").n == 3
     with pytest.raises(ValueError, match="vertex count 4 exceeds"):
         graph_from_json_dict({"n": 4, "edges": []})
 
@@ -97,18 +92,6 @@ def test_read_graph_json_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError):
         read_graph_json(path)
-
-
-def test_edgelist_round_trip():
-    G = bs(2, 3)
-    text = graph_to_edgelist_text(G)
-    assert text == "7\n0 1\n0 3\n0 4\n1 2\n2 5\n2 6\n"
-    assert graph_from_edgelist_text(text) == G
-    assert graph_from_edgelist_text("1\n") == build_graph(1, [])
-    with pytest.raises(ValueError):
-        graph_from_edgelist_text("")
-    with pytest.raises(ValueError):
-        graph_from_edgelist_text("2\n0\n")
 
 
 def test_dot_output():

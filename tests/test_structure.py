@@ -203,8 +203,11 @@ def test_structure_profile_can_skip_omega():
     p = structure_profile(G, with_omega=False)
     assert p.omega is None and p.triangle_free is None
     assert p.admitting == {3, 5, 7, 9} and p.admitting_cap == G.n - 4
+    # asked for, omega above its guard is unknown rather than an error
+    q = structure_profile(G)
+    assert q.omega is None and q.triangle_free is None and q == p
     with pytest.raises(GuardExceededError):
-        structure_profile(G)
+        clique_number(G)
 
 
 def test_structure_profile_json_keys():
