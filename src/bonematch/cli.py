@@ -19,8 +19,9 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import GuardExceededError, PostconditionError
-from .families import FAMILIES, FamilySpec, build_family
+from .families import FAMILIES, build_family, family_label
 from .harness import (
+    ADMITTING_CONSTRAINTS,
     SearchConstraints,
     TheoremSpec,
     _instance_row,
@@ -42,18 +43,23 @@ from .serialize import (
 )
 from .structure import structure_profile
 
-__all__ = ["main", "run_cli"]
+__all__ = ["run_cli"]
+
+
+def _items(text: str, what: str, expected: str):
+    """The stripped ``(key, value)`` pairs of the comma-separated ``k=v`` items of ``text``."""
+    for item in text.split(","):
+        key, eq, value = item.partition("=")
+        if not eq or not key.strip() or not value.strip():
+            raise ValueError(f"malformed {what} {item!r}; expected {expected}")
+        yield key.strip(), value.strip()
 
 
 def _parse_params(text: str) -> dict[str, Any]:
     """``k=v,k2=v2`` with integer values; list-valued parameters use
     colon-separated elements (``a=1:2``)."""
     params: dict[str, Any] = {}
-    for item in text.split(","):
-        key, eq, value = item.partition("=")
-        if not eq or not key.strip() or not value.strip():
-            raise ValueError(f"malformed parameter {item!r}; expected k=v")
-        key, value = key.strip(), value.strip()
+    for key, value in _items(text, "parameter", "k=v"):
         try:
             if ":" in value:
                 params[key] = [int(x) for x in value.split(":")]
@@ -72,11 +78,7 @@ def _parse_range(text: str) -> list[tuple[str, Sequence[int]]]:
     bare integer is a single-value range.  A grid of more than ``_GRID_MAX``
     instances is rejected before anything is built."""
     ranges: list[tuple[str, Sequence[int]]] = []
-    for item in text.split(","):
-        key, eq, value = item.partition("=")
-        if not eq or not key.strip() or not value.strip():
-            raise ValueError(f"malformed range {item!r}; expected k=lo..hi[:step] or k=v")
-        key, value = key.strip(), value.strip()
+    for key, value in _items(text, "range", "k=lo..hi[:step] or k=v"):
         try:
             if ".." in value:
                 lo_text, _, rest = value.partition("..")
@@ -113,10 +115,8 @@ def _print_kv(label: str, value: Any) -> None:
 def _cmd_construct(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
     G = build_family(args.family, params)
-    spec = FamilySpec(args.family, tuple(
-        (k, tuple(v) if isinstance(v, list) else v) for k, v in params.items()))
     _print_kv("graph", G.name or "(unnamed)")
-    _print_kv("family", spec.label())
+    _print_kv("family", family_label(args.family, params))
     _print_kv("vertices", G.n)
     _print_kv("edges", G.edge_count())
     if args.out:
@@ -180,8 +180,9 @@ def _cmd_lm(args: argparse.Namespace) -> int:
         for r, b in sweep:
             marker = "  <- best" if (r, b) == (best_root, best_bound) else ""
             print(f"  root {r:>3}  bound {b}{marker}")
-    # trace validation never reads omega, so its 40-vertex guard is skipped
-    profile = structure_profile(G, with_omega=False)
+    # trace validation never reads omega, so its 40-vertex guard is skipped,
+    # and reads the admitting set only up to the depth of the trace
+    profile = structure_profile(G, trace.depth, with_omega=False)
     violations = validate_trace(G, trace, profile)
     if args.out:
         payload = {"graph": graph_to_json_dict(G), "trace": trace.to_json_dict(),
@@ -199,8 +200,7 @@ def _cmd_lm(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     G = read_graph_json(args.graph)
-    spec = TheoremSpec(args.theorem, m=args.m, n=args.n, p=args.p)
-    result = check_theorem(G, spec)
+    result = check_theorem(G, _theorem_spec(args, {}))
     _print_kv("graph", G.name or graph_key(G))
     _print_kv("theorem", result.theorem)
     for name, ok in result.hypotheses:
@@ -223,29 +223,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _theorem_spec_for_instance(theorem: str, args: argparse.Namespace,
-                               instance_params: dict[str, Any]) -> TheoremSpec:
-    # Explicit --m/--n/--p win; otherwise a same-named family parameter is
-    # used, so e.g. `sweep --family t_tree --range m=3..7:2,n=4..6
-    # --theorem cor-1.3` tracks the instance.
-    kwargs: dict[str, int | None] = {}
-    for name in ("m", "n", "p"):
-        explicit = getattr(args, name)
-        if explicit is not None:
-            kwargs[name] = explicit
-        elif isinstance(instance_params.get(name), int):
-            kwargs[name] = instance_params[name]
-        else:
-            kwargs[name] = None
-    return TheoremSpec(theorem, **kwargs)
+def _theorem_spec(args: argparse.Namespace, params: dict[str, Any]) -> TheoremSpec:
+    # Explicit --m/--n/--p win; otherwise a same-named integer family
+    # parameter is used, so e.g. `sweep --family t_tree --range
+    # m=3..7:2,n=4..6 --theorem cor-1.3` tracks the instance.
+    kwargs = {name: getattr(args, name) for name in ("m", "n", "p")}
+    for name, value in kwargs.items():
+        if value is None and isinstance(params.get(name), int):
+            kwargs[name] = params[name]
+    return TheoremSpec(args.theorem, **kwargs)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.family is None:
         if args.theorem is None:
             raise ValueError("sweep needs --theorem (with --nmax) or --family (with --range)")
-        spec = TheoremSpec(args.theorem, m=args.m, n=args.n, p=args.p)
-        report = exhaustive_sweep(args.nmax, spec, out_dir=args.out)
+        report = exhaustive_sweep(args.nmax, _theorem_spec(args, {}), out_dir=args.out)
         _print_kv("theorem", report.theorem)
         _print_kv("n_max", report.n_max)
         _print_kv("classes", report.class_count)
@@ -281,11 +274,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             G = build_family(args.family, params)
         except ValueError as exc:
-            label = FamilySpec(args.family, tuple(params.items())).label()
-            print(f"{label:<22} skipped: {exc}")
+            print(f"{family_label(args.family, params):<22} skipped: {exc}")
             continue
-        result = (check_theorem(G, _theorem_spec_for_instance(args.theorem, args, params))
-                  if args.theorem else None)
+        result = check_theorem(G, _theorem_spec(args, params)) if args.theorem else None
         facts = _table_facts(G, result)
         row = _instance_row(G, facts, result)
         admitting = "?" if facts["admitting"] is None else _fmt_set(facts["admitting"])
@@ -404,8 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha-l-max", type=int, default=None)
     p.add_argument("--omega-max", type=int, default=None)
-    p.add_argument("--admitting", choices=["any", "empty", "odd", "even"],
-                   default="any")
+    p.add_argument("--admitting", choices=list(ADMITTING_CONSTRAINTS), default="any")
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="explicit seed; no wall-clock default")
@@ -441,9 +431,5 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

@@ -7,7 +7,6 @@ returned graphs and a registry maps family ids to builders for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .graphs import Graph, build_graph
@@ -28,7 +27,7 @@ __all__ = [
     "star_graph",
     "complete_graph",
     "complete_bipartite_graph",
-    "FamilySpec",
+    "family_label",
     "FAMILIES",
     "build_family",
 ]
@@ -252,17 +251,10 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)], name=f"K({a},{b})")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family id plus its integer parameters, as used by the CLI and sweeps;
-    a list-valued parameter is a tuple and prints as the CLI takes it (``1:3``)."""
-
-    family: str
-    params: tuple[tuple[str, int | tuple[int, ...]], ...]
-
-    def label(self) -> str:
-        inner = ",".join(f"{k}={':'.join(map(str, _levels(v)))}" for k, v in self.params)
-        return f"{self.family}({inner})"
+def family_label(family: str, params: dict[str, int | Sequence[int]]) -> str:
+    """``family(k=v,...)``; a list-valued parameter prints as the CLI takes it (``1:3``)."""
+    inner = ",".join(f"{k}={':'.join(map(str, _levels(v)))}" for k, v in params.items())
+    return f"{family}({inner})"
 
 
 def _levels(a: int | Sequence[int]) -> Sequence[int]:

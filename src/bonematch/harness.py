@@ -35,6 +35,7 @@ __all__ = [
     "SweepReport",
     "exhaustive_sweep",
     "random_connected",
+    "ADMITTING_CONSTRAINTS",
     "SearchConstraints",
     "SearchReport",
     "extremal_search",
@@ -273,7 +274,6 @@ class SweepReport:
     n_max: int
     class_count: int
     connected_count: int
-    checked_count: int
     hypotheses_met_count: int
     vacuous_count: int
     indeterminate_count: int
@@ -290,7 +290,7 @@ class SweepReport:
             "n_max": self.n_max,
             "classes": self.class_count,
             "connected": self.connected_count,
-            "checked": self.checked_count,
+            "checked": self.connected_count,
             "hypotheses_met": self.hypotheses_met_count,
             "vacuous": self.vacuous_count,
             "indeterminate": self.indeterminate_count,
@@ -358,7 +358,7 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
     """
     if n_max < 1 or n_max > _SWEEP_MAX:
         raise GuardExceededError(f"sweep needs 1 <= n_max <= {_SWEEP_MAX}, got {n_max}")
-    classes = connected = checked = met = vacuous = indeterminate = 0
+    classes = connected = met = vacuous = indeterminate = 0
     max_kd: int | None = None
     violations: list[dict[str, Any]] = []
     rows: list[dict[str, Any]] = []
@@ -366,7 +366,6 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
         classes += 1
         connected += labelled
         result = check_theorem(G, spec)
-        checked += labelled
         if result.indeterminate:
             indeterminate += labelled
         elif not result.hypotheses_met:
@@ -386,9 +385,8 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
             rows.append(_instance_row(G, dict(result.details), result, labelled))
     report = SweepReport(
         theorem=spec.id, n_max=n_max, class_count=classes, connected_count=connected,
-        checked_count=checked, hypotheses_met_count=met, vacuous_count=vacuous,
-        indeterminate_count=indeterminate, max_deficiency_met=max_kd,
-        violations=tuple(violations))
+        hypotheses_met_count=met, vacuous_count=vacuous, indeterminate_count=indeterminate,
+        max_deficiency_met=max_kd, violations=tuple(violations))
     if out_dir is not None:
         _write_sweep_artifacts(Path(out_dir), report, rows)
     return report
@@ -481,13 +479,23 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
     return build_graph(n, sorted(edges_set))
 
 
+# The search's admitting constraints: name -> test of the admitting set, in
+# the order the CLI lists them; ``any`` has no test, so the set is not computed.
+ADMITTING_CONSTRAINTS: dict[str, Callable[[frozenset[int]], bool] | None] = {
+    "any": None,
+    "empty": lambda a: not a,
+    "odd": lambda a: bool(a) and all(x % 2 == 1 for x in a),
+    "even": lambda a: bool(a) and all(x % 2 == 0 for x in a),
+}
+
+
 @dataclass(frozen=True)
 class SearchConstraints:
     """Feasible region for the extremal search.
 
-    ``admitting`` is one of ``any`` (unconstrained), ``empty`` (no bones),
-    ``odd`` (at least one bone, all indices odd), ``even`` (at least one
-    bone, all indices even).
+    ``admitting`` names an entry of ``ADMITTING_CONSTRAINTS``: ``any``
+    (unconstrained), ``empty`` (no bones), ``odd`` (at least one bone, all
+    indices odd), ``even`` (at least one bone, all indices even).
     """
 
     n: int
@@ -498,7 +506,7 @@ class SearchConstraints:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("search needs at least one vertex")
-        if self.admitting not in ("any", "empty", "odd", "even"):
+        if self.admitting not in ADMITTING_CONSTRAINTS:
             raise ValueError(f"unknown admitting constraint {self.admitting!r}")
 
 
@@ -507,15 +515,8 @@ def _satisfies(G: Graph, c: SearchConstraints) -> bool:
         return False
     if c.omega_max is not None and clique_number(G) > c.omega_max:
         return False
-    if c.admitting != "any":
-        a = admitting_set(G)
-        if c.admitting == "empty" and a:
-            return False
-        if c.admitting == "odd" and (not a or any(x % 2 == 0 for x in a)):
-            return False
-        if c.admitting == "even" and (not a or any(x % 2 == 1 for x in a)):
-            return False
-    return True
+    test = ADMITTING_CONSTRAINTS[c.admitting]
+    return test is None or test(admitting_set(G))
 
 
 @dataclass(frozen=True)
@@ -610,12 +611,11 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
             current = None
             stale = 0
 
-    mod_base: int | None = None
-    mod_hit: bool | None = None
-    if constraints.alpha_l_max is not None and constraints.alpha_l_max + 1 > 3:
-        mod_base = constraints.alpha_l_max + 1 - 3
-        if best_kd >= 0:
-            mod_hit = best_kd % mod_base == 1 % mod_base
+    # prop-5.1's congruence, with the star parameter n = alpha_l_max + 1 > 3
+    n_star = -1 if constraints.alpha_l_max is None else constraints.alpha_l_max + 1
+    mod_base = n_star - 3 if n_star > 3 else None
+    mod_hit = (None if mod_base is None or best_kd < 0
+               else _THEOREMS["prop-5.1-mod"].passes({}, best_kd, None, n_star))
     return SearchReport(
         constraints=constraints, iterations=iters, seed=seed,
         best_graph=best, best_deficiency=None if best_kd < 0 else best_kd,

@@ -340,9 +340,6 @@ class LMTrace:
     levels: tuple[LMLevel, ...]
     bound: int
 
-    def leftover_union(self) -> frozenset[int]:
-        return frozenset(v for lv in self.levels for v in lv.leftover)
-
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "root": self.root,
@@ -420,13 +417,14 @@ class TraceViolation(NamedTuple):
 def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[TraceViolation]:
     """Check a level walk against every guarantee the theory promises.
 
-    ``profile`` must carry the complete admitting set (cap at least
-    ``n - 4``), otherwise the membership rule cannot be decided and a
-    ``ValueError`` is raised.  An empty return value means the trace is
-    fully consistent.
+    The membership rule reads the admitting set at levels ``2..depth`` only,
+    and no bone index exceeds ``n - 4``, so ``profile`` must carry it up to
+    ``min(trace.depth, n - 4)``; with a smaller cap the rule cannot be
+    decided and a ``ValueError`` is raised.  An empty return value means the
+    trace is fully consistent.
     """
-    if profile.admitting_cap < G.n - 4:
-        raise ValueError("trace validation needs a profile with the full admitting-set cap")
+    if profile.admitting_cap < min(trace.depth, G.n - 4):
+        raise ValueError("trace validation needs the admitting set up to the trace depth")
     L = levelling(G, trace.root)
     if trace.depth != L.N or [r.level for r in trace.levels] != list(range(L.N, 0, -1)):
         raise ValueError("trace does not match the levelling of this graph from its root")
@@ -447,7 +445,7 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
             out.append(TraceViolation("matching-disjoint", None, f"({u}, {v}) reuses a vertex"))
         seen.update((u, v))
 
-    covered = seen | trace.leftover_union()
+    covered = seen | {v for rec in trace.levels for v in rec.leftover}
     if covered != set(range(G.n)):
         missing = sorted(set(range(G.n)) - covered)
         out.append(TraceViolation("coverage", None, f"vertices {missing} unaccounted for"))

@@ -316,8 +316,8 @@ def _connected_sets(masks: list[int], match: list[int], floor: int):
 class CriticalityResult:
     """Verdict on whether every proper connected induced subgraph has smaller deficiency.
 
-    ``verdict`` is ``"critical"``, ``"not-critical"`` (with a witness subgraph
-    whose deficiency is at least that of the whole graph), or
+    ``verdict`` is ``"critical"``, ``"not-critical"`` (with the vertices of a
+    witness subgraph whose deficiency is at least that of the whole graph), or
     ``"partial-pass"`` for the delete-one mode when no single deletion
     produced a witness.
     """
@@ -325,7 +325,6 @@ class CriticalityResult:
     verdict: str
     mode: str
     deficiency: int
-    witness: Graph | None = None
     witness_vertices: tuple[int, ...] | None = None
 
 
@@ -348,21 +347,19 @@ def is_deficiency_critical(G: Graph, mode: str = "exhaustive") -> CriticalityRes
                 continue
             H, vmap = induced_subgraph(G, rest)
             if is_connected(H) and deficiency(H) >= kd:
-                return CriticalityResult("not-critical", mode, kd, H, vmap)
+                return CriticalityResult("not-critical", mode, kd, vmap)
         return CriticalityResult("partial-pass", mode, kd)
 
     if G.n > _CRITICALITY_MAX:
         raise GuardExceededError(f"exhaustive criticality limited to {_CRITICALITY_MAX} vertices")
     if kd <= 1 and G.n >= 2:  # vertex 0 alone: deficiency 1, the smallest vertex tuple
-        H, vmap = induced_subgraph(G, (0,))
-        return CriticalityResult("not-critical", mode, kd, H, vmap)
+        return CriticalityResult("not-critical", mode, kd, (0,))
     masks = G.adjacency_masks()
     full = (1 << G.n) - 1
     # every set grown from a lower vertex has a smaller sorted vertex tuple
     for found in _connected_sets(masks, match, kd):
         for S in sorted(found, key=_mask_vertices):
             if S != full and _set_deficiency(masks, S) >= kd:
-                H, vmap = induced_subgraph(G, _mask_vertices(S))
-                return CriticalityResult("not-critical", mode, kd, H, vmap)
+                return CriticalityResult("not-critical", mode, kd, _mask_vertices(S))
     return CriticalityResult("critical", mode, kd)
 

@@ -53,6 +53,37 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.15) -> G
     return build_graph(n, sorted(edges))
 
 
+def layered_graph(rng: random.Random, n: int):
+    """Sparse random graph with a fixed BFS level profile from its root.
+
+    Levels 0..9 hold 1, 3, 9 vertices and then equal shares of the rest;
+    each vertex below the root gets a random parent one level up, and
+    ``0.15 * n`` more edges join vertices of the same or adjacent levels.
+    Two pendants on the root make it a snail-horn head.  Vertex ids are a
+    random permutation.  Returns ``(G, root)``.
+    """
+    body = n - 2
+    sizes = [1, 3, 9]
+    depth = 10
+    rest, wide = body - sum(sizes), depth - len(sizes)
+    sizes += [rest // wide + (1 if k < rest % wide else 0) for k in range(wide)]
+    levels, start = [], 0
+    for s in sizes:
+        levels.append(range(start, start + s))
+        start += s
+    edges = {(rng.choice(levels[k - 1]), v) for k in range(1, depth) for v in levels[k]}
+    target = len(edges) + int(0.15 * n)
+    while len(edges) < target:
+        k = rng.randrange(1, depth)
+        a, b = rng.choice(levels[k]), rng.choice(levels[k - rng.randrange(2)])
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    edges |= {(0, body), (0, body + 1)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)), perm[0]
+
+
 # ---------------------------------------------------------------------------
 # plain-BFS levelling oracle
 

@@ -1,11 +1,15 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from bonematch import (PostconditionError, bs, cli, f_family, graph_from_json_dict, harness,
-                       read_graph_json, skeleton_tree, structure, t_tree)
+                       read_graph_json, skeleton_tree, star_graph, structure, t_tree,
+                       write_graph_json)
 from bonematch.cli import _parse_range, run_cli
+
+from .helpers import layered_graph
 
 
 def make_graph_file(tmp_path, name, argv_params):
@@ -122,6 +126,28 @@ def test_lm_validates_trace_above_clique_guard(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["lm", str(path)]) == 0
     out = capsys.readouterr().out
+    assert any(line.split() == ["trace", "valid"] for line in out.splitlines())
+
+
+def test_analyze_exits_2_when_the_alpha_l_guard_trips(tmp_path, capsys):
+    # only omega turns unknown in analyze; alpha_l and the bone budget stop it
+    path = tmp_path / "star.json"
+    write_graph_json(star_graph(41), path)
+    assert run_cli(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard exceeded: neighbourhood of 0 exceeds 40 vertices\n"
+
+
+def test_lm_validates_trace_on_a_300_vertex_layered_graph(tmp_path, capsys):
+    # the full bone scan of this graph exceeds its node budget; lm scans the
+    # bone indices only up to the levelling depth
+    G, _ = layered_graph(random.Random("lm_large:401"), 300)
+    path = tmp_path / "layered.json"
+    write_graph_json(G, path)
+    assert run_cli(["lm", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "depth          10" in out
     assert any(line.split() == ["trace", "valid"] for line in out.splitlines())
 
 

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from bonematch import (
     FAMILIES,
-    FamilySpec,
     attach_broom,
     broom,
     bs,
@@ -15,6 +14,7 @@ from bonematch import (
     e_family,
     e_plus_family,
     f_family,
+    family_label,
     graph_key,
     is_connected,
     path_graph,
@@ -202,8 +202,9 @@ def test_registry_round_trip():
         build_family("bs", {"n": 2, "p": 3, "q": 1})
 
 
-def test_family_spec_label():
-    assert FamilySpec("bs", (("n", 2), ("p", 3))).label() == "bs(n=2,p=3)"
+def test_family_label():
+    assert family_label("bs", {"n": 2, "p": 3}) == "bs(n=2,p=3)"
+    assert family_label("f", {"a": [1, 3]}) == family_label("f", {"a": (1, 3)}) == "f(a=1:3)"
 
 
 def test_registry_contents():

@@ -439,6 +439,16 @@ def test_random_connected():
         random_connected(3, 1.5, seed=0)
 
 
+def test_random_connected_falls_back_to_a_spanning_tree(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "is_connected", lambda G: calls.append(G) or graphs.is_connected(G))
+    G = random_connected(5, 1e-12, seed=0)
+    assert len(calls) == 10_000 and not any(H.edge_count() for H in calls)
+    assert G == random_connected(5, 1e-12, seed=0)
+    assert graphs.is_connected(G) and G.edge_count() == 4
+    assert G.edges() == [(0, 1), (1, 4), (2, 4), (3, 4)]
+
+
 def test_search_constraints_validation():
     with pytest.raises(ValueError):
         SearchConstraints(7, admitting="weird")

@@ -267,6 +267,22 @@ def test_validate_trace_requires_full_bone_scan():
         validate_trace(G, trace, structure_profile(G, i_max=1))
 
 
+def test_validate_trace_reads_the_admitting_set_up_to_the_trace_depth():
+    # a leftover added at every level makes the membership rule read each one
+    flagged = 0
+    for G in _family_instances():
+        if not snail_horns(G):
+            continue
+        trace = lm_run(G)
+        padded = replace(trace, levels=tuple(
+            replace(rec, leftover=rec.leftover + (trace.root,)) for rec in trace.levels))
+        full, capped = structure_profile(G), structure_profile(G, trace.depth)
+        for t in (trace, padded):
+            assert validate_trace(G, t, capped) == validate_trace(G, t, full), G.name
+        flagged += sum(v.rule == "admitting-membership" for v in validate_trace(G, padded, full))
+    assert flagged > 0
+
+
 def test_validate_trace_flags_nonedge_matching():
     G, trace, profile = _valid_trace_fixture()
     levels = list(trace.levels)

@@ -12,6 +12,7 @@ from bonematch import (
     build_graph,
     complete_graph,
     deficiency,
+    induced_subgraph,
     is_deficiency_critical,
     lm_run,
     maximum_matching,
@@ -141,7 +142,7 @@ def test_criticality_verdicts():
     res = is_deficiency_critical(path_graph(3))
     assert res.verdict == "not-critical"
     assert res.witness_vertices == (0,)
-    assert res.witness.n == 1
+    assert induced_subgraph(path_graph(3), res.witness_vertices)[0].n == 1
 
 
 def test_criticality_delete_one_is_weaker():
@@ -157,7 +158,8 @@ def test_criticality_of_even_and_odd_bones():
     assert even2.witness_vertices == (0, 1, 2, 3)
     even4 = is_deficiency_critical(bs(2, 4))
     assert even4.verdict == "not-critical"
-    assert deficiency(even4.witness) == deficiency(bs(2, 4)) == 2
+    witness = induced_subgraph(bs(2, 4), even4.witness_vertices)[0]
+    assert deficiency(witness) == deficiency(bs(2, 4)) == 2
 
 
 def test_criticality_choices_match_tuple_min_reference():
@@ -219,7 +221,8 @@ def test_criticality_matches_the_frozen_table_scan():
         assert (res.verdict, res.deficiency, res.witness_vertices) == (
             "critical" if witness is None else "not-critical", kd, witness), G
         if witness is not None:
-            assert res.witness == induced_subgraph_reference(G, witness)[0], G
+            assert (induced_subgraph(G, res.witness_vertices)[0]
+                    == induced_subgraph_reference(G, witness)[0]), G
         verdicts[res.verdict] += 1
     assert len(graphs) >= 1300 and verdicts["critical"] >= 50
     assert max(G.n for G in graphs) == 18

@@ -44,3 +44,20 @@ def test_every_public_name_has_a_caller():
                 used.add(node.attr)
     public = {name for module in (*MODULES, cli) for name in module.__all__}
     assert sorted(public - used) == sorted(UNCALLED)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # ``__init__`` re-exports by star import and uses each module it imports
+    paths = sorted((ROOT / "src" / "bonematch").glob("*.py"))
+    assert len(paths) == len(MODULES) + 2  # with ``__init__`` and ``cli``
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                           if alias.name != "*"
+                           and (alias.asname or alias.name).partition(".")[0] not in used]
+    assert unused == []
