@@ -25,6 +25,7 @@ from .harness import (
     SearchConstraints,
     TheoremSpec,
     _instance_row,
+    _RuleError,
     _table_facts,
     check_theorem,
     exhaustive_sweep,
@@ -271,12 +272,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(header)
     for combo in product(*(values for _, values in ranges)):
         params = {k: v for (k, _), v in zip(ranges, combo)}
+        G = None
         try:
             G = build_family(args.family, params)
+            result = check_theorem(G, _theorem_spec(args, params)) if args.theorem else None
         except ValueError as exc:
+            # the family or a rule of the theorem rejects the instance; a missing
+            # parameter or an unknown theorem stops the sweep
+            if G is not None and not isinstance(exc, _RuleError):
+                raise
             print(f"{family_label(args.family, params):<22} skipped: {exc}")
             continue
-        result = check_theorem(G, _theorem_spec(args, params)) if args.theorem else None
         facts = _table_facts(G, result)
         row = _instance_row(G, facts, result)
         admitting = "?" if facts["admitting"] is None else _fmt_set(facts["admitting"])

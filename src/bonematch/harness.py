@@ -107,6 +107,10 @@ _FACTS: dict[str, Callable[[Graph], Any]] = {
 }
 
 
+class _RuleError(ValueError):
+    """Parameters that break a rule of the theorem, as opposed to missing ones."""
+
+
 class _Theorem(NamedTuple):
     """One check: required ``params``, ``rules`` (a test on m, n, p and its message)
     that reject them, the ``facts`` read in order, hypotheses, bound, and a pass
@@ -236,7 +240,7 @@ def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
     m, n, p = spec.m if m is None else m, spec.n, spec.p
     for bad, why in rules:
         if bad(m, n, p):
-            raise ValueError(f"{spec.id} " + why.format(m=m, n=n, p=p))
+            raise _RuleError(f"{spec.id} " + why.format(m=m, n=n, p=p))
     f: dict[str, Any] = {}
     try:
         for name in facts:

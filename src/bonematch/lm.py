@@ -3,7 +3,7 @@
 The driver levels a graph from a snail-horn head and walks the levels top
 down.  At each step a two-level subproblem is solved by local search over two
 kinds of improving moves; the terminal matching is guaranteed (and verified
-at runtime) to leave every unsaturated upper vertex with two private
+at runtime) to leave every residual lower vertex with two private
 witnesses, which feeds the next level.  The sum of the leftover sets bounds
 the deficiency from above.
 
@@ -80,17 +80,14 @@ class TwoLevelResult:
 
     ``x_residual`` is the set of unmatched lower-side vertices that still see
     an unmatched upper vertex; each maps to its two smallest private
-    witnesses in ``private``: upper vertices whose only unmatched neighbour
-    is that vertex.
+    witnesses in ``private``, sorted by vertex: upper vertices whose only
+    unmatched neighbour is that vertex.
     """
 
     matching: frozenset[Edge]
     x_residual: frozenset[int]
     y_residual: frozenset[int]
     private: tuple[tuple[int, tuple[int, int]], ...]
-
-    def private_map(self) -> dict[int, tuple[int, int]]:
-        return dict(self.private)
 
 
 def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevelResult:
@@ -106,8 +103,7 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     The guarantees of the terminal state are re-verified before returning;
     a failure raises ``PostconditionError`` and indicates a bug.
     """
-    Xs = frozenset(X)
-    Ys = frozenset(Y)
+    Xs, Ys = frozenset(X), frozenset(Y)
     if not Xs:
         raise ValueError("two-level matching requires a non-empty lower side")
     if Xs & Ys:
@@ -280,25 +276,23 @@ def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int],
     for y in res.y_residual:
         if adj[y] & res.y_residual:
             raise PostconditionError("residual upper set is not independent")
-    # (3) two private witnesses each, checked against the full residual graph
+    # (3) two private witnesses each; private[x]: the residual upper y with adj[y] & live == {x}
     live = (X | Y) - saturated
-    pmap = res.private_map()
-    if set(pmap) != set(res.x_residual):
+    private: dict[int, set[int]] = {}
+    for y in res.y_residual:
+        seen = adj[y] & live
+        if len(seen) == 1:
+            private.setdefault(next(iter(seen)), set()).add(y)
+    pairs = dict(res.private)
+    if set(pairs) != set(res.x_residual):
         raise PostconditionError("private witness map keys do not match the residual set")
-    for x, (y1, y2) in pmap.items():
+    for x, (y1, y2) in pairs.items():
         for y in (y1, y2):
-            if y not in res.y_residual or (adj[y] & live) != {x}:
+            if y not in private.get(x, ()):
                 raise PostconditionError(f"witness {y} of {x} is not private")
     # (4) each matched lower vertex can spoil at most one residual vertex
     for v in sorted(v for v in saturated if v in X):
-        spoiled = 0
-        for x in res.x_residual:
-            surviving = [
-                y for y in res.y_residual
-                if (adj[y] & live) == {x} and v not in adj[y]
-            ]
-            if len(surviving) < 2:
-                spoiled += 1
+        spoiled = sum(len(private.get(x, set()) - adj[v]) < 2 for x in res.x_residual)
         if spoiled > 1:
             raise PostconditionError(f"matched vertex {v} spoils {spoiled} residual vertices")
 
@@ -374,27 +368,18 @@ def lm_run(G: Graph, root: int | None = None) -> LMTrace:
     for i in range(L.N, 0, -1):
         lower = L.levels[i - 1]
         upper = L.levels[i] - upper_saturated
-        sub_vertices = sorted(lower | upper)
-        H, vmap = induced_subgraph(G, sub_vertices)
-        back = {orig: new for new, orig in enumerate(vmap)}
-        res = two_level_matching(
-            H,
-            (back[v] for v in lower),
-            (back[v] for v in upper),
-        )
-        m_edges = tuple(sorted(_norm_edge(vmap[a], vmap[b]) for a, b in res.matching))
+        H, vmap = induced_subgraph(G, lower | upper)
+        res = two_level_matching(H, (k for k, v in enumerate(vmap) if v in lower),
+                                 (k for k, v in enumerate(vmap) if v in upper))
+        # vmap is increasing, so a matching edge (a, b) of H with a < b stays ordered
+        m_edges = tuple(sorted((vmap[a], vmap[b]) for a, b in res.matching))
         x_res = tuple(sorted(vmap[x] for x in res.x_residual))
         y_res = tuple(sorted(vmap[y] for y in res.y_residual))
-        pmap = res.private_map()
-        w_edges = tuple(sorted(
-            _norm_edge(vmap[x], vmap[pmap[x][0]]) for x in sorted(pmap)
-        ))
-        w_saturated = {v for e in w_edges for v in e}
-        leftover = tuple(sorted(set(y_res) - w_saturated))
+        w_edges = tuple(sorted(_norm_edge(vmap[x], vmap[y]) for x, (y, _) in res.private))
+        upper_saturated = frozenset(v for e in m_edges + w_edges for v in e)
+        leftover = tuple(sorted(set(y_res) - upper_saturated))
         records.append(LMLevel(i, m_edges, w_edges, x_res, y_res, leftover))
-        upper_saturated = frozenset(v for e in m_edges for v in e) | frozenset(w_saturated)
-    bound = sum(len(r.leftover) for r in records)
-    return LMTrace(root=root, depth=L.N, levels=tuple(records), bound=bound)
+    return LMTrace(root, L.N, tuple(records), sum(len(r.leftover) for r in records))
 
 
 def lm_root_sweep(G: Graph) -> list[tuple[int, int]]:
@@ -422,6 +407,15 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
     ``min(trace.depth, n - 4)``; with a smaller cap the rule cannot be
     decided and a ``ValueError`` is raised.  An empty return value means the
     trace is fully consistent.
+
+    The level rules need two-level rules (1)-(3), not (4).  A leftover vertex
+    at level ``i`` sees a residual lower ``x`` (1) and is not the witness
+    matched to ``x``, distinct by (3).  Leftover bounds: ``x``'s residual upper
+    neighbours are independent (2), also with its BFS parent, which sees no
+    level-``i`` vertex, so ``x`` sees at most ``alpha_l - 1`` leftover vertices
+    at the root and ``alpha_l - 2`` below.  clean-level: ``x``'s two witnesses
+    (3) are non-adjacent (2) children.  admitting-membership: they, a shortest
+    root path to ``x`` and the root's two beards form an induced bone of index ``i``.
     """
     if profile.admitting_cap < min(trace.depth, G.n - 4):
         raise ValueError("trace validation needs the admitting set up to the trace depth")
@@ -431,14 +425,9 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
 
     out: list[TraceViolation] = []
     alpha = profile.alpha_l
-    admitting = profile.admitting
 
     seen: set[int] = set()
-    all_edges: list[Edge] = []
-    for rec in trace.levels:
-        all_edges.extend(rec.matching)
-        all_edges.extend(rec.witness_matching)
-    for u, v in all_edges:
+    for u, v in (e for rec in trace.levels for e in (*rec.matching, *rec.witness_matching)):
         if v not in G.adj[u]:
             out.append(TraceViolation("matching-edges", None, f"({u}, {v}) is not an edge"))
         if u in seen or v in seen:
@@ -466,7 +455,7 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
         if z > 0 and is_clean_level(L, rec.level):
             out.append(TraceViolation(
                 "clean-level", rec.level, f"clean level has |Z| = {z}"))
-        if z > 0 and rec.level != 1 and rec.level not in admitting:
+        if z > 0 and rec.level != 1 and rec.level not in profile.admitting:
             out.append(TraceViolation(
                 "admitting-membership", rec.level,
                 f"leftover at level {rec.level} outside the admitting set"))

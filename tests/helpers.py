@@ -19,6 +19,7 @@ from bonematch import (
     CheckResult,
     Graph,
     GuardExceededError,
+    PostconditionError,
     TheoremSpec,
     TwoLevelResult,
     admitting_set,
@@ -377,7 +378,7 @@ def check_two_level_postconditions(H: Graph, X, Y, result) -> list[str]:
                 out.add(y)
         return out
 
-    pmap = result.private_map()
+    pmap = dict(result.private)
     for x in sorted(x_m):
         priv = private_to(x)
         if len(priv) < 2:
@@ -471,6 +472,51 @@ def two_level_matching_reference(H: Graph, X, Y) -> TwoLevelResult:
         )
         private.append((x, (witnesses[0], witnesses[1])))
     return TwoLevelResult(frozenset(matching), x_res, y_res, tuple(private))
+
+
+def verify_two_level_frozen(H: Graph, X: frozenset[int], Y: frozenset[int],
+                            res: TwoLevelResult) -> None:
+    """The two-level postcondition check as it stood with a triple loop for
+    rule (4), kept to pin the package's check to the same outcomes.
+
+    Verbatim but for reading the witness pairs as ``dict(res.private)``.
+    """
+    adj = H.adj
+    saturated = {v for e in res.matching for v in e}
+    for u, v in res.matching:
+        if v not in adj[u]:
+            raise PostconditionError(f"matching edge ({u}, {v}) not in graph")
+    if len(saturated) != 2 * len(res.matching):
+        raise PostconditionError("matching edges share vertices")
+    # (1) every residual upper vertex sees a residual lower vertex
+    for y in res.y_residual:
+        if not (adj[y] & res.x_residual):
+            raise PostconditionError(f"uncovered residual upper vertex {y}")
+    # (2) residual upper set is independent
+    for y in res.y_residual:
+        if adj[y] & res.y_residual:
+            raise PostconditionError("residual upper set is not independent")
+    # (3) two private witnesses each, checked against the full residual graph
+    live = (X | Y) - saturated
+    pmap = dict(res.private)
+    if set(pmap) != set(res.x_residual):
+        raise PostconditionError("private witness map keys do not match the residual set")
+    for x, (y1, y2) in pmap.items():
+        for y in (y1, y2):
+            if y not in res.y_residual or (adj[y] & live) != {x}:
+                raise PostconditionError(f"witness {y} of {x} is not private")
+    # (4) each matched lower vertex can spoil at most one residual vertex
+    for v in sorted(v for v in saturated if v in X):
+        spoiled = 0
+        for x in res.x_residual:
+            surviving = [
+                y for y in res.y_residual
+                if (adj[y] & live) == {x} and v not in adj[y]
+            ]
+            if len(surviving) < 2:
+                spoiled += 1
+        if spoiled > 1:
+            raise PostconditionError(f"matched vertex {v} spoils {spoiled} residual vertices")
 
 
 # ---------------------------------------------------------------------------

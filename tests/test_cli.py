@@ -325,6 +325,33 @@ def test_sweep_family_mode_reuses_facts_of_guarded_and_criticality_checks(capsys
     assert "deficiency" not in calls and calls.count("local_independence_number") == 2
 
 
+def test_sweep_family_mode_skips_instances_that_break_a_theorem_rule(tmp_path, capsys):
+    # prop-5.1-mod needs m, n > 3: m = 2, 3 are skipped, the rest of the grid is checked
+    args = ["sweep", "--family", "e", "--theorem", "prop-5.1-mod", "--n", "5", "--out"]
+    assert run_cli([*args, str(tmp_path / "kept"), "--range", "m=4..5,n=2,p=1..2"]) == 0
+    kept = capsys.readouterr().out.splitlines()
+    assert run_cli([*args, str(tmp_path / "grid"), "--range", "m=2..5,n=2,p=1..2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:5] == [f"e(m={m},n=2,p={p})         skipped: prop-5.1-mod needs m, n > 3"
+                          for m in (2, 3) for p in (1, 2)]
+    assert [lines[0], *lines[5:9]] == kept[:5] and len(kept) == 6 and len(lines) == 10
+    csv = (tmp_path / "grid" / "instances.csv").read_text()
+    assert csv == (tmp_path / "kept" / "instances.csv").read_text()
+    assert csv.count("\n") == 1 + 4
+
+
+@pytest.mark.parametrize("theorem, message", [
+    ("thm-1.6-q=2p+1", "error: thm-1.6-q=2p+1 requires parameter p"),
+    ("nope", "error: unknown theorem id 'nope'"),
+])
+def test_sweep_family_mode_stops_on_a_missing_parameter_or_theorem(capsys, theorem, message):
+    assert run_cli(["sweep", "--family", "t_tree", "--range", "m=3,n=4",
+                    "--theorem", theorem]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == []
+    assert captured.err.splitlines() == [message]
+
+
 def test_sweep_family_mode_caps_the_range_grid(capsys):
     # ranges stay lazy: these grids are rejected without being built
     for text in ("n=1..100000000000", "n=1..10000000000000000000000", "n=1..200,p=1..200"):

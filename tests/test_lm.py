@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from .helpers import (
     check_two_level_postconditions,
     random_connected_graph,
     two_level_matching_reference,
+    verify_two_level_frozen,
 )
 from .test_acceptance import _family_instances
 
@@ -35,7 +37,7 @@ def test_two_level_star_keeps_center_unmatched():
     assert res.matching == frozenset()
     assert res.x_residual == {0}
     assert res.y_residual == {1, 2, 3}
-    assert res.private_map() == {0: (1, 2)}
+    assert dict(res.private) == {0: (1, 2)}
 
 
 def test_two_level_matches_shared_lower_vertex():
@@ -44,7 +46,7 @@ def test_two_level_matches_shared_lower_vertex():
     assert res.matching == {(0, 2)}
     assert res.x_residual == frozenset()
     assert res.y_residual == frozenset()
-    assert res.private_map() == {}
+    assert dict(res.private) == {}
 
 
 def test_two_level_rejects_empty_lower_class():
@@ -175,6 +177,60 @@ def test_trade_candidates_match_reference_and_cover_both_kinds(monkeypatch):
         assert results[-1] == two_level_matching_reference(H, X, Y), seed
     assert kinds["other"] == 0, kinds
     assert kinds["touching"] >= 150 and kinds["rescued"] >= 30, kinds
+
+
+def _verdict(verify, H, X, Y, res):
+    try:
+        verify(H, X, Y, res)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _perturbed(H, res, rng):
+    # broken copies of a terminal state, one for each way the check can fail
+    M, pv = res.matching, res.private
+    u, v = rng.sample(range(H.n), 2)
+    w = rng.randrange(H.n)
+    out = [replace(res, matching=M | {(u, v)}), replace(res, x_residual=res.x_residual ^ {w}),
+           replace(res, y_residual=res.y_residual ^ {w})]
+    if M:
+        a, b = min(M)
+        out += [replace(res, matching=M | {(b, a)}), replace(res, matching=M - {(a, b)})]
+    if pv:
+        # a foreign witness, alone or overridden by a later pair for the same vertex
+        x, (y1, _) = pv[0]
+        foreign = ((x, (y1, rng.randrange(H.n))), *pv[1:])
+        out += [replace(res, private=pv[1:]), replace(res, private=foreign),
+                replace(res, private=(*foreign, pv[0]))]
+    return out
+
+
+def test_verifier_matches_the_frozen_triple_loop(monkeypatch):
+    # the one-pass private-witness map gives every state, terminal or broken,
+    # the outcome of the check as first written: a pass, or the same error
+    states, verify = [], lm_module._verify_two_level
+    monkeypatch.setattr(lm_module, "_verify_two_level", lambda *state: states.append(state))
+    instances = [_bipartite_two_level_instance(seed, k_max=5 if seed % 2 else 9)
+                 for seed in range(2000)]
+    instances += [_random_two_level_instance(seed, n_max=60 if seed % 4 == 0 else 14)
+                  for seed in range(320)]
+    # ROADMAP item 1's minimal instance, which no matching passes: the 6-cycle
+    # 0-4-2-5-1-6-0 with the pendants 0-7, 1-8 and 2-3
+    instances.append((build_graph(9, [(0, 4), (4, 2), (2, 5), (5, 1), (1, 6), (6, 0),
+                                      (0, 7), (1, 8), (2, 3)]), {0, 1, 2}, set(range(3, 9))))
+    for H, X, Y in instances:
+        two_level_matching(H, X, Y)
+    assert len(states) == len(instances)
+    assert _verdict(verify, *states[-1]) == (
+        "PostconditionError", "matched vertex 0 spoils 2 residual vertices")
+    rng, kinds = random.Random(14), Counter()
+    for H, X, Y, res in states:
+        for state in (res, *_perturbed(H, res, rng)):
+            got = _verdict(verify, H, X, Y, state)
+            assert got == _verdict(verify_two_level_frozen, H, X, Y, state), (H, state)
+            kinds[got and re.sub(r"\d+", "#", got[1])] += 1
+    assert len(kinds) == 8, kinds  # a pass and each of the seven errors
 
 
 def test_lm_run_matches_reference_on_family_instances(monkeypatch):

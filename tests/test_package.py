@@ -1,5 +1,6 @@
 import ast
 import pkgutil
+import sys
 from pathlib import Path
 
 import bonematch
@@ -61,3 +62,19 @@ def test_no_module_imports_a_name_it_does_not_use():
                            if alias.name != "*"
                            and (alias.asname or alias.name).partition(".")[0] not in used]
     assert unused == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package imports itself relatively; every absolute import is stdlib
+    outside = []
+    for path in sorted((ROOT / "src" / "bonematch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
