@@ -15,13 +15,11 @@ __all__ = [
     "Graph",
     "Levelling",
     "SnailHorn",
-    "FriendlyLevel",
     "build_graph",
     "induced_subgraph",
     "is_connected",
     "levelling",
     "children",
-    "friendly_level",
     "snail_horns",
     "is_clean_level",
 ]
@@ -175,63 +173,6 @@ def children(L: Levelling, u: int) -> frozenset[int]:
     if lev == L.N:
         return frozenset()
     return L.graph.adj[u] & L.levels[lev + 1]
-
-
-class FriendlyLevel(NamedTuple):
-    """Result of :func:`friendly_level`: the level plus one witness path pair.
-
-    ``path_u[k]`` is the level-``k`` vertex of a shortest root-``u`` path; the
-    two paths agree on every index up to ``level``.
-    """
-
-    level: int
-    path_u: tuple[int, ...]
-    path_v: tuple[int, ...]
-
-
-def _ancestor_sets(L: Levelling, u: int) -> list[set[int]]:
-    # anc[k] = vertices at level k lying on some shortest root-u path,
-    # built by walking level sets backwards from u.
-    k = L.level_of[u]
-    anc: list[set[int]] = [set() for _ in range(k + 1)]
-    anc[k] = {u}
-    adj = L.graph.adj
-    for lev in range(k, 0, -1):
-        below = anc[lev]
-        anc[lev - 1] = {w for w in L.levels[lev - 1] if adj[w] & below}
-    return anc
-
-
-def friendly_level(L: Levelling, u: int, v: int) -> FriendlyLevel:
-    """Deepest level where shortest root-paths of ``u`` and ``v`` can still coincide.
-
-    Returns the level together with one witness pair of shortest paths that
-    agree on all levels up to it.  Level 0 (the root) is always shared, so the
-    result is non-negative.  Requires ``u != v``.
-    """
-    if u == v:
-        raise ValueError("friendly level requires two distinct vertices")
-    if not (0 <= u < L.graph.n and 0 <= v < L.graph.n):
-        raise ValueError("vertex out of range")
-    anc_u = _ancestor_sets(L, u)
-    anc_v = _ancestor_sets(L, v)
-    top = min(L.level_of[u], L.level_of[v])
-    flev = max(k for k in range(top + 1) if anc_u[k] & anc_v[k])
-    meet = min(anc_u[flev] & anc_v[flev])
-
-    adj = L.graph.adj
-    prefix = [meet]
-    for lev in range(flev, 0, -1):
-        prefix.append(min(adj[prefix[-1]] & L.levels[lev - 1]))
-    prefix.reverse()
-
-    def extend(anc: list[set[int]], target: int) -> tuple[int, ...]:
-        path = list(prefix)
-        for lev in range(flev + 1, L.level_of[target] + 1):
-            path.append(min(adj[path[-1]] & anc[lev]))
-        return tuple(path)
-
-    return FriendlyLevel(flev, extend(anc_u, u), extend(anc_v, v))
 
 
 class SnailHorn(NamedTuple):

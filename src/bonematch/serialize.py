@@ -74,7 +74,7 @@ def write_graph_json(G: Graph, path: str | Path, family: dict[str, Any] | None =
 def read_graph_json(path: str | Path) -> Graph:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply to decode
         raise ValueError(f"not valid JSON: {path}") from exc
     return graph_from_json_dict(data)
 

@@ -1,11 +1,12 @@
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from bonematch import (PostconditionError, bs, cli, f_family, graph_from_json_dict, harness,
-                       read_graph_json, skeleton_tree, star_graph, structure, t_tree,
+                       lm_run, read_graph_json, skeleton_tree, star_graph, structure, t_tree,
                        write_graph_json)
 from bonematch.cli import _parse_range, run_cli
 
@@ -188,6 +189,23 @@ def test_lm_reports_a_failed_internal_check_without_traceback(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal check failed: matched vertex 5 spoils 2 residual vertices\n"
+
+
+def test_lm_reports_an_invalid_trace(tmp_path, capsys, monkeypatch):
+    path = make_graph_file(tmp_path, "bs", "n=2,p=3")
+    capsys.readouterr()
+    trace = lm_run(bs(2, 3))
+    # vertex 6 dropped from the level-3 leftover, the bound left at 3
+    bad = replace(trace, levels=(replace(trace.levels[0], leftover=()), *trace.levels[1:]))
+    monkeypatch.setattr(cli, "lm_run", lambda G, root=None: bad)
+    out_path = tmp_path / "trace.json"
+    assert run_cli(["lm", str(path), "--out", str(out_path)]) == 1
+    violations = ["[coverage]: vertices [6] unaccounted for",
+                  "[bound-sum]: bound does not equal the leftover total"]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-3:] == ["trace INVALID:", *(f"  {v}" for v in violations)]
+    assert captured.err == ""
+    assert json.loads(out_path.read_text())["violations"] == violations
 
 
 def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
@@ -419,6 +437,18 @@ def test_export_round_trip(tmp_path, capsys):
     assert run_cli(["export", str(path), "--format", "dot"]) == 0
     dot = capsys.readouterr().out
     assert "graph" in dot and "--" in dot
+
+
+@pytest.mark.parametrize("text", ["[" * 5000 + "]" * 5000,
+                                  '{"n": 3, "edges": ' + "[" * 5000 + "]" * 5000 + "}"])
+def test_deeply_nested_graph_file_is_not_valid_json(tmp_path, capsys, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    for command, *options in (["analyze"], ["lm"], ["verify", "--theorem", "cor-2.3-snailhorn"],
+                              ["export", "--format", "dot"]):
+        assert run_cli([command, str(path), *options]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: not valid JSON: {path}\n")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

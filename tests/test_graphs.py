@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from bonematch import (
     build_graph,
     children,
-    friendly_level,
     is_clean_level,
     is_connected,
     induced_subgraph,
@@ -17,7 +16,7 @@ from bonematch import (
     path_graph,
     star_graph,
 )
-from .helpers import bfs_levels, induced_subgraph_reference, random_connected_graph, random_tree
+from .helpers import bfs_levels, induced_subgraph_reference, random_connected_graph
 
 
 def test_build_graph_basics():
@@ -131,58 +130,6 @@ def test_clean_level_detection():
         is_clean_level(K, 0)
     with pytest.raises(ValueError):
         is_clean_level(K, 2)
-
-
-def test_friendly_level_requires_distinct_vertices():
-    L = levelling(path_graph(4), 0)
-    with pytest.raises(ValueError):
-        friendly_level(L, 2, 2)
-
-
-@given(st.integers(0, 10**6), st.integers(3, 12))
-def test_friendly_level_on_trees_is_lca_depth(seed, n):
-    rng = random.Random(seed)
-    T = random_tree(rng, n)
-    L = levelling(T, 0)
-    u = rng.randrange(1, n)
-    v = rng.choice([w for w in range(n) if w != u])
-    res = friendly_level(L, u, v)
-
-    # oracle: lowest common ancestor depth via root paths
-    def root_path(x):
-        path = [x]
-        while path[-1] != 0:
-            x = path[-1]
-            parent = min(w for w in T.adj[x] if L.level_of[w] == L.level_of[x] - 1)
-            path.append(parent)
-        return path[::-1]
-
-    pu, pv = root_path(u), root_path(v)
-    k = 0
-    while k < min(len(pu), len(pv)) and pu[k] == pv[k]:
-        k += 1
-    assert res.level == k - 1
-
-
-@given(st.integers(0, 10**6), st.integers(3, 12))
-def test_friendly_level_paths_are_well_formed(seed, n):
-    rng = random.Random(seed)
-    G = random_connected_graph(rng, n)
-    L = levelling(G, 0)
-    u = rng.randrange(1, n)
-    v = rng.choice([w for w in range(n) if w != u])
-    res = friendly_level(L, u, v)
-    k = res.level
-    assert res.path_u[: k + 1] == res.path_v[: k + 1]
-    if len(res.path_u) > k + 1 and len(res.path_v) > k + 1:
-        assert res.path_u[k + 1] != res.path_v[k + 1]
-    for path, end in ((res.path_u, u), (res.path_v, v)):
-        assert path[0] == 0  # rooted shortest path
-        assert path[-1] == end
-        assert len(path) == L.level_of[end] + 1
-        for a, b in zip(path, path[1:]):
-            assert G.has_edge(a, b)
-            assert L.level_of[b] == L.level_of[a] + 1
 
 
 def test_snail_horns():

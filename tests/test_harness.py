@@ -550,7 +550,7 @@ def test_check_theorem_matches_frozen_reference(monkeypatch):
     # per graph and shared: what is compared is the logic of the checks.  A
     # guard that trips is not cached and trips again on the other side.  The
     # criticality scan is exponential and the checks see only its verdict or
-    # its guard, so the guard is lowered: above 14 vertices it trips.
+    # its guard, so the guard is lowered: past 1,024 connected sets it trips.
     cache = {}
     for name in ("local_independence_number", "clique_number", "admitting_set",
                  "deficiency", "is_deficiency_critical"):
@@ -561,7 +561,7 @@ def test_check_theorem_matches_frozen_reference(monkeypatch):
             return cache[key]
         monkeypatch.setattr(harness, name, cached)
         monkeypatch.setattr(helpers, name, cached)
-    monkeypatch.setattr(matching, "_CRITICALITY_MAX", 14)
+    monkeypatch.setattr(matching, "_CRITICALITY_BUDGET", 1 << 10)
     assert {spec.id for spec in REFERENCE_SPECS} == set(THEOREM_IDS)
     mismatches = []
     kinds = set()

@@ -339,6 +339,13 @@ def test_validate_trace_reads_the_admitting_set_up_to_the_trace_depth():
     assert flagged > 0
 
 
+def test_validate_trace_refuses_the_trace_of_another_graph():
+    G, trace, _ = _valid_trace_fixture()
+    H = build_graph(8, [*G.edges(), (6, 7)])  # a pendant on 6 deepens the levelling
+    with pytest.raises(ValueError, match="trace does not match the levelling"):
+        validate_trace(H, trace, structure_profile(H))
+
+
 def test_validate_trace_flags_nonedge_matching():
     G, trace, profile = _valid_trace_fixture()
     levels = list(trace.levels)

@@ -98,7 +98,7 @@ def test_guards_raise():
     with pytest.raises(GuardExceededError):
         berge_tutte_deficiency(path_graph(15))
     with pytest.raises(GuardExceededError):
-        is_deficiency_critical(path_graph(19), mode="exhaustive")
+        is_deficiency_critical(star_graph(20), mode="exhaustive")
 
 
 def test_reduce_pendants_edge():
@@ -148,6 +148,15 @@ def test_criticality_verdicts():
 def test_criticality_delete_one_is_weaker():
     assert is_deficiency_critical(path_graph(3), mode="delete-one").verdict == "partial-pass"
     assert is_deficiency_critical(bs(2, 2), mode="delete-one").verdict == "partial-pass"
+
+
+def test_criticality_delete_one_finds_a_witness():
+    # the spider 0-1, 0-2, 0-3, 3-4 (kd 1) keeps kd 2 once its leg tip 4 is deleted
+    spider = build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    res = is_deficiency_critical(spider, mode="delete-one")
+    assert (res.verdict, res.deficiency, res.witness_vertices) == ("not-critical", 1, (0, 1, 2, 3))
+    # deleting the only vertex leaves no subgraph to test
+    assert is_deficiency_critical(build_graph(1, []), mode="delete-one").verdict == "partial-pass"
 
 
 def test_criticality_of_even_and_odd_bones():

@@ -1,5 +1,8 @@
 import ast
+import functools
+import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +15,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public names that nothing calls, each with the reason it stays.
 UNCALLED = {
-    "friendly_level": "reserved for the LM certificate of ROADMAP item 1",
     "find_induced_bone": "the benchmark names it only as a string, as a traced layer",
 }
 
@@ -78,3 +80,18 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_readme_code_references_resolve():
+    # every `bonematch.<module>[.<name>]` in the README names a module or an
+    # attribute of one, so a renamed constant cannot leave the README behind
+    refs = re.findall(r"`(bonematch\.[\w.]+)`", (ROOT / "README.md").read_text())
+    assert refs
+    unresolved = []
+    for ref in refs:
+        module, *names = ref.split(".")[1:]
+        try:
+            functools.reduce(getattr, names, importlib.import_module(f"bonematch.{module}"))
+        except (ImportError, AttributeError):
+            unresolved.append(ref)
+    assert unresolved == []
