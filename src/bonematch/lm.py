@@ -127,9 +127,16 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
         at[v].append(k)
     touch = [_touch(upper, e) for e in edges]
     ix = _Index(edges, at, touch, upper, Xs)
+    start = 0  # no edge before ``start`` can be added
 
     def try_add() -> bool:
-        for k, (u, v) in enumerate(edges):
+        # An add only matches its ends and lowers counts of upper vertices
+        # that see them, so an earlier edge it blocked stays blocked unless
+        # the add matched the vertex that blocked it: an upper end ``y`` in
+        # the edge's touch, so the edge is at a lower neighbour of ``y``.
+        nonlocal start
+        for k in range(start, len(edges)):
+            u, v = edges[k]
             if u in matched or v in matched:
                 continue
             for y, c in touch[k]:
@@ -138,14 +145,22 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
             else:
                 _set_matched(ix, matched, free, edges[k], True)
                 matching.add(edges[k])
+                start = k + 1
+                for y in edges[k]:
+                    if y in Ys:
+                        for x in adj[y]:
+                            if x in Xs and at[x][0] < start:
+                                start = at[x][0]
                 return True
         return False
 
     def try_trade() -> bool:
+        nonlocal start
         move = _best_trade(ix, matching, matched, free)
         if move is None:
             return False
         old, i, j = move
+        start = 0
         _set_matched(ix, matched, free, old, False)
         matching.discard(old)
         for e in (edges[i], edges[j]):

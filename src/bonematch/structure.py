@@ -4,6 +4,35 @@ A bone of index ``i`` is a path on ``i`` vertices with two extra pendant
 vertices hanging off each end, so it has ``i + 4`` vertices and ``i + 3``
 edges.  The admitting set of a graph collects the indices of all bones it
 contains as induced subgraphs.
+
+One depth-first search over induced paths answers every bone query.  It
+starts from each vertex ``s`` of degree at least 3 in increasing order,
+grows induced spines from ``s``, and at each wanted spine length tries to
+close the spine into a bone by picking a pendant pair at each end.  It
+records the first bone of each index and drops an index once found.
+
+The search closes a spine only at a tail ``t > s``, so each bone is found
+from its smaller end.  This changes no result and no node count.  A close
+that would succeed at start ``s`` with a tail ``t < s`` is a bone with spine
+ends ``t`` and ``s``.  Reversed, it is a bone whose spine starts at ``t``,
+and the search from ``t`` reaches that spine and can close it there.  So
+the first start that reaches a bone of index ``i`` is the least smaller end
+of such bones, and at that start a close at ``t < s`` would be a bone with
+smaller end ``t < s``, which is a contradiction.  Every skipped close would
+have failed, the DFS visits the same nodes, and each index is first found
+at the same node, with the same embedding, as when both directions are
+closed.
+
+A close also needs two right candidates: neighbours of the tail off the
+spine and not adjacent to its other vertices.  The search keeps the union of
+the neighbourhoods of the spine per depth.  It tells whether a next vertex
+keeps the path induced, and it gives the right candidates as one mask, so a
+close with fewer than two is skipped before any list is built.
+
+A query may name indices to stop at (``admitting_set``'s ``stop``).  Every
+hypothesis of the form "no bone of these indices" is anti-monotone: one
+induced bone of a refuting index decides it, so the search returns at the
+first such bone and visits a prefix of the nodes of the full search.
 """
 
 from __future__ import annotations
@@ -118,34 +147,38 @@ class BoneEmbedding:
         return frozenset(self.path) | set(self.pendants_left) | set(self.pendants_right)
 
 
-def _close(masks: list[int], nbrs: list[list[int]], path: list[int], body: int,
-           left: int) -> BoneEmbedding | None:
+def _close(masks: list[int], nbrs: list[list[int]], path: list[int], left: int,
+           right: int) -> BoneEmbedding | None:
     # First pendant pair at each end, in sorted order.  ``left`` already
-    # excludes every neighbour of the later spine vertices, and a right
-    # candidate is never adjacent to ``path[0]``, so the pairs are disjoint.
-    tail = path[-1]
-    inner = body ^ (1 << tail)
-    right = [w for w in nbrs[tail] if not (body >> w & 1 or masks[w] & inner)]
-    if len(right) < 2:
-        return None
+    # excludes every neighbour of the later spine vertices, and ``right``
+    # (neighbours of the tail off the spine and not adjacent to its other
+    # vertices) excludes every neighbour of ``path[0]``, so the pairs are disjoint.
+    right_list = [w for w in nbrs[path[-1]] if right >> w & 1]
     for a1, a2 in combinations([w for w in nbrs[path[0]] if left >> w & 1], 2):
         if masks[a1] >> a2 & 1:
             continue
         blocked = masks[a1] | masks[a2]
-        for b1, b2 in combinations(right, 2):
+        for b1, b2 in combinations(right_list, 2):
             if not (masks[b1] >> b2 & 1 or blocked >> b1 & 1 or blocked >> b2 & 1):
                 return BoneEmbedding(tuple(path), (a1, a2), (b1, b2))
     return None
 
 
-def _bone_scan(G: Graph, wanted: set[int]) -> dict[int, BoneEmbedding]:
+def _bone_scan(G: Graph, wanted: set[int],
+               stop: frozenset[int] = frozenset()) -> dict[int, BoneEmbedding]:
     # One depth-first search over induced paths from every vertex of degree
-    # at least 3, recording the first bone of each wanted index.  ``left`` is
-    # the start's private-pendant candidates: neighbours off the path and not
-    # adjacent to any later spine vertex; a branch with fewer than two is
-    # dropped.  Every DFS node counts against ``_BONE_BUDGET``.  ``todo`` holds
-    # one neighbour iterator per spine vertex, so a long spine cannot hit
-    # Python's recursion limit.
+    # at least 3, recording the first bone of each wanted index; it returns
+    # at once after recording an index in ``stop``.  ``left`` is the start's
+    # private-pendant candidates: neighbours off the path and not adjacent to
+    # any later spine vertex; a branch with fewer than two is dropped.
+    # ``near`` is the union of the neighbourhoods of the spine before its
+    # tail, so a next vertex in it would make the path not induced; ``reach``
+    # adds the tail's, so a new tail ``w`` has the right candidates
+    # ``masks[w] & ~(body | reach)``.  Only a tail above the start is closed,
+    # and only with two right candidates (see the module docstring).  Every
+    # DFS node counts against ``_BONE_BUDGET``.  ``todo`` holds one neighbour
+    # iterator per spine vertex, so a long spine cannot hit Python's
+    # recursion limit.
     if G.n - 4 in wanted and G.edge_count() != G.n - 1:
         wanted = wanted - {G.n - 4}  # a spanning bone is a tree
     found: dict[int, BoneEmbedding] = {}
@@ -160,29 +193,34 @@ def _bone_scan(G: Graph, wanted: set[int]) -> dict[int, BoneEmbedding]:
     for v0 in range(G.n):
         if len(nbrs[v0]) < 3:
             continue
-        path, body, lefts, todo = [v0], 1 << v0, [masks[v0]], [iter(nbrs[v0])]
+        path, body, todo = [v0], 1 << v0, [iter(nbrs[v0])]
+        lefts, nears = [masks[v0]], [0]
         while todo:
-            inner = body ^ (1 << path[-1])
+            near = nears[-1]
+            reach = near | masks[path[-1]]
             for w in todo[-1]:
                 bit = 1 << w
                 left = lefts[-1] & ~(masks[w] | bit)
-                if body & bit or masks[w] & inner or left.bit_count() < 2:
+                if body & bit or near & bit or left.bit_count() < 2:
                     continue
                 nodes += 1
                 if nodes > budget:
                     raise GuardExceededError(f"bone search exceeded {budget} DFS nodes")
                 path.append(w)
                 body |= bit
-                if len(path) in missing:
-                    emb = _close(masks, nbrs, path, body, left)
-                    if emb is not None:
-                        found[emb.index] = emb
-                        missing.discard(emb.index)
-                        if not missing:
-                            return found
-                        top = max(missing)
+                if len(path) in missing and w > v0:
+                    right = masks[w] & ~(body | reach)
+                    if right.bit_count() >= 2:
+                        emb = _close(masks, nbrs, path, left, right)
+                        if emb is not None:
+                            found[emb.index] = emb
+                            missing.discard(emb.index)
+                            if not missing or emb.index in stop:
+                                return found
+                            top = max(missing)
                 if len(path) < top:
                     lefts.append(left)
+                    nears.append(reach)
                     todo.append(iter(nbrs[w]))
                     break
                 path.pop()
@@ -190,6 +228,7 @@ def _bone_scan(G: Graph, wanted: set[int]) -> dict[int, BoneEmbedding]:
             else:
                 todo.pop()
                 lefts.pop()
+                nears.pop()
                 body ^= 1 << path.pop()
     return found
 
@@ -206,15 +245,21 @@ def find_induced_bone(G: Graph, i: int) -> BoneEmbedding | None:
     return _bone_scan(G, {i}).get(i)
 
 
-def admitting_set(G: Graph, i_max: int | None = None) -> frozenset[int]:
+def admitting_set(G: Graph, i_max: int | None = None, *,
+                  stop: frozenset[int] = frozenset()) -> frozenset[int]:
     """Indices ``i`` in ``2..i_max`` for which an induced bone exists.
 
     The cap defaults to (and is clamped at) ``n - 4``, beyond which no bone
     fits, so the default is the complete admitting set.  One search covers
     every index; it raises ``GuardExceededError`` past its node budget.
+
+    The search stops at the first bone whose index is in ``stop``.  A stopped
+    result is partial: it holds that index and the indices found before it.
+    A result without an index of ``stop`` is complete.  So a test that any
+    index of ``stop`` refutes is decided exactly by the result.
     """
     cap = G.n - 4 if i_max is None else min(i_max, G.n - 4)
-    return frozenset(_bone_scan(G, set(range(2, cap + 1))))
+    return frozenset(_bone_scan(G, set(range(2, cap + 1)), stop))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from math import factorial
 from typing import Any
 
 from bonematch import (
+    BoneEmbedding,
     CanonicalForm,
     CheckResult,
     Graph,
@@ -283,6 +284,72 @@ def admitting_set_by_path_enum(G: Graph, cap: int | None = None) -> set[int]:
     for u in ends:
         dfs([u], {u})
     return {i for i in found if 2 <= i <= cap}
+
+
+def bone_scan_reference(G: Graph, wanted: set[int]) -> tuple[dict[int, BoneEmbedding], int]:
+    """The bone scan as it stood before it closed spines in one direction only
+    and stopped early: ``({index: first embedding}, DFS nodes)``, in the
+    order the indices were found.  It closes every spine of a wanted length
+    at both ends and has no node budget."""
+    if G.n - 4 in wanted and G.edge_count() != G.n - 1:
+        wanted = wanted - {G.n - 4}
+    found: dict[int, BoneEmbedding] = {}
+    if not wanted:
+        return found, 0
+    masks = G.adjacency_masks()
+    nbrs = [sorted(s) for s in G.adj]
+
+    def close(path: list[int], body: int, left: int) -> BoneEmbedding | None:
+        tail = path[-1]
+        inner = body ^ (1 << tail)
+        right = [w for w in nbrs[tail] if not (body >> w & 1 or masks[w] & inner)]
+        if len(right) < 2:
+            return None
+        for a1, a2 in combinations([w for w in nbrs[path[0]] if left >> w & 1], 2):
+            if masks[a1] >> a2 & 1:
+                continue
+            blocked = masks[a1] | masks[a2]
+            for b1, b2 in combinations(right, 2):
+                if not (masks[b1] >> b2 & 1 or blocked >> b1 & 1 or blocked >> b2 & 1):
+                    return BoneEmbedding(tuple(path), (a1, a2), (b1, b2))
+        return None
+
+    missing = set(wanted)
+    top = max(missing)
+    nodes = 0
+    for v0 in range(G.n):
+        if len(nbrs[v0]) < 3:
+            continue
+        path, body, lefts, todo = [v0], 1 << v0, [masks[v0]], [iter(nbrs[v0])]
+        while todo:
+            inner = body ^ (1 << path[-1])
+            for w in todo[-1]:
+                bit = 1 << w
+                left = lefts[-1] & ~(masks[w] | bit)
+                if body & bit or masks[w] & inner or left.bit_count() < 2:
+                    continue
+                nodes += 1
+                path.append(w)
+                body |= bit
+                if len(path) in missing:
+                    emb = close(path, body, left)
+                    if emb is not None:
+                        found[emb.index] = emb
+                        missing.discard(emb.index)
+                        if not missing:
+                            return found, nodes
+                        top = max(missing)
+                if len(path) < top:
+                    lefts.append(left)
+                    todo.append(iter(nbrs[w]))
+                    break
+                path.pop()
+                body ^= bit
+            else:
+                todo.pop()
+                lefts.pop()
+                body ^= 1 << path.pop()
+    return found, nodes
 
 
 def tree_admitting_oracle(T: Graph) -> set[int]:

@@ -408,6 +408,19 @@ def test_search_rejects_negative_iterations(capsys):
     assert captured.err == "error: iteration count must be non-negative, got -3\n"
 
 
+def test_search_refuses_an_order_above_the_cap(monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(harness, "random_connected", no_draw)
+    cap = harness._SEARCH_MAX_N
+    argv = ["search", "--n", str(cap + 1), "--iters", "1", "--seed", "1"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"guard exceeded: search limited to {cap} vertices, got {cap + 1}\n"
+
+
 def test_every_json_artifact_has_one_format(tmp_path, capsys):
     graph = str(make_graph_file(tmp_path, "bs", "n=2,p=3"))
     out = {name: str(tmp_path / f"{name}.json") for name in ("analyze", "lm", "verify", "search")}

@@ -452,6 +452,40 @@ def test_random_connected_falls_back_to_a_spanning_tree(monkeypatch):
 def test_search_constraints_validation():
     with pytest.raises(ValueError):
         SearchConstraints(7, admitting="weird")
+    assert SearchConstraints(harness._SEARCH_MAX_N).n == harness._SEARCH_MAX_N
+    with pytest.raises(GuardExceededError, match=f"limited to {harness._SEARCH_MAX_N} vertices"):
+        SearchConstraints(harness._SEARCH_MAX_N + 1)
+
+
+def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
+    # The search asks each admitting constraint with a scan that stops at the
+    # first refuting bone; its verdict is the constraint's test on the full set.
+    scans = []
+    admitting = harness.admitting_set
+    monkeypatch.setattr(harness, "admitting_set",
+                        lambda G, **k: scans.append(k["stop"]) or admitting(G, **k))
+    rng = random.Random(1604)
+    graphs = [random_connected_graph(rng, 5 + k % 26, extra=rng.choice(
+        (0.1, 0.2, 0.3) if k % 26 < 8 else (0.03, 0.06, 0.1))) for k in range(330)]
+    verdicts = {}
+    for G in graphs + _family_instances():  # most odd-only sets come from the families
+        n = G.n
+        full = admitting(G)
+        for name in ("empty", "odd", "even"):
+            constraint = harness.ADMITTING_CONSTRAINTS[name]
+            got = harness._satisfies(G, SearchConstraints(n, admitting=name))
+            assert got == constraint.test(full), (name, G.edges())
+            assert scans.pop() == {i for i in range(2, n - 3) if constraint.refuted_by(i)}
+            verdicts[name, got] = verdicts.get((name, got), 0) + 1
+    assert all(verdicts.get((name, v), 0) >= 20 for name in ("empty", "odd", "even")
+               for v in (True, False)), verdicts
+
+
+def test_admitting_constraints_answer_a_sparse_80_vertex_graph_at_once():
+    # the full admitting set of this graph trips the bone-search guard
+    G = random_connected(80, 0.05, 1)
+    for name in ("empty", "odd", "even"):
+        assert not harness._satisfies(G, SearchConstraints(80, admitting=name))
 
 
 def test_extremal_search_finds_odd_bone_landscape():

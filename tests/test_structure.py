@@ -26,6 +26,7 @@ from bonematch import (
 from bonematch import structure
 from .helpers import (
     admitting_set_by_path_enum,
+    bone_scan_reference,
     has_independent_neighbors,
     has_induced_bone_subsets,
     random_connected_graph,
@@ -96,7 +97,7 @@ def test_found_embeddings_are_real_bones():
             assert G.has_edge(emb.path[-1], p)
 
 
-def test_bone_search_agrees_with_oracles():
+def _oracle_graphs():
     # 100 graphs on 6..10 vertices, where every index is also checked by the
     # subset-isomorphism oracle, then 140 sparser ones on 11..30 vertices
     # (the path-enumeration oracle slows down sharply with density there).
@@ -104,7 +105,12 @@ def test_bone_search_agrees_with_oracles():
     sizes = [6 + k % 5 for k in range(100)] + [11 + k % 20 for k in range(140)]
     for n in sizes:
         extra = rng.choice((0.1, 0.2, 0.3) if n <= 10 else (0.04, 0.08, 0.12))
-        G = random_connected_graph(rng, n, extra=extra)
+        yield random_connected_graph(rng, n, extra=extra)
+
+
+def test_bone_search_agrees_with_oracles():
+    for G in _oracle_graphs():
+        n = G.n
         A = admitting_set(G)
         assert A == admitting_set_by_path_enum(G), (n, G.edges())
         if n <= 10:
@@ -112,6 +118,31 @@ def test_bone_search_agrees_with_oracles():
                 got = find_induced_bone(G, i)
                 assert (got is not None) == has_induced_bone_subsets(G, i), (i, G.edges())
                 assert (got is not None) == (i in A)
+
+
+def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
+    # Closing spines only at a tail above the start, and only with two right
+    # candidates, finds each index at the same node with the same embedding.
+    # A stopped scan is the full scan's prefix up to its first stopping index.
+    stops = [frozenset(range(2, 30, 2)), frozenset(range(3, 30, 2)), frozenset(range(2, 30))]
+    stopped = 0
+    for G in _oracle_graphs():
+        wanted = set(range(2, G.n - 3))
+        expected, nodes = bone_scan_reference(G, wanted)
+        monkeypatch.setattr(structure, "_BONE_BUDGET", nodes)  # the same node count
+        found = structure._bone_scan(G, wanted)
+        assert found == expected and list(found) == list(expected), G.edges()
+        if nodes:
+            monkeypatch.setattr(structure, "_BONE_BUDGET", nodes - 1)
+            with pytest.raises(GuardExceededError):
+                structure._bone_scan(G, wanted)
+        monkeypatch.undo()
+        items = list(expected.items())
+        for stop in stops:
+            cut = next((k + 1 for k, (i, _) in enumerate(items) if i in stop), len(items))
+            assert structure._bone_scan(G, wanted, stop) == dict(items[:cut]), (stop, G.edges())
+            stopped += cut < len(items)
+    assert stopped >= 100
 
 
 def test_bone_search_budget_trips_guard(monkeypatch):
