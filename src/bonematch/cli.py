@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import GuardExceededError, PostconditionError
-from .families import FAMILIES, build_family, family_label
+from .families import FAMILIES, _refuse_oversized, build_family, family_label
 from .harness import (
     ADMITTING_CONSTRAINTS,
     SearchConstraints,
@@ -147,8 +147,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.critical != "skip":
         crit = is_deficiency_critical(G, args.critical)
         _print_kv("criticality", f"{crit.verdict} (mode {crit.mode})")
-        payload["criticality"] = {"verdict": crit.verdict, "mode": crit.mode,
-                                  "witness_vertices": crit.witness_vertices}
+        payload["criticality"] = crit.to_json_dict()
     if args.out:
         Path(args.out).write_text(json_text(payload))
         _print_kv("written", args.out)
@@ -187,7 +186,8 @@ def _cmd_lm(args: argparse.Namespace) -> int:
     violations = validate_trace(G, trace, profile)
     if args.out:
         payload = {"graph": graph_to_json_dict(G), "trace": trace.to_json_dict(),
-                   "exact": exact, "violations": [str(v) for v in violations]}
+                   "exact": exact, "gap": trace.bound - exact,
+                   "violations": [str(v) for v in violations]}
         Path(args.out).write_text(json_text(payload))
         _print_kv("written", args.out)
     if violations:
@@ -256,7 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ranges = _parse_range(args.range)
     if args.family not in FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
-    names, _ = FAMILIES[args.family]
+    names = FAMILIES[args.family][0]
     extra = [k for k, _ in ranges if k not in names]
     if extra:
         raise ValueError(f"family {args.family!r} takes parameters {names}; "
@@ -264,14 +264,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     missing = [k for k in names if k not in {r for r, _ in ranges}]
     if missing:
         raise ValueError(f"range misses family parameters {missing}")
+    grid = [{k: v for (k, _), v in zip(ranges, combo)}
+            for combo in product(*(values for _, values in ranges))]
+    for params in grid:  # the whole grid is sized before any instance is built
+        _refuse_oversized(args.family, params)
     rows: list[dict[str, Any]] = []
     failures = 0
     header = f"{'instance':<22} {'kd':>4} {'alpha_l':>8} {'omega':>6} {'admitting':>12}"
     if args.theorem:
         header += f" {'bound':>7} {'verdict':>8}"
     print(header)
-    for combo in product(*(values for _, values in ranges)):
-        params = {k: v for (k, _), v in zip(ranges, combo)}
+    for params in grid:
         G = None
         try:
             G = build_family(args.family, params)

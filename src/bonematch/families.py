@@ -2,14 +2,18 @@
 
 Every builder assigns vertex ids in a fixed documented order, so repeated
 calls give identical labelled graphs.  Family names are recorded on the
-returned graphs and a registry maps family ids to builders for the CLI.
+returned graphs and a registry maps family ids to builders for the CLI,
+each with its vertex and edge counts as a function of the parameters, so an
+instance too large to build is refused before any list is allocated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from itertools import chain, cycle, islice
+from typing import Any, Callable, Iterable, Sequence
 
 from .graphs import Graph, build_graph
+from .serialize import _VERTEX_CAP
 
 __all__ = [
     "attach_broom",
@@ -262,30 +266,90 @@ def _levels(a: int | Sequence[int]) -> Sequence[int]:
     return [a] if isinstance(a, int) else a
 
 
-# family id -> (parameter names, builder taking keyword arguments)
-FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph]]] = {
-    "d": (("n", "p"), broom),
-    "bs": (("n", "p"), bs),
-    "s": (("n", "p"), s_family),
-    "t": (("n", "p"), t_family),
-    "e": (("m", "n", "p"), e_family),
-    "e_plus": (("m", "n", "p"), e_plus_family),
-    "t_tree": (("m", "n"), t_tree),
-    "skeleton": (("a",), lambda a: skeleton_tree(*_levels(a))),
-    "f": (("a",), lambda a: f_family(*_levels(a))),
-    "path": (("k",), path_graph),
-    "star": (("k",), star_graph),
-    "complete": (("k",), complete_graph),
-    "complete_bipartite": (("a", "b"), complete_bipartite_graph),
+def _layered_size(fan_outs: Iterable[int]) -> int:
+    """Vertex count of ``_layered_tree(fan_outs)``, counted only until it passes the cap."""
+    total = level = 1
+    for k in fan_outs:
+        level *= k
+        total += level
+        if total > _VERTEX_CAP:
+            break
+    return total
+
+
+def _t_tree_vertices(m: int, n: int) -> int:
+    if m < 5 or n < 4:  # the star K(1, n - 1), or parameters t_tree refuses
+        return n
+    # fan-outs n - 1, then 1 and n - 2 in turn: the levels double at least
+    # every two levels, so the count passes the cap within 40 of them
+    return _layered_size(chain([n - 1], islice(cycle([1, n - 2]), m - 3)))
+
+
+def _skeleton_counts(a: int | Sequence[int]) -> tuple[int, int]:
+    """Vertices and leaves of ``skeleton_tree(*a)``, the vertices counted only
+    until they pass the cap: levels ``a_(j-1) + 1 .. a_j`` hold ``3 * 2^(j-1)``
+    vertices each (``a_0 = 0``)."""
+    total, width, prev = 1, 3, 0
+    for x in _levels(a):
+        total += width * (x - prev)
+        if total > _VERTEX_CAP:
+            break
+        width, prev = 2 * width, x
+    return total, width // 2
+
+
+def _f_size(a: int | Sequence[int]) -> tuple[int, int]:
+    # the skeleton's L - 2 degree-3 vertices each become a triangle (two more
+    # vertices, three more edges) and its L leaves each get two pendants
+    t, leaves = _skeleton_counts(a)
+    return t + 4 * leaves - 4, t + 5 * leaves - 7
+
+
+def _tree(vertices: int) -> tuple[int, int]:
+    return vertices, vertices - 1
+
+
+# family id -> (parameter names, builder taking keyword arguments,
+#               (vertices, edges) from the same keyword arguments)
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph],
+                          Callable[..., tuple[int, int]]]] = {
+    "d": (("n", "p"), broom, lambda n, p: _tree(n + p)),
+    "bs": (("n", "p"), bs, lambda n, p: _tree(p + 2 * n)),
+    "s": (("n", "p"), s_family, lambda n, p: _tree(1 + n * (p + n - 2))),
+    "t": (("n", "p"), t_family, lambda n, p: (2 * p + 3 * n, 4 * n + 2 * p - 2)),
+    "e": (("m", "n", "p"), e_family,
+          lambda m, n, p: (m * (p + n), m * (m - 1) // 2 + m * (p - 1 + n))),
+    "e_plus": (("m", "n", "p"), e_plus_family,
+               lambda m, n, p: (m * (p + n) + 1, m * (m - 1) // 2 + m * (p - 1 + n) + 2)),
+    "t_tree": (("m", "n"), t_tree, lambda m, n: _tree(_t_tree_vertices(m, n))),
+    "skeleton": (("a",), lambda a: skeleton_tree(*_levels(a)),
+                 lambda a: _tree(_skeleton_counts(a)[0])),
+    "f": (("a",), lambda a: f_family(*_levels(a)), _f_size),
+    "path": (("k",), path_graph, lambda k: (k, max(k - 1, 0))),
+    "star": (("k",), star_graph, lambda k: (k + 1, k)),
+    "complete": (("k",), complete_graph, lambda k: (k, k * (k - 1) // 2)),
+    "complete_bipartite": (("a", "b"), complete_bipartite_graph, lambda a, b: (a + b, a * b)),
 }
 
 
+def _refuse_oversized(family: str, params: dict[str, Any]) -> None:
+    """Raise ``ValueError`` if the instance has more than ``_VERTEX_CAP``
+    vertices or edges, from its counts alone; ``params`` holds the family's
+    parameter names."""
+    names, _, size = FAMILIES[family]
+    vertices, edges = size(**{k: params[k] for k in names})
+    if vertices > _VERTEX_CAP or edges > _VERTEX_CAP:
+        raise ValueError(f"{family_label(family, params)} has more than {_VERTEX_CAP} "
+                         "vertices or edges, the cap on family instances")
+
+
 def build_family(family: str, params: dict[str, object]) -> Graph:
-    """Instantiate a registered family; raises ``ValueError`` on unknown ids
-    or wrong parameter names."""
+    """Instantiate a registered family; raises ``ValueError`` on unknown ids,
+    wrong parameter names, or an instance over the size cap."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
-    names, builder = FAMILIES[family]
+    names, builder, _ = FAMILIES[family]
     if set(params) != set(names):
         raise ValueError(f"family {family!r} takes parameters {names}, got {tuple(sorted(params))}")
+    _refuse_oversized(family, params)
     return builder(**{k: params[k] for k in names})

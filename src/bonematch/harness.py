@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 from .canon import CanonicalForm, _search, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
-from .matching import deficiency, is_deficiency_critical
+from .matching import CriticalityResult, deficiency, is_deficiency_critical
 from .serialize import graph_key, graph_to_json_dict, json_text
 from .structure import admitting_set, clique_number, local_independence_number
 
@@ -65,7 +65,8 @@ class CheckResult:
 
     ``hypotheses`` records the per-hypothesis breakdown.  A failed hypothesis
     yields a vacuous pass; an exceeded guard yields an indeterminate result
-    that never counts as a pass.
+    that never counts as a pass.  ``to_json_dict`` writes ``details`` as an
+    object, with the criticality verdict in the shape ``analyze --out`` uses.
     """
 
     theorem: str
@@ -90,6 +91,8 @@ class CheckResult:
             "vacuous": self.vacuous,
             "indeterminate": self.indeterminate,
             "note": self.note,
+            "details": {k: v.to_json_dict() if isinstance(v, CriticalityResult) else v
+                        for k, v in self.details},
         }
 
 

@@ -36,6 +36,103 @@ from bonematch import (
 
 
 # ---------------------------------------------------------------------------
+# frozen blossom
+
+
+def blossom_reference(n: int, adj: list[list[int]]) -> list[int]:
+    """Frozen copy of the blossom before its searches kept a reached list.
+
+    Every search resets all n vertices and every contraction scans all n, so
+    the order in which it relabels and queues is plain vertex order; the
+    package's blossom must return the same ``match`` list.
+    """
+    # Classic O(V^3) blossom search: repeatedly grow an alternating BFS tree
+    # from each exposed vertex, contracting odd cycles onto their base.
+    match = [-1] * n
+    for u in range(n):
+        if match[u] == -1:
+            for v in adj[u]:
+                if match[v] == -1:
+                    match[u] = v
+                    match[v] = u
+                    break
+
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+    in_blossom = [False] * n
+
+    def lca(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting(root: int) -> int:
+        for i in range(n):
+            parent[i] = -1
+            base[i] = i
+            in_queue[i] = False
+        in_queue[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # Odd cycle: contract everything onto the common base.
+                    cur = lca(v, to)
+                    for i in range(n):
+                        in_blossom[i] = False
+                    mark_path(v, cur, to)
+                    mark_path(to, cur, v)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur
+                            if not in_queue[i]:
+                                in_queue[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        return to
+                    if not in_queue[match[to]]:
+                        in_queue[match[to]] = True
+                        queue.append(match[to])
+        return -1
+
+    for root in range(n):
+        if match[root] != -1:
+            continue
+        finish = find_augmenting(root)
+        v = finish
+        while v != -1:
+            pv = parent[v]
+            nxt = match[pv]
+            match[v] = pv
+            match[pv] = v
+            v = nxt
+    return match
+
+
+# ---------------------------------------------------------------------------
 # deterministic random instance builders (independent of bonematch.harness)
 
 

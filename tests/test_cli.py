@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from bonematch import (PostconditionError, bs, cli, f_family, graph_from_json_dict, harness,
-                       lm_run, read_graph_json, skeleton_tree, star_graph, structure, t_tree,
-                       write_graph_json)
+from bonematch import (PostconditionError, bs, build_graph, cli, f_family, families,
+                       graph_from_json_dict, harness, lm_run, read_graph_json, skeleton_tree,
+                       star_graph, structure, t_tree, write_graph_json)
 from bonematch.cli import _parse_range, run_cli
 
 from .helpers import layered_graph
@@ -169,6 +169,42 @@ def test_lm_trace_artifact(tmp_path):
     assert data["exact"] == 3
     assert data["trace"]["bound"] == 3 and data["trace"]["root"] == 0
     assert graph_from_json_dict(data["graph"]) == bs(2, 3)
+
+
+def test_lm_artifact_records_the_printed_gap(tmp_path, capsys):
+    # a 7-vertex graph whose LM bound from its one snail-horn head is 3, kd 1
+    path = tmp_path / "gap.json"
+    write_graph_json(build_graph(7, [(0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5),
+                                     (5, 6)]), path)
+    trace_path = tmp_path / "trace.json"
+    assert run_cli(["lm", str(path), "--out", str(trace_path)]) == 0
+    assert "exact          1 (gap 2)" in capsys.readouterr().out
+    data = json.loads(trace_path.read_text())
+    assert (data["trace"]["bound"], data["exact"], data["gap"]) == (3, 1, 2)
+
+
+def test_check_artifacts_keep_the_facts_the_check_computed(tmp_path, capsys):
+    graph = str(make_graph_file(tmp_path, "bs", "n=2,p=3"))
+    out = {name: tmp_path / f"{name}.json" for name in ("analyze", "single-even", "snailhorn")}
+    assert run_cli(["analyze", graph, "--critical", "exhaustive", "--out", str(out["analyze"])]) == 0
+    assert run_cli(["verify", graph, "--theorem", "thm-1.8-single-even", "--m", "4", "--p", "1",
+                    "--out", str(out["single-even"])]) == 0
+    assert run_cli(["verify", graph, "--theorem", "cor-2.3-snailhorn",
+                    "--out", str(out["snailhorn"])]) == 0
+    analyze, single_even, snailhorn = (json.loads(path.read_text()) for path in out.values())
+    assert single_even["result"]["details"] == {
+        "alpha_l": 3, "omega": 2, "admitting": [3], "connected": True, "kd": 3}
+    assert snailhorn["result"]["details"] == {
+        "critical": analyze["criticality"], "connected": True, "nontrivial": True, "snail_horns": 2}
+    assert analyze["criticality"] == {"verdict": "critical", "mode": "exhaustive",
+                                      "witness_vertices": None}
+    # the cor-1.3 sweep finds violations; each dump keeps the facts read
+    sweep = tmp_path / "sweep"
+    argv = ["sweep", "--theorem", "cor-1.3", "--m", "3", "--n", "4", "--nmax", "3",
+            "--out", str(sweep)]
+    assert run_cli(argv) == 1
+    dumps = [json.loads(path.read_text())["result"] for path in sorted(sweep.glob("violation-*"))]
+    assert dumps and all(d["details"] == {"connected": True, "kd": d["actual"]} for d in dumps)
 
 
 def test_lm_rejects_non_head_root(tmp_path, capsys):
@@ -419,6 +455,28 @@ def test_search_refuses_an_order_above_the_cap(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"guard exceeded: search limited to {cap} vertices, got {cap + 1}\n"
+
+
+# the smallest instance of each family above the cap of 100,000 vertices or
+# edges: the star t_tree(3, n) has n vertices, t_tree(m, 4) 73,723 vertices at
+# m = 29 and more past it, skeleton(a) has 3a + 1, complete(k) k(k - 1)/2 edges
+@pytest.mark.parametrize("family, params", [
+    ("t_tree", "m=3,n=100001"), ("t_tree", "m=31,n=4"), ("skeleton", "a=33334"),
+    ("complete", "k=448")])
+def test_family_instances_over_the_cap_are_refused_before_building(monkeypatch, capsys,
+                                                                   family, params):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(families, "build_graph", no_build)
+    error = (f"error: {family}({params}) has more than 100000 vertices or edges, "
+             "the cap on family instances\n")
+    assert run_cli(["construct", "--family", family, "--params", params]) == 2
+    assert capsys.readouterr().err == error
+    # the whole grid is sized first, so nothing is built or printed
+    grid = params.replace("k=448", "k=3..448")
+    assert run_cli(["sweep", "--family", family, "--range", grid, "--theorem", "cor-1.3"]) == 2
+    assert tuple(capsys.readouterr()) == ("", error)
 
 
 def test_every_json_artifact_has_one_format(tmp_path, capsys):

@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bonematch import (
     FAMILIES,
+    families,
     attach_broom,
     broom,
     bs,
@@ -218,3 +221,49 @@ def test_builders_are_deterministic():
     assert f_family(1, 2) == f_family(1, 2)
     assert t_tree(7, 5) == t_tree(7, 5)
     assert e_plus_family(3, 2, 2) == e_plus_family(3, 2, 2)
+
+
+def _registry_instances():
+    # every parameter 0..6 (parameters a builder refuses are skipped), a few
+    # level lists, and layered trees deep enough to pass through the cap code
+    for family, (names, _, _) in FAMILIES.items():
+        if family in ("skeleton", "f"):
+            for a in (1, 4, [1, 2], [2, 5], [1, 2, 3], [1, 3, 4, 7], [1, 2, 3, 4, 5]):
+                yield family, {"a": a}
+        else:
+            for values in product(range(7), repeat=len(names)):
+                yield family, dict(zip(names, values))
+    for m, n in ((9, 5), (11, 4), (13, 6)):
+        yield "t_tree", {"m": m, "n": n}
+
+
+def test_registry_counts_equal_the_built_graphs():
+    built = 0
+    for family, params in _registry_instances():
+        try:
+            G = build_family(family, params)
+        except ValueError:
+            continue
+        assert FAMILIES[family][2](**params) == (G.n, G.edge_count()), (family, params)
+        built += 1
+    assert built >= 600
+
+
+def test_family_cap_refuses_before_building_and_admits_the_cap(monkeypatch):
+    over = [("t_tree", {"m": 3, "n": 100_001}), ("t_tree", {"m": 31, "n": 4}),
+            ("t_tree", {"m": 41, "n": 20}), ("skeleton", {"a": 33_334}),
+            ("f", {"a": list(range(1, 21))}), ("complete", {"k": 448}),
+            ("complete", {"k": 10**6}), ("path", {"k": 10**12})]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(families, "build_graph", no_build)
+    for family, params in over:
+        with pytest.raises(ValueError, match="more than 100000 vertices or edges"):
+            build_family(family, params)
+    monkeypatch.undo()
+    assert build_family("t_tree", {"m": 3, "n": 100_000}).n == 100_000
+    assert build_family("t_tree", {"m": 29, "n": 4}).n == 73_723
+    assert build_family("skeleton", {"a": 33_333}).n == 100_000
+    assert build_family("complete", {"k": 447}).edge_count() == 99_681

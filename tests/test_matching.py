@@ -12,6 +12,7 @@ from bonematch import (
     build_graph,
     complete_graph,
     deficiency,
+    f_family,
     induced_subgraph,
     is_deficiency_critical,
     lm_run,
@@ -23,9 +24,11 @@ from bonematch import (
     t_family,
     t_tree,
 )
+from bonematch import matching
 from bonematch.harness import _connected_classes
 from .helpers import (
     bfs_levels,
+    blossom_reference,
     criticality_table_reference,
     induced_on,
     induced_subgraph_reference,
@@ -213,16 +216,20 @@ def _criticality_graph(rng, kind, n):
     return _gnp(rng, n, kind)
 
 
-def test_criticality_matches_the_frozen_table_scan():
-    # Each connected vertex set is grown once and the blossom runs only where
-    # a matching bound lets it reach the target; the reference fills the
-    # whole 2^n table.  Verdicts and witnesses must agree exactly.
+def _criticality_inputs():
     graphs = [G for G in _family_instances() if G.n <= 18]
     graphs += [G for G, _ in _connected_classes(7)]
     rng = random.Random(2006)
     kinds = ["tree", 0.2, 0.5, 0.8, "path+", "k2m"]
     sizes = [rng.randint(8, 12) for _ in range(300)] + [14, 15, 16, 17, 18, 18]
-    graphs += [_criticality_graph(rng, kinds[k % 6], n) for k, n in enumerate(sizes)]
+    return graphs + [_criticality_graph(rng, kinds[k % 6], n) for k, n in enumerate(sizes)]
+
+
+def test_criticality_matches_the_frozen_table_scan():
+    # Each connected vertex set is grown once and the blossom runs only where
+    # a matching bound lets it reach the target; the reference fills the
+    # whole 2^n table.  Verdicts and witnesses must agree exactly.
+    graphs = _criticality_inputs()
     verdicts = {"critical": 0, "not-critical": 0}
     for G in graphs:
         kd, witness = criticality_table_reference(G)
@@ -286,3 +293,36 @@ def test_blossom_matches_networkx_beyond_brute_force_reach():
             horns += 1
             assert lm_run(G).bound >= res.deficiency
     assert horns >= 30 and max(G.n for G in graphs) >= 300
+
+
+def test_blossom_returns_the_frozen_full_reset_matching():
+    # Each search resets and relabels only the vertices its tree reached, in
+    # vertex order; the match list must equal the full-reset blossom's, so
+    # every kd, verdict, witness and trace built on it stays the same.
+    rng = random.Random(1024)
+    graphs = [G for G, _ in _connected_classes(7)]
+    graphs += _family_instances() + [t_tree(9, 5), f_family(1, 2, 3, 4, 5)]
+    graphs += [random_tree(rng, n) for n in (40, 150, 400, 1000)]
+    graphs += [random_connected_graph(rng, n, extra=2.5 / n) for n in (40, 80, 300, 1000)]
+    graphs += [_odd_cycles_joined_by_paths(rng, c) for c in (3, 8, 15, 30, 60)]
+    for G in graphs:
+        adj = [sorted(s) for s in G.adj]
+        assert matching._blossom(G.n, adj) == blossom_reference(G.n, adj), G
+    assert len(graphs) >= 996 + 40 and max(G.n for G in graphs) == 1000
+
+
+def test_blossom_matches_the_frozen_blossom_on_every_criticality_subset(monkeypatch):
+    # every graph the criticality scan hands to the blossom, its vertex sets
+    # from ``_set_deficiency`` among them, on the inputs of up to 18 vertices
+    blossom, orders = matching._blossom, []
+
+    def checked(n, adj):
+        orders.append(n)
+        match = blossom(n, adj)
+        assert match == blossom_reference(n, adj)
+        return match
+
+    monkeypatch.setattr(matching, "_blossom", checked)
+    for G in _criticality_inputs():
+        is_deficiency_critical(G)
+    assert len(orders) >= 1700 and max(orders) == 18

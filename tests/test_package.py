@@ -82,6 +82,26 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_every_size_constant_has_a_guard_table_row():
+    # a module-level constant named _..._MAX, _..._BUDGET or _..._CAP (also
+    # with a suffix, as _SEARCH_MAX_N) bounds an input, so the README's guard
+    # table, one row per guard, must name it
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("| guard | bounds |"):]
+    table = table[:table.index("\n\n")]
+    named = set(re.findall(r"`(bonematch\.\w+\.\w+)`", table))
+    constants = set()
+    for path in sorted((ROOT / "src" / "bonematch").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            constants |= {f"bonematch.{path.stem}.{t.id}" for t in targets
+                          if isinstance(t, ast.Name)
+                          and re.fullmatch(r"_[A-Z_]*(MAX|BUDGET|CAP)(_[A-Z]+)?", t.id)}
+    assert len(constants) >= 10
+    assert sorted(constants - named) == []
+
+
 def test_readme_code_references_resolve():
     # every `bonematch.<module>[.<name>]` in the README names a module or an
     # attribute of one, so a renamed constant cannot leave the README behind
