@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import GuardExceededError, PostconditionError
-from .families import FAMILIES, _refuse_oversized, build_family, family_label
+from .families import FAMILIES, _check_instance, build_family, family_label
 from .harness import (
     ADMITTING_CONSTRAINTS,
     SearchConstraints,
@@ -254,20 +254,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.range is None:
         raise ValueError("sweep --family requires --range")
     ranges = _parse_range(args.range)
-    if args.family not in FAMILIES:
-        raise ValueError(f"unknown family {args.family!r}")
-    names = FAMILIES[args.family][0]
-    extra = [k for k, _ in ranges if k not in names]
-    if extra:
-        raise ValueError(f"family {args.family!r} takes parameters {names}; "
-                         f"range mentions {extra}")
-    missing = [k for k in names if k not in {r for r, _ in ranges}]
-    if missing:
-        raise ValueError(f"range misses family parameters {missing}")
     grid = [{k: v for (k, _), v in zip(ranges, combo)}
             for combo in product(*(values for _, values in ranges))]
-    for params in grid:  # the whole grid is sized before any instance is built
-        _refuse_oversized(args.family, params)
+    for params in grid:  # the whole grid is checked and sized before any instance is built
+        _check_instance(args.family, params)
     rows: list[dict[str, Any]] = []
     failures = 0
     header = f"{'instance':<22} {'kd':>4} {'alpha_l':>8} {'omega':>6} {'admitting':>12}"
@@ -280,8 +270,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             G = build_family(args.family, params)
             result = check_theorem(G, _theorem_spec(args, params)) if args.theorem else None
         except ValueError as exc:
-            # the family or a rule of the theorem rejects the instance; a missing
-            # parameter or an unknown theorem stops the sweep
+            # the family or a rule of the theorem rejects the instance; an unknown
+            # theorem or a missing theorem parameter stops the sweep
             if G is not None and not isinstance(exc, _RuleError):
                 raise
             print(f"{family_label(args.family, params):<22} skipped: {exc}")

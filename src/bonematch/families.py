@@ -1,10 +1,12 @@
 """Deterministic constructors for the extremal graph families.
 
 Every builder assigns vertex ids in a fixed documented order, so repeated
-calls give identical labelled graphs.  Family names are recorded on the
-returned graphs and a registry maps family ids to builders for the CLI,
-each with its vertex and edge counts as a function of the parameters, so an
-instance too large to build is refused before any list is allocated.
+calls give identical labelled graphs, and builds each instance from one edge
+list with a single ``build_graph`` call at the end.  Family names are
+recorded on the returned graphs and a registry maps family ids to builders
+for the CLI, each with its parameter kinds and its vertex and edge counts as
+a function of the parameters, so an instance with malformed parameters or
+too large to build is refused before any list is allocated.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .graphs import Graph, build_graph
 from .serialize import _VERTEX_CAP
 
 __all__ = [
-    "attach_broom",
     "broom",
     "bs",
     "s_family",
@@ -25,7 +26,6 @@ __all__ = [
     "e_plus_family",
     "t_tree",
     "skeleton_tree",
-    "y_delta",
     "f_family",
     "path_graph",
     "star_graph",
@@ -37,28 +37,20 @@ __all__ = [
 ]
 
 
-def attach_broom(G: Graph, v: int, n: int, p: int) -> Graph:
-    """Attach a broom at ``v``: a path on ``p`` vertices whose free end carries
-    ``n`` pendants, with ``v`` playing the near end of the path.
+def _broom(edges: list[tuple[int, int]], v: int, first: int, n: int, p: int) -> int:
+    """Append to ``edges`` a broom hung at ``v``: a path on ``p`` vertices whose
+    free end carries ``n`` pendants, with ``v`` playing the near end of the path.
 
-    Adds ``p - 1 + n`` vertices.  With ``p = 1`` the pendants land on ``v``
-    itself.  New path vertices come first, then the pendants, all appended
-    after the existing ids.
+    With ``p = 1`` the pendants land on ``v`` itself.  New ids run from
+    ``first``, the path vertices before the pendants; returns the next free id.
     """
-    if not (0 <= v < G.n):
-        raise ValueError(f"attach vertex {v} out of range")
     if n < 1 or p < 1:
         raise ValueError(f"broom needs n >= 1 and p >= 1, got n={n}, p={p}")
-    edges = G.edges()
-    tip = v
-    base = G.n
-    for k in range(p - 1):
-        edges.append((tip, base + k))
-        tip = base + k
-    first_pendant = base + p - 1
-    for j in range(n):
-        edges.append((tip, first_pendant + j))
-    return build_graph(G.n + p - 1 + n, edges, name=G.name)
+    path = [v, *range(first, first + p - 1)]
+    edges += zip(path, path[1:])
+    first += p - 1
+    edges += ((path[-1], w) for w in range(first, first + n))
+    return first + n
 
 
 def broom(n: int, p: int) -> Graph:
@@ -66,7 +58,8 @@ def broom(n: int, p: int) -> Graph:
 
     Vertex 0 is the free end (the attachment point when used as a gadget).
     """
-    return attach_broom(build_graph(1, []), 0, n, p).with_name(f"D({n},{p})")
+    edges: list[tuple[int, int]] = []
+    return build_graph(_broom(edges, 0, 1, n, p), edges, name=f"D({n},{p})")
 
 
 def bs(n: int, p: int) -> Graph:
@@ -78,10 +71,9 @@ def bs(n: int, p: int) -> Graph:
     """
     if p < 2:
         raise ValueError(f"double broom needs p >= 2, got {p}")
-    g = path_graph(p)
-    g = attach_broom(g, 0, n, 1)
-    g = attach_broom(g, p - 1, n, 1)
-    return g.with_name(f"BS({n},{p})")
+    edges = [(i, i + 1) for i in range(p - 1)]
+    end = _broom(edges, p - 1, _broom(edges, 0, p, n, 1), n, 1)
+    return build_graph(end, edges, name=f"BS({n},{p})")
 
 
 def s_family(n: int, p: int) -> Graph:
@@ -91,10 +83,11 @@ def s_family(n: int, p: int) -> Graph:
     """
     if n < 2:
         raise ValueError(f"spider family needs n >= 2, got {n}")
-    g = build_graph(1, [])
+    edges: list[tuple[int, int]] = []
+    end = 1
     for _ in range(n):
-        g = attach_broom(g, 0, n - 1, p)
-    return g.with_name(f"S({n},{p})")
+        end = _broom(edges, 0, end, n - 1, p)
+    return build_graph(end, edges, name=f"S({n},{p})")
 
 
 def t_family(n: int, p: int) -> Graph:
@@ -107,10 +100,8 @@ def t_family(n: int, p: int) -> Graph:
     if n < 1 or p < 1:
         raise ValueError(f"t_family needs n >= 1 and p >= 1, got n={n}, p={p}")
     edges = [(side, w) for side in (0, 1) for w in range(2, n + 2)]
-    g = build_graph(n + 2, edges)
-    g = attach_broom(g, 0, n, p)
-    g = attach_broom(g, 1, n, p)
-    return g.with_name(f"T({n},{p})")
+    end = _broom(edges, 1, _broom(edges, 0, n + 2, n, p), n, p)
+    return build_graph(end, edges, name=f"T({n},{p})")
 
 
 def e_family(m: int, n: int, p: int) -> Graph:
@@ -120,10 +111,11 @@ def e_family(m: int, n: int, p: int) -> Graph:
     """
     if m < 1:
         raise ValueError(f"e_family needs m >= 1, got {m}")
-    g = complete_graph(m)
+    edges = complete_graph(m).edges()
+    end = m
     for v in range(m):
-        g = attach_broom(g, v, n, p)
-    return g.with_name(f"E({m},{n},{p})")
+        end = _broom(edges, v, end, n, p)
+    return build_graph(end, edges, name=f"E({m},{n},{p})")
 
 
 def e_plus_family(m: int, n: int, p: int) -> Graph:
@@ -137,12 +129,9 @@ def e_plus_family(m: int, n: int, p: int) -> Graph:
     if p < 2:
         raise ValueError(f"e_plus_family needs p >= 2, got {p}")
     g = e_family(m, n, p)
-    first_path_vertex = m  # first id created when attaching at clique vertex 0
-    extra = g.n
-    edges = g.edges()
-    edges.append((0, extra))
-    edges.append((first_path_vertex, extra))
-    return build_graph(g.n + 1, edges, name=f"E+({m},{n},{p})@clique-end")
+    # the extra vertex g.n; m is the first id of the broom at clique vertex 0
+    return build_graph(g.n + 1, g.edges() + [(0, g.n), (m, g.n)],
+                       name=f"E+({m},{n},{p})@clique-end")
 
 
 def t_tree(m: int, n: int) -> Graph:
@@ -157,8 +146,6 @@ def t_tree(m: int, n: int) -> Graph:
         raise ValueError(f"t_tree needs odd m >= 3, got {m}")
     if n <= 3:
         raise ValueError(f"t_tree needs n > 3, got {n}")
-    if m == 3:
-        return star_graph(n - 1).with_name(f"T_tree({m},{n})")
     fan_outs = [n - 1] + [1 if i % 2 else n - 2 for i in range(1, m - 2)]
     return _layered_tree(fan_outs, f"T_tree({m},{n})")
 
@@ -194,24 +181,6 @@ def _layered_tree(fan_outs: Sequence[int], name: str) -> Graph:
     return build_graph(len(edges) + 1, edges, name=name)
 
 
-def y_delta(G: Graph, v: int) -> Graph:
-    """Replace the degree-3 vertex ``v`` by a triangle.
-
-    ``v`` keeps its id as one corner; the two new corners take ids ``n`` and
-    ``n + 1``.  The three old neighbours, in ascending order, attach to ``v``,
-    ``n``, and ``n + 1`` respectively.
-    """
-    if not (0 <= v < G.n):
-        raise ValueError(f"vertex {v} out of range")
-    if G.degree(v) != 3:
-        raise ValueError(f"y_delta needs a degree-3 vertex, degree({v}) = {G.degree(v)}")
-    a, b, c = sorted(G.adj[v])
-    y, z = G.n, G.n + 1
-    edges = [(s, t) for s, t in G.edges() if v not in (s, t)]
-    edges += [(v, y), (y, z), (v, z), (a, v), (b, y), (c, z)]
-    return build_graph(G.n + 2, edges, name=G.name)
-
-
 def f_family(*branch_levels: int) -> Graph:
     """Skeleton tree with every degree-3 vertex blown up into a triangle and
     two pendants added at every leaf.
@@ -219,15 +188,21 @@ def f_family(*branch_levels: int) -> Graph:
     The result is triangle-rich but contains no odd bone.
     """
     T = skeleton_tree(*branch_levels)
-    branch_vertices = [v for v in range(T.n) if T.degree(v) == 3]
-    leaves = [v for v in range(T.n) if T.degree(v) == 1]
-    g = T
-    for v in branch_vertices:
-        g = y_delta(g, v)
-    for leaf in leaves:
-        g = attach_broom(g, leaf, 2, 1)
-    name = "F(" + ",".join(str(x) for x in branch_levels) + ")"
-    return g.with_name(name)
+    adj = [set(s) for s in T.adj]
+    for v in (v for v in range(T.n) if T.degree(v) == 3):
+        # ``v`` keeps its smallest current neighbour ``a`` and becomes one
+        # corner; ``b`` and ``c`` move to the new corners ``y`` and ``y + 1``
+        a, b, c = sorted(adj[v])
+        y = len(adj)
+        adj[v] = {a, y, y + 1}
+        adj[b] ^= {v, y}
+        adj[c] ^= {v, y + 1}
+        adj += [{v, y + 1, b}, {v, y, c}]
+    edges = [(u, w) for u in range(len(adj)) for w in adj[u] if u < w]
+    end = len(adj)
+    for leaf in (v for v in range(T.n) if T.degree(v) == 1):
+        end = _broom(edges, leaf, end, 2, 1)
+    return build_graph(end, edges, name="F(" + ",".join(map(str, branch_levels)) + ")")
 
 
 def path_graph(k: int) -> Graph:
@@ -309,47 +284,56 @@ def _tree(vertices: int) -> tuple[int, int]:
     return vertices, vertices - 1
 
 
-# family id -> (parameter names, builder taking keyword arguments,
+# family id -> ({parameter name: int, or list for levels, where one integer
+#                is the one-level list}, builder taking keyword arguments,
 #               (vertices, edges) from the same keyword arguments)
-FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Graph],
+FAMILIES: dict[str, tuple[dict[str, type], Callable[..., Graph],
                           Callable[..., tuple[int, int]]]] = {
-    "d": (("n", "p"), broom, lambda n, p: _tree(n + p)),
-    "bs": (("n", "p"), bs, lambda n, p: _tree(p + 2 * n)),
-    "s": (("n", "p"), s_family, lambda n, p: _tree(1 + n * (p + n - 2))),
-    "t": (("n", "p"), t_family, lambda n, p: (2 * p + 3 * n, 4 * n + 2 * p - 2)),
-    "e": (("m", "n", "p"), e_family,
+    "d": ({"n": int, "p": int}, broom, lambda n, p: _tree(n + p)),
+    "bs": ({"n": int, "p": int}, bs, lambda n, p: _tree(p + 2 * n)),
+    "s": ({"n": int, "p": int}, s_family, lambda n, p: _tree(1 + n * (p + n - 2))),
+    "t": ({"n": int, "p": int}, t_family, lambda n, p: (2 * p + 3 * n, 4 * n + 2 * p - 2)),
+    "e": ({"m": int, "n": int, "p": int}, e_family,
           lambda m, n, p: (m * (p + n), m * (m - 1) // 2 + m * (p - 1 + n))),
-    "e_plus": (("m", "n", "p"), e_plus_family,
+    "e_plus": ({"m": int, "n": int, "p": int}, e_plus_family,
                lambda m, n, p: (m * (p + n) + 1, m * (m - 1) // 2 + m * (p - 1 + n) + 2)),
-    "t_tree": (("m", "n"), t_tree, lambda m, n: _tree(_t_tree_vertices(m, n))),
-    "skeleton": (("a",), lambda a: skeleton_tree(*_levels(a)),
+    "t_tree": ({"m": int, "n": int}, t_tree, lambda m, n: _tree(_t_tree_vertices(m, n))),
+    "skeleton": ({"a": list}, lambda a: skeleton_tree(*_levels(a)),
                  lambda a: _tree(_skeleton_counts(a)[0])),
-    "f": (("a",), lambda a: f_family(*_levels(a)), _f_size),
-    "path": (("k",), path_graph, lambda k: (k, max(k - 1, 0))),
-    "star": (("k",), star_graph, lambda k: (k + 1, k)),
-    "complete": (("k",), complete_graph, lambda k: (k, k * (k - 1) // 2)),
-    "complete_bipartite": (("a", "b"), complete_bipartite_graph, lambda a, b: (a + b, a * b)),
+    "f": ({"a": list}, lambda a: f_family(*_levels(a)), _f_size),
+    "path": ({"k": int}, path_graph, lambda k: (k, max(k - 1, 0))),
+    "star": ({"k": int}, star_graph, lambda k: (k + 1, k)),
+    "complete": ({"k": int}, complete_graph, lambda k: (k, k * (k - 1) // 2)),
+    "complete_bipartite": ({"a": int, "b": int}, complete_bipartite_graph,
+                           lambda a, b: (a + b, a * b)),
 }
 
 
-def _refuse_oversized(family: str, params: dict[str, Any]) -> None:
-    """Raise ``ValueError`` if the instance has more than ``_VERTEX_CAP``
-    vertices or edges, from its counts alone; ``params`` holds the family's
-    parameter names."""
-    names, _, size = FAMILIES[family]
-    vertices, edges = size(**{k: params[k] for k in names})
+def _check_instance(family: str, params: dict[str, Any]) -> None:
+    """Raise ``ValueError`` unless ``family`` is registered, ``params`` gives
+    exactly its parameters, each of the kind the registry states, and the
+    instance has at most ``_VERTEX_CAP`` vertices and edges, counted without
+    building it."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
+    kinds, _, size = FAMILIES[family]
+    if set(params) != set(kinds):
+        raise ValueError(f"family {family!r} takes parameters {tuple(kinds)}, "
+                         f"got {tuple(sorted(params))}")
+    for name, kind in kinds.items():
+        value = params[name]
+        levels = value if kind is list and isinstance(value, (list, tuple)) else [value]
+        if not all(isinstance(x, int) for x in levels):
+            raise ValueError(f"parameter {name!r} of family {family!r} takes "
+                             f"{'integers' if kind is list else 'an integer'}, got {value!r}")
+    vertices, edges = size(**params)
     if vertices > _VERTEX_CAP or edges > _VERTEX_CAP:
         raise ValueError(f"{family_label(family, params)} has more than {_VERTEX_CAP} "
                          "vertices or edges, the cap on family instances")
 
 
-def build_family(family: str, params: dict[str, object]) -> Graph:
+def build_family(family: str, params: dict[str, Any]) -> Graph:
     """Instantiate a registered family; raises ``ValueError`` on unknown ids,
-    wrong parameter names, or an instance over the size cap."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}")
-    names, builder, _ = FAMILIES[family]
-    if set(params) != set(names):
-        raise ValueError(f"family {family!r} takes parameters {names}, got {tuple(sorted(params))}")
-    _refuse_oversized(family, params)
-    return builder(**{k: params[k] for k in names})
+    wrong parameter names or kinds, or an instance over the size cap."""
+    _check_instance(family, params)
+    return FAMILIES[family][1](**params)

@@ -58,6 +58,18 @@ def test_construct_rejects_bad_params(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", sorted(
+    family for family, (kinds, _, _) in families.FAMILIES.items() if list not in kinds.values()))
+def test_construct_refuses_a_list_for_an_integer_parameter(capsys, family):
+    first, *rest = families.FAMILIES[family][0]
+    params = ",".join([f"{first}=1:2", *(f"{name}=3" for name in rest)])
+    assert run_cli(["construct", "--family", family, "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: parameter {first!r} of family {family!r} "
+                            "takes an integer, got [1, 2]\n")
+
+
 def test_analyze_reports_profile(tmp_path, capsys):
     path = make_graph_file(tmp_path, "bs", "n=2,p=3")
     capsys.readouterr()

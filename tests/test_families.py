@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from bonematch import (
     FAMILIES,
     families,
-    attach_broom,
     broom,
     bs,
     build_family,
@@ -26,7 +25,6 @@ from bonematch import (
     star_graph,
     t_family,
     t_tree,
-    y_delta,
 )
 
 
@@ -36,12 +34,6 @@ def test_broom_shape():
     assert D.n == 5
     assert D.edges() == [(0, 1), (1, 2), (2, 3), (2, 4)]
     assert broom(3, 1).edges() == [(0, 1), (0, 2), (0, 3)]  # p=1: pendants on the root
-
-
-def test_attach_broom_extends_in_place():
-    G = attach_broom(path_graph(2), 1, n=2, p=2)
-    assert G.n == 5
-    assert G.edges() == [(0, 1), (1, 2), (2, 3), (2, 4)]
 
 
 @given(st.integers(1, 5), st.integers(2, 6))
@@ -122,15 +114,46 @@ def test_layered_tree_validation_and_shape():
     assert G.edge_count() == 12 and is_connected(G)
 
 
-# (arguments, graph_key, name) of the layered trees, fixed when both were
-# built by their own level loops; ids and names must not move
-T_TREE_IDENTITY = [
-    ((3, 4), "f1ec58bbbe5b", "T_tree(3,4)"), ((3, 5), "fad598e9d1b8", "T_tree(3,5)"),
-    ((3, 6), "ee76345c388c", "T_tree(3,6)"), ((5, 4), "5fc60497f43a", "T_tree(5,4)"),
-    ((5, 5), "dcc594800014", "T_tree(5,5)"), ((5, 6), "ee1ee348b527", "T_tree(5,6)"),
-    ((7, 4), "6b300fde9ebc", "T_tree(7,4)"), ((7, 5), "fe8f8ac8eeba", "T_tree(7,5)"),
-    ((7, 6), "3b135d7bfc11", "T_tree(7,6)"), ((9, 4), "affc33b7312a", "T_tree(9,4)"),
-    ((9, 5), "33e9ead58e95", "T_tree(9,5)"), ((9, 6), "dcc51ff8d56b", "T_tree(9,6)"),
+# (family, arguments, graph_key, name): the layered trees fixed when both were
+# built by their own level loops, the broom families when each broom rebuilt
+# the graph; ids and names must not move
+FAMILY_IDENTITY = [
+    ("t_tree", (3, 4), "f1ec58bbbe5b", "T_tree(3,4)"),
+    ("t_tree", (3, 5), "fad598e9d1b8", "T_tree(3,5)"),
+    ("t_tree", (3, 6), "ee76345c388c", "T_tree(3,6)"),
+    ("t_tree", (5, 4), "5fc60497f43a", "T_tree(5,4)"),
+    ("t_tree", (5, 5), "dcc594800014", "T_tree(5,5)"),
+    ("t_tree", (5, 6), "ee1ee348b527", "T_tree(5,6)"),
+    ("t_tree", (7, 4), "6b300fde9ebc", "T_tree(7,4)"),
+    ("t_tree", (7, 5), "fe8f8ac8eeba", "T_tree(7,5)"),
+    ("t_tree", (7, 6), "3b135d7bfc11", "T_tree(7,6)"),
+    ("t_tree", (9, 4), "affc33b7312a", "T_tree(9,4)"),
+    ("t_tree", (9, 5), "33e9ead58e95", "T_tree(9,5)"),
+    ("t_tree", (9, 6), "dcc51ff8d56b", "T_tree(9,6)"),
+    ("d", (1, 1), "5a396e832ceb", "D(1,1)"),
+    ("d", (2, 3), "ef3f613e43cb", "D(2,3)"),
+    ("d", (3, 1), "f1ec58bbbe5b", "D(3,1)"),
+    ("d", (1, 4), "08bdac537b09", "D(1,4)"),
+    ("bs", (1, 2), "08e0b2801ee5", "BS(1,2)"),
+    ("bs", (2, 3), "b80f271a378d", "BS(2,3)"),
+    ("bs", (3, 2), "d4abe66e21c3", "BS(3,2)"),
+    ("bs", (2, 5), "9ad49e557a84", "BS(2,5)"),
+    ("s", (2, 1), "04778bb9165e", "S(2,1)"),
+    ("s", (3, 3), "bab963696284", "S(3,3)"),
+    ("s", (4, 2), "08cff1d44b52", "S(4,2)"),
+    ("s", (2, 4), "6f068e4a1859", "S(2,4)"),
+    ("t", (1, 1), "ac8ebfbc0df6", "T(1,1)"),
+    ("t", (2, 3), "a2de61a315ee", "T(2,3)"),
+    ("t", (3, 2), "9c598a63ac14", "T(3,2)"),
+    ("t", (4, 1), "50673c0a33cd", "T(4,1)"),
+    ("e", (1, 1, 1), "5a396e832ceb", "E(1,1,1)"),
+    ("e", (3, 2, 2), "587069bb4b6b", "E(3,2,2)"),
+    ("e", (4, 3, 1), "f5adc024aa0c", "E(4,3,1)"),
+    ("e", (2, 1, 3), "6fff29174e2b", "E(2,1,3)"),
+    ("e_plus", (1, 1, 2), "9295ec439cf0", "E+(1,1,2)@clique-end"),
+    ("e_plus", (2, 3, 3), "ebf9a7b45dc8", "E+(2,3,3)@clique-end"),
+    ("e_plus", (3, 2, 2), "18627429332c", "E+(3,2,2)@clique-end"),
+    ("e_plus", (4, 1, 4), "7e93adc55cbf", "E+(4,1,4)@clique-end"),
 ]
 SKELETON_IDENTITY = [
     ((1,), "f1ec58bbbe5b", "T(1)", "7f4515cb7714", "F(1)"),
@@ -141,9 +164,9 @@ SKELETON_IDENTITY = [
 
 
 def test_layered_trees_keep_their_ids_and_names():
-    for args, key, name in T_TREE_IDENTITY:
-        G = t_tree(*args)
-        assert (graph_key(G), G.name) == (key, name)
+    for family, args, key, name in FAMILY_IDENTITY:
+        G = build_family(family, dict(zip(FAMILIES[family][0], args)))
+        assert (graph_key(G), G.name) == (key, name), (family, args)
     for args, tree_key, tree_name, f_key, f_name in SKELETON_IDENTITY:
         T, F = skeleton_tree(*args), f_family(*args)
         assert (graph_key(T), T.name, graph_key(F), F.name) == (tree_key, tree_name, f_key, f_name)
@@ -157,14 +180,6 @@ def test_skeleton_tree():
         skeleton_tree(0)
     T = skeleton_tree(1, 2)
     assert T.n == 10 and T.edge_count() == 9
-
-
-def test_y_delta_on_star_center_gives_net():
-    G = y_delta(star_graph(3), 0)
-    assert G.n == 6
-    assert G.edges() == [(0, 1), (0, 4), (0, 5), (2, 4), (3, 5), (4, 5)]
-    with pytest.raises(ValueError):
-        y_delta(path_graph(3), 1)  # degree 2, not 3
 
 
 def test_branching_construction_sizes():
@@ -203,6 +218,8 @@ def test_registry_round_trip():
         build_family("bs", {"n": 2})
     with pytest.raises(ValueError):
         build_family("bs", {"n": 2, "p": 3, "q": 1})
+    with pytest.raises(ValueError, match="parameter 'n' of family 'bs' takes an integer"):
+        build_family("bs", {"n": [1, 2], "p": 3})
 
 
 def test_family_label():
@@ -267,3 +284,26 @@ def test_family_cap_refuses_before_building_and_admits_the_cap(monkeypatch):
     assert build_family("t_tree", {"m": 29, "n": 4}).n == 73_723
     assert build_family("skeleton", {"a": 33_333}).n == 100_000
     assert build_family("complete", {"k": 447}).edge_count() == 99_681
+
+
+def test_each_instance_is_built_from_one_edge_list(monkeypatch):
+    # e_plus builds e_family, which builds complete_graph: three graphs at
+    # most, however many brooms and triangles an instance has
+    calls = 0
+    real = families.build_graph
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(families, "build_graph", counting)
+    for family, params in _registry_instances():
+        calls = 0
+        try:
+            build_family(family, params)
+        except ValueError:
+            pass
+        assert calls <= 3, (family, params)
+    # the largest f within the cap
+    assert build_family("f", {"a": list(range(1, 14))}).n == 73_722
