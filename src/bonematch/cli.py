@@ -3,8 +3,8 @@
 Subcommands: ``construct``, ``analyze``, ``lm``, ``verify``, ``sweep``,
 ``search``, ``export``.  Human-readable tables go to standard output;
 machine-readable artifacts are written only through ``--out`` / ``--format``.
-Exit codes: 0 all checks passed, 1 a check, trace validation or internal
-check failed, 2 usage error or size guard exceeded.
+Exit codes: 1 a check, trace validation or internal check failed, else 2 a
+usage error, a size guard exceeded or a check indeterminate, else 0.
 
 Randomized commands take an explicit ``--seed`` so runs are reproducible.
 """
@@ -121,9 +121,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     _print_kv("vertices", G.n)
     _print_kv("edges", G.edge_count())
     if args.out:
-        annotation = {"id": args.family,
-                      "params": {k: v for k, v in params.items()}}
-        write_graph_json(G, args.out, family=annotation)
+        write_graph_json(G, args.out, family={"id": args.family, "params": params})
         _print_kv("written", args.out)
     return 0
 
@@ -199,6 +197,11 @@ def _cmd_lm(args: argparse.Namespace) -> int:
     return 0
 
 
+def _exit_code(failed: int, indeterminate: int) -> int:
+    # the rule of every command that runs checks: a failure outranks a tripped guard
+    return 1 if failed else 2 if indeterminate else 0
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     G = read_graph_json(args.graph)
     result = check_theorem(G, _theorem_spec(args, {}))
@@ -206,7 +209,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _print_kv("theorem", result.theorem)
     for name, ok in result.hypotheses:
         print(f"  [{'ok' if ok else 'NO'}] {name}")
-    _print_kv("hypotheses", "met" if result.hypotheses_met else "not met (vacuous)")
+    hypotheses = {"vacuous": "not met (vacuous)", "indeterminate": "unknown (guard exceeded)"}
+    _print_kv("hypotheses", hypotheses.get(result.verdict, "met"))
     if result.bound_value is not None:
         _print_kv("bound", result.bound_value)
     if result.actual_deficiency is not None:
@@ -217,11 +221,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         payload = {"graph": graph_to_json_dict(G), "result": result.to_json_dict()}
         Path(args.out).write_text(json_text(payload))
         _print_kv("written", args.out)
-    if result.indeterminate:
-        _print_kv("verdict", "INDETERMINATE (guard exceeded)")
-        return 2
-    _print_kv("verdict", "pass" if result.passed else "FAIL")
-    return 0 if result.passed else 1
+    _print_kv("verdict", {"fail": "FAIL", "indeterminate": "INDETERMINATE (guard exceeded)"}
+              .get(result.verdict, "pass"))
+    return _exit_code(result.verdict == "fail", result.verdict == "indeterminate")
 
 
 def _theorem_spec(args: argparse.Namespace, params: dict[str, Any]) -> TheoremSpec:
@@ -249,7 +251,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _print_kv("indeterminate", report.indeterminate_count)
         _print_kv("max kd (met)", report.max_deficiency_met)
         _print_kv("violations", len(report.violations))
-        return 0 if report.passed else 1
+        return _exit_code(len(report.violations), report.indeterminate_count)
 
     if args.range is None:
         raise ValueError("sweep --family requires --range")
@@ -259,7 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for params in grid:  # the whole grid is checked and sized before any instance is built
         _check_instance(args.family, params)
     rows: list[dict[str, Any]] = []
-    failures = 0
+    verdicts: set[str] = set()
     header = f"{'instance':<22} {'kd':>4} {'alpha_l':>8} {'omega':>6} {'admitting':>12}"
     if args.theorem:
         header += f" {'bound':>7} {'verdict':>8}"
@@ -282,11 +284,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         line = (f"{row['instance']:<22} {row['deficiency']:>4} {row['alpha_l']!s:>8} "
                 f"{row['omega']!s:>6} {admitting:>12}")
         if result:
-            verdict = ("indet" if result.indeterminate
-                       else "vacuous" if result.vacuous
-                       else "pass" if result.passed else "FAIL")
-            failures += not row["pass"]
-            line += f" {row['bound']!s:>7} {verdict:>8}"
+            verdicts.add(result.verdict)
+            shown = {"fail": "FAIL", "indeterminate": "indet"}.get(result.verdict, result.verdict)
+            line += f" {row['bound']!s:>7} {shown:>8}"
         rows.append(row)
         print(line)
     if args.out:
@@ -294,7 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "instances.csv").write_text(rows_to_csv(rows))
         _print_kv("written", str(out_dir / "instances.csv"))
-    return 1 if failures else 0
+    return _exit_code("fail" in verdicts, "indeterminate" in verdicts)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -325,10 +325,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     G = read_graph_json(args.graph)
-    if args.format == "dot":
-        text = graph_to_dot(G)
-    else:
-        text = json_text(graph_to_json_dict(G))
+    text = graph_to_dot(G) if args.format == "dot" else json_text(graph_to_json_dict(G))
     if args.out:
         Path(args.out).write_text(text)
         _print_kv("written", args.out)
@@ -418,6 +415,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        if [] in vars(args).values():
+            # argparse before Python 3.12 reads an option value of "--" as []
+            raise ValueError("an option value cannot be '--'")
         return args.func(args)
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

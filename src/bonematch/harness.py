@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
@@ -63,33 +64,40 @@ class TheoremSpec:
 class CheckResult:
     """Outcome of one check on one graph.
 
-    ``hypotheses`` records the per-hypothesis breakdown.  A failed hypothesis
-    yields a vacuous pass; an exceeded guard yields an indeterminate result
-    that never counts as a pass.  ``to_json_dict`` writes ``details`` as an
-    object, with the criticality verdict in the shape ``analyze --out`` uses.
+    ``verdict`` is one of ``"pass"`` (the hypotheses and the bound hold),
+    ``"fail"`` (the hypotheses hold and the bound does not), ``"vacuous"``
+    (a hypothesis fails, a vacuous pass) or ``"indeterminate"`` (a size guard
+    tripped; never a pass).  ``hypotheses`` records the per-hypothesis
+    breakdown.  ``to_json_dict`` writes ``details`` as an object, with the
+    criticality verdict in the shape ``analyze --out`` uses.
     """
 
     theorem: str
     hypotheses: tuple[tuple[str, bool], ...]
-    hypotheses_met: bool
+    verdict: str
     bound_value: int | None
     actual_deficiency: int | None
-    passed: bool
-    vacuous: bool
-    indeterminate: bool = False
     note: str = ""
     details: tuple[tuple[str, Any], ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict in ("pass", "vacuous")
+
+    @property
+    def vacuous(self) -> bool:
+        return self.verdict == "vacuous"
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "theorem": self.theorem,
             "hypotheses": {k: v for k, v in self.hypotheses},
-            "hypotheses_met": self.hypotheses_met,
+            "hypotheses_met": self.verdict in ("pass", "fail"),
             "bound": self.bound_value,
             "actual": self.actual_deficiency,
             "pass": self.passed,
             "vacuous": self.vacuous,
-            "indeterminate": self.indeterminate,
+            "indeterminate": self.verdict == "indeterminate",
             "note": self.note,
             "details": {k: v.to_json_dict() if isinstance(v, CriticalityResult) else v
                         for k, v in self.details},
@@ -250,22 +258,21 @@ def check_theorem(G: Graph, spec: TheoremSpec) -> CheckResult:
             f[name] = _FACTS[name](G)
     except GuardExceededError as exc:
         return CheckResult(
-            theorem=spec.id, hypotheses=(), hypotheses_met=False, bound_value=None,
-            actual_deficiency=None, passed=False, vacuous=False, indeterminate=True,
-            note=str(exc), details=_details(f))
+            theorem=spec.id, hypotheses=(), verdict="indeterminate", bound_value=None,
+            actual_deficiency=None, note=str(exc), details=_details(f))
     if n is None and "alpha_l" in f:
         # the smallest legal star parameter the graph satisfies: sweeps need none
         n = max(f["alpha_l"] + 1, 4)
     hyps = hypotheses(f, m, n, p)
-    met = all(ok for _, ok in hyps)
     if bound is not None:
         bound = bound(m, n, p)
     kd = _kd(f)
-    passed = not met or (kd <= bound if passes is None else passes(f, kd, bound, n))
+    verdict = ("vacuous" if not all(ok for _, ok in hyps)
+               else "pass" if (kd <= bound if passes is None else passes(f, kd, bound, n))
+               else "fail")
     return CheckResult(
-        theorem=spec.id, hypotheses=tuple(hyps), hypotheses_met=met, bound_value=bound,
-        actual_deficiency=kd, passed=passed, vacuous=not met, note=note,
-        details=_details(f))
+        theorem=spec.id, hypotheses=tuple(hyps), verdict=verdict, bound_value=bound,
+        actual_deficiency=kd, note=note, details=_details(f))
 
 
 @dataclass(frozen=True)
@@ -286,10 +293,6 @@ class SweepReport:
     indeterminate_count: int
     max_deficiency_met: int | None
     violations: tuple[dict[str, Any], ...] = field(default=())
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -365,35 +368,31 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
     """
     if n_max < 1 or n_max > _SWEEP_MAX:
         raise GuardExceededError(f"sweep needs 1 <= n_max <= {_SWEEP_MAX}, got {n_max}")
-    classes = connected = met = vacuous = indeterminate = 0
+    classes = 0
+    counts: Counter[str] = Counter()  # labelled graphs per verdict
     max_kd: int | None = None
     violations: list[dict[str, Any]] = []
     rows: list[dict[str, Any]] = []
     for G, labelled in _connected_classes(n_max):
         classes += 1
-        connected += labelled
         result = check_theorem(G, spec)
-        if result.indeterminate:
-            indeterminate += labelled
-        elif not result.hypotheses_met:
-            vacuous += labelled
-        else:
-            met += labelled
-            kd = result.actual_deficiency
-            if kd is not None and (max_kd is None or kd > max_kd):
-                max_kd = kd
-            if not result.passed:
-                violations.append({
-                    "graph": graph_to_json_dict(G),
-                    "result": result.to_json_dict(),
-                    "labelled": labelled,
-                })
+        counts[result.verdict] += labelled
+        kd = result.actual_deficiency
+        if result.verdict in ("pass", "fail") and kd is not None:
+            max_kd = kd if max_kd is None else max(max_kd, kd)
+        if result.verdict == "fail":
+            violations.append({
+                "graph": graph_to_json_dict(G),
+                "result": result.to_json_dict(),
+                "labelled": labelled,
+            })
         if out_dir is not None:
             rows.append(_instance_row(G, dict(result.details), result, labelled))
     report = SweepReport(
-        theorem=spec.id, n_max=n_max, class_count=classes, connected_count=connected,
-        hypotheses_met_count=met, vacuous_count=vacuous, indeterminate_count=indeterminate,
-        max_deficiency_met=max_kd, violations=tuple(violations))
+        theorem=spec.id, n_max=n_max, class_count=classes, connected_count=sum(counts.values()),
+        hypotheses_met_count=counts["pass"] + counts["fail"], vacuous_count=counts["vacuous"],
+        indeterminate_count=counts["indeterminate"], max_deficiency_met=max_kd,
+        violations=tuple(violations))
     if out_dir is not None:
         _write_sweep_artifacts(Path(out_dir), report, rows)
     return report

@@ -483,16 +483,16 @@ def labelled_sweep(n_max: int, spec):
             counts["connected"] += 1
             counts["checked"] += 1
             result = check_theorem(G, spec)
-            if result.indeterminate:
+            if result.verdict == "indeterminate":
                 counts["indeterminate"] += 1
-            elif not result.hypotheses_met:
+            elif result.verdict == "vacuous":
                 counts["vacuous"] += 1
             else:
                 counts["hypotheses_met"] += 1
                 kd, top = result.actual_deficiency, counts["max_deficiency_met"]
                 if kd is not None and (top is None or kd > top):
                     counts["max_deficiency_met"] = kd
-                if not result.passed:
+                if result.verdict == "fail":
                     violations.append((G, result.to_json_dict()))
     return counts, violations
 
@@ -889,11 +889,9 @@ def _finish(spec: TheoremSpec, hyps: list[tuple[str, bool]], bound: int | None,
     return CheckResult(
         theorem=spec.id,
         hypotheses=tuple(hyps),
-        hypotheses_met=met,
+        verdict="vacuous" if not met else "pass" if ok_when_met else "fail",
         bound_value=bound,
         actual_deficiency=actual,
-        passed=True if not met else ok_when_met,
-        vacuous=not met,
         note=note,
         details=tuple(sorted((details or {}).items())),
     )
@@ -1082,7 +1080,6 @@ def check_theorem_reference(G: Graph, spec: TheoremSpec) -> CheckResult:
             return _check_mod(G, spec)
     except GuardExceededError as exc:
         return CheckResult(
-            theorem=spec.id, hypotheses=(), hypotheses_met=False,
-            bound_value=None, actual_deficiency=None, passed=False,
-            vacuous=False, indeterminate=True, note=str(exc))
+            theorem=spec.id, hypotheses=(), verdict="indeterminate",
+            bound_value=None, actual_deficiency=None, note=str(exc))
     raise ValueError(f"unknown theorem id {spec.id!r}")

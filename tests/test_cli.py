@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bonematch import (PostconditionError, bs, build_graph, cli, f_family, families,
                        graph_from_json_dict, harness, lm_run, read_graph_json, skeleton_tree,
@@ -296,7 +299,9 @@ def test_verify_indeterminate_still_writes_artifact(tmp_path, capsys):
     ])
     assert code == 2
     assert json.loads(out_path.read_text())["result"]["indeterminate"] is True
-    assert "INDETERMINATE" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "INDETERMINATE" in out
+    assert "hypotheses     unknown (guard exceeded)" in out.splitlines() and "not met" not in out
 
 
 def test_sweep_theorem_mode(tmp_path, capsys):
@@ -307,6 +312,15 @@ def test_sweep_theorem_mode(tmp_path, capsys):
     assert ["classes", "10"] in lines
     assert run_cli(["sweep", "--theorem", "thm-1.2-clawfree", "--nmax", "9"]) == 2
     assert "guard exceeded" in capsys.readouterr().err
+
+
+def test_sweep_theorem_mode_exits_2_on_an_indeterminate_check(capsys, monkeypatch):
+    # with the neighbourhood guard at 2 vertices, a graph with a vertex of degree 3 is undecided
+    monkeypatch.setattr(structure, "_MIS_MAX", 2)
+    assert run_cli(["sweep", "--theorem", "thm-1.2-clawfree", "--nmax", "4"]) == 2
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["connected", "44"] in lines and ["indeterminate", "23"] in lines
+    assert ["violations", "0"] in lines
 
 
 def test_sweep_family_mode_with_check(tmp_path, capsys):
@@ -375,7 +389,7 @@ def test_sweep_family_mode_reuses_facts_of_guarded_and_criticality_checks(capsys
     assert run_cli([
         "sweep", "--family", "t_tree", "--range", "m=7,n=5",
         "--theorem", "thm-1.8-single-even", "--m", "5", "--p", "1",
-    ]) == 1
+    ]) == 2
     assert capsys.readouterr().out.splitlines()[1].split() == [
         "T_tree(7,5)", "35", "4", "?", "{3,", "5,", "7,", "9}", "indet"]
     assert calls.count("local_independence_number") == 1
@@ -389,6 +403,18 @@ def test_sweep_family_mode_reuses_facts_of_guarded_and_criticality_checks(capsys
         "BS(3,3)                   5        4      2          {3}             pass",
     ]
     assert "deficiency" not in calls and calls.count("local_independence_number") == 2
+
+
+def test_sweep_family_mode_exits_1_when_a_check_fails_beside_an_indeterminate_one(
+        capsys, monkeypatch):
+    verdicts = iter(["indeterminate", "fail"])
+    monkeypatch.setattr(cli, "check_theorem", lambda G, spec: harness.CheckResult(
+        theorem=spec.id, hypotheses=(), verdict=next(verdicts), bound_value=None,
+        actual_deficiency=None))
+    assert run_cli(["sweep", "--family", "bs", "--range", "n=2..3,p=3",
+                    "--theorem", "thm-1.2-clawfree"]) == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[-1] for row in rows] == ["indet", "FAIL"]
 
 
 def test_sweep_family_mode_skips_instances_that_break_a_theorem_rule(tmp_path, capsys):
@@ -534,8 +560,98 @@ def test_deeply_nested_graph_file_is_not_valid_json(tmp_path, capsys, text):
         assert (captured.out, captured.err) == ("", f"error: not valid JSON: {path}\n")
 
 
+def test_an_option_value_of_two_dashes_is_a_usage_error(capsys):
+    for argv in (["construct", "--family", "d", "--params=--"],
+                 ["sweep", "--family", "d", "--range=--"],
+                 ["sweep", "--theorem", "thm-1.2-clawfree", "--nmax=--"]):
+        assert run_cli(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(["frobnicate"]) == 2
     assert run_cli(["analyze", str(tmp_path / "missing.json")]) == 2
     assert run_cli(["lm", "--bogus-flag"]) == 2
     capsys.readouterr()
+
+
+# Parser fuzzing.  Integers run from -3 to 12, plus a few past the caps on
+# instances and grids.  A text is mostly k=v items, with the family's own
+# parameter names and well-formed values often enough that parses succeed as
+# well as fail, or else a string of parser tokens.  It is passed joined to
+# its option (``--params=TEXT``), so a text starting with "-" is no option.
+_INTEGER = st.sampled_from([*range(-3, 13), 100_001, 10**12, 10**40]).map(str)
+_VALUE = st.builds(str.format, st.sampled_from(
+    ["{0}"] * 5 + ["{0}..{1}", "{0}..{1}:{0}", "{0}:{1}", "{0}{1}", "{0}=", "-{0}", ""]),
+    _INTEGER, _INTEGER)
+_TOKENS = st.lists(st.one_of(_INTEGER, st.sampled_from(["=", ",", ":", "..", "-", " ", "a", "n"])),
+                   max_size=12).map("".join)
+
+
+def _family_and_text(names):
+    def texts(family):
+        params = list(families.FAMILIES.get(family, ({},))[0])
+        keys = st.permutations(params) | st.lists(st.sampled_from([*params, "q", ""]), max_size=3)
+        items = keys.flatmap(lambda ks: st.tuples(*(_VALUE.map(f"{k}={{}}".format) for k in ks)))
+        return st.tuples(st.just(family), items.map(",".join) | _TOKENS)
+    return st.sampled_from(names).flatmap(texts)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+_PAIR = st.lists(st.integers(-1, 12), min_size=2, max_size=2)
+# a graph file, one with junk in some field, or any other JSON value
+_GRAPH = st.one_of(
+    st.integers(1, 12).flatmap(lambda n: st.fixed_dictionaries({"n": st.just(n), "edges": st.lists(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2), max_size=15)})),
+    st.fixed_dictionaries(
+        {"n": st.integers(-3, 12) | st.just(10**12) | _JSON,
+         "edges": st.lists(_PAIR, max_size=10) | st.lists(_PAIR | _JSON, max_size=4) | _JSON},
+        optional={"name": st.text() | _JSON}),
+    _JSON)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_explained(code, out, err):
+    # a non-zero exit has its reason on stderr, or, by the exit rule, is the
+    # 2 of a sweep with an undecided check and no failed one
+    assert code in (0, 1, 2)
+    if code and not any(line.startswith(("error:", "guard exceeded:"))
+                        for line in err.splitlines()):
+        rows = out.splitlines()
+        assert code == 2 and any(row.endswith(" indet") for row in rows), (out, err)
+        assert not any(row.endswith(" FAIL") for row in rows), out
+
+
+@given(_family_and_text(list(families.FAMILIES)))
+def test_construct_parses_any_params_text(family_and_text):
+    family, text = family_and_text
+    _assert_explained(*_run_quietly(["construct", "--family", family, f"--params={text}"]))
+
+
+@given(_family_and_text([*families.FAMILIES, "nope"]), st.booleans())
+def test_family_sweep_parses_any_range_text(family_and_text, with_theorem):
+    family, text = family_and_text
+    theorem = ["--theorem", "thm-1.2-clawfree"] if with_theorem else []
+    # lower caps keep every checked grid and instance small: t_tree(11, 11),
+    # under the real cap, takes about 20 s to tabulate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "_VERTEX_CAP", 500)
+        patch.setattr(cli, "_GRID_MAX", 40)
+        argv = ["sweep", "--family", family, f"--range={text}", *theorem]
+        _assert_explained(*_run_quietly(argv))
+
+
+@given(_GRAPH)
+def test_analyze_reads_any_json_value(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz-graph.json"
+    path.write_text(json.dumps(value))
+    _assert_explained(*_run_quietly(["analyze", str(path)]))

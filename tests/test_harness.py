@@ -190,13 +190,13 @@ def test_congruence_report():
 
 def test_guard_exceeded_yields_indeterminate():
     r = check_theorem(t_tree(7, 5), TheoremSpec("thm-1.8-single-even", m=5, p=1, n=5))
-    assert r.indeterminate and not r.passed
+    assert r.verdict == "indeterminate" and not r.passed
     assert "clique number" in r.note
 
 
 def test_exhaustive_sweep_counts():
     rep = exhaustive_sweep(4, TheoremSpec("thm-1.2-clawfree"))
-    assert rep.passed
+    assert not rep.violations
     d = rep.to_json_dict()
     # connected labelled graphs on 1..4 vertices: 1 + 1 + 4 + 38
     assert d["connected"] == 44 and d["checked"] == 44
@@ -211,7 +211,7 @@ def test_exhaustive_sweep_counts():
 def test_exhaustive_sweep_multiple_theorems_clean_at_five():
     for tid in ("thm-1.3-bonefree", "thm-1.8-all-even"):
         rep = exhaustive_sweep(5, TheoremSpec(tid))
-        assert rep.passed and rep.connected_count == 1 + 1 + 4 + 38 + 728
+        assert not rep.violations and rep.connected_count == 1 + 1 + 4 + 38 + 728
 
 
 def test_exhaustive_sweep_guard():
@@ -240,7 +240,7 @@ def test_instance_rows_and_csv():
     # number of t_tree(7, 5) trips its guard, so omega is unknown
     r = check_theorem(t_tree(7, 5), TheoremSpec("thm-1.8-all-even"))
     facts = _table_facts(t_tree(7, 5), r)
-    assert r.indeterminate and facts["omega"] is None
+    assert r.verdict == "indeterminate" and facts["omega"] is None
     family = _instance_row(t_tree(7, 5), facts, r)
     assert (family["omega"], family["admitting"], family["pass"]) == ("?", "3 5 7 9", False)
     cor = check_theorem(bs(2, 3), TheoremSpec("cor-2.3-snailhorn"))
@@ -576,7 +576,8 @@ def _outcome(check, G, spec):
     # the reference keeps no facts when a guard trips; the facts an
     # indeterminate result keeps are checked against the guard below
     details = dict(r.details)
-    facts = None if r.indeterminate else [details.get(k) for k in ("alpha_l", "omega", "admitting")]
+    facts = (None if r.verdict == "indeterminate"
+             else [details.get(k) for k in ("alpha_l", "omega", "admitting")])
     # the reference keeps other details, so only the facts both compute are compared
     result = r.to_json_dict()
     del result["details"]
@@ -610,9 +611,10 @@ def test_check_theorem_matches_frozen_reference(monkeypatch):
                 mismatches.append((G.name or graph_key(G), spec))
             kinds.add("error" if isinstance(want, str) else
                       "indeterminate" if want[0]["indeterminate"] else
-                      "vacuous" if want[0]["vacuous"] else "met")
+                      "vacuous" if want[0]["vacuous"] else
+                      "pass" if want[0]["pass"] else "fail")
     assert mismatches == []
-    assert kinds == {"error", "indeterminate", "vacuous", "met"}
+    assert kinds == {"error", "indeterminate", "vacuous", "pass", "fail"}
 
 
 def test_parameter_errors_come_before_any_fact(monkeypatch):
@@ -631,7 +633,7 @@ def test_details_hold_the_facts_the_check_read_in_order():
     r = check_theorem(bs(2, 3), TheoremSpec("cor-2.3-snailhorn"))
     assert [k for k, _ in r.details] == ["critical", "connected", "nontrivial", "snail_horns"]
     r = check_theorem(t_tree(7, 5), TheoremSpec("thm-1.8-all-even"))
-    assert r.indeterminate and r.details == (("alpha_l", 4),)
+    assert r.verdict == "indeterminate" and r.details == (("alpha_l", 4),)
 
 
 def test_indeterminate_details_hold_the_facts_computed_before_the_guard(monkeypatch):
@@ -644,7 +646,7 @@ def test_indeterminate_details_hold_the_facts_computed_before_the_guard(monkeypa
                 r = check_theorem(G, spec)
             except ValueError:
                 continue
-            if not r.indeterminate:
+            if r.verdict != "indeterminate":
                 continue
             facts = harness._THEOREMS[spec.id].facts
             k = len(r.details)
