@@ -26,7 +26,7 @@ from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
 from .matching import CriticalityResult, deficiency, is_deficiency_critical
 from .serialize import graph_key, graph_to_json_dict, json_text
-from .structure import admitting_set, clique_number, local_independence_number
+from .structure import _MIS_MAX, admitting_set, clique_number, local_independence_number
 
 __all__ = [
     "THEOREM_IDS",
@@ -528,6 +528,8 @@ class SearchConstraints:
             raise ValueError("search needs at least one vertex")
         if self.n > _SEARCH_MAX_N:
             raise GuardExceededError(f"search limited to {_SEARCH_MAX_N} vertices, got {self.n}")
+        if self.omega_max is not None and self.n > _MIS_MAX:
+            raise GuardExceededError(f"clique number limited to {_MIS_MAX} vertices")
         if self.admitting not in ADMITTING_CONSTRAINTS:
             raise ValueError(f"unknown admitting constraint {self.admitting!r}")
 

@@ -1,11 +1,11 @@
 """Level-by-level matching: the two-level lemma and the full bound computation.
 
 The driver levels a graph from a snail-horn head and walks the levels top
-down.  At each step a two-level subproblem is solved by local search over two
-kinds of improving moves; the terminal matching is guaranteed (and verified
-at runtime) to leave every residual lower vertex with two private
-witnesses, which feeds the next level.  The sum of the leftover sets bounds
-the deficiency from above.
+down.  Each step solves a two-level subproblem on two level sets of the
+graph, in its own vertex ids, by local search over two kinds of improving
+moves; the terminal matching is guaranteed (and verified at runtime) to leave
+every residual lower vertex with two private witnesses, which feeds the next
+level.  The sum of the leftover sets bounds the deficiency from above.
 
 The local search is incremental.  Every upper vertex keeps a count of its
 unmatched lower neighbours, and a move is legal iff no unmatched upper vertex
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
 from .errors import PostconditionError
-from .graphs import Graph, induced_subgraph, is_clean_level, levelling, snail_horns
+from .graphs import Graph, is_clean_level, levelling, snail_horns
 from .matching import deficiency
 from .structure import StructureProfile
 
@@ -68,10 +68,6 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
-
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,15 @@ class TwoLevelResult:
 
 
 def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevelResult:
-    """Run the two-level local search on ``H`` partitioned into ``X`` and ``Y``.
+    """Run the two-level local search on the subgraph of ``H`` induced by ``X | Y``.
 
-    Requirements: ``X`` non-empty, ``X`` and ``Y`` partition the vertices, and
-    every ``Y`` vertex has a neighbour in ``X``.  Starting from the empty
-    matching, two moves are applied in lexicographic order until neither
-    fits: (a) add an edge between unmatched endpoints, (b) trade one matched
-    edge touching ``X`` for two new edges.  Both moves must keep every
-    unmatched ``Y`` vertex adjacent to an unmatched ``X`` vertex.
+    Requirements: ``X`` and ``Y`` are disjoint vertex sets of ``H``, ``X`` is
+    non-empty, and every ``Y`` vertex has a neighbour in ``X``; the result
+    names vertices of ``H``.  Starting from the empty matching, two moves are
+    applied in lexicographic order until neither fits: (a) add an edge
+    between unmatched endpoints, (b) trade one matched edge touching ``X``
+    for two new edges.  Both moves must keep every unmatched ``Y`` vertex
+    adjacent to an unmatched ``X`` vertex.
 
     The guarantees of the terminal state are re-verified before returning;
     a failure raises ``PostconditionError`` and indicates a bug.
@@ -108,20 +105,21 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
         raise ValueError("two-level matching requires a non-empty lower side")
     if Xs & Ys:
         raise ValueError("sides overlap")
-    if Xs | Ys != frozenset(range(H.n)):
-        raise ValueError("sides must partition the vertex set")
+    S = Xs | Ys
+    if min(S) < 0 or max(S) >= H.n:
+        raise ValueError(f"sides must be vertices of a graph on {H.n} vertices")
     for y in Ys:
         if not (H.adj[y] & Xs):
             raise ValueError(f"upper vertex {y} has no lower neighbour")
 
     adj = H.adj
-    edges = H.edges()
+    edges = [(u, v) for u in sorted(S) for v in sorted(adj[u] & S) if u < v]
     matched: set[int] = set()
     matching: set[Edge] = set()
     # upper neighbours of each lower vertex; unmatched lower neighbours of each upper one
-    upper = [tuple(adj[w] & Ys) if w in Xs else () for w in range(H.n)]
-    free = [len(adj[y] & Xs) for y in range(H.n)]
-    at: list[list[int]] = [[] for _ in range(H.n)]
+    upper = {w: tuple(adj[w] & Ys) if w in Xs else () for w in S}
+    free = {y: len(adj[y] & Xs) for y in Ys}
+    at: dict[int, list[int]] = {v: [] for v in S}
     for k, (u, v) in enumerate(edges):
         at[u].append(k)
         at[v].append(k)
@@ -177,7 +175,7 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     for x in sorted(x_res):
         witnesses = sorted(
             y for y in y_res
-            if x in adj[y] and all(w in matched for w in adj[y] if w != x)
+            if x in adj[y] and all(w in matched for w in adj[y] & S if w != x)
         )
         if len(witnesses) < 2:
             raise PostconditionError(f"residual vertex {x} has {len(witnesses)} private witnesses")
@@ -192,14 +190,14 @@ class _Index(NamedTuple):
     """The fixed part of one two-level search."""
 
     edges: list[Edge]  # every edge, in the order moves are tried
-    at: list[list[int]]  # indices of the edges at each vertex, ascending
+    at: dict[int, list[int]]  # indices of the edges at each vertex, ascending
     # per edge: (y, c) for each upper y off it that sees c of its lower ends
     touch: list[tuple[tuple[int, int], ...]]
-    upper: list[tuple[int, ...]]  # upper neighbours of each lower vertex
+    upper: dict[int, tuple[int, ...]]  # upper neighbours of each lower vertex
     lower: frozenset[int]
 
 
-def _touch(upper: list[tuple[int, ...]], e: Edge) -> tuple[tuple[int, int], ...]:
+def _touch(upper: dict[int, tuple[int, ...]], e: Edge) -> tuple[tuple[int, int], ...]:
     a, b = e
     if not upper[a] or not upper[b]:
         return tuple((y, 1) for y in upper[a] + upper[b] if y != a and y != b)
@@ -209,7 +207,7 @@ def _touch(upper: list[tuple[int, ...]], e: Edge) -> tuple[tuple[int, int], ...]
     return tuple(seen.items())
 
 
-def _set_matched(ix: _Index, matched: set[int], free: list[int], e: Edge, on: bool) -> None:
+def _set_matched(ix: _Index, matched: set[int], free: dict[int, int], e: Edge, on: bool) -> None:
     (matched.update if on else matched.difference_update)(e)
     step = -1 if on else 1
     for y in ix.upper[e[0]] + ix.upper[e[1]]:
@@ -217,7 +215,7 @@ def _set_matched(ix: _Index, matched: set[int], free: list[int], e: Edge, on: bo
 
 
 def _best_trade(ix: _Index, matching: set[Edge], matched: set[int],
-                free: list[int]) -> tuple[Edge, int, int] | None:
+                free: dict[int, int]) -> tuple[Edge, int, int] | None:
     """First legal trade from a state where no edge can be added, or ``None``.
 
     Returns ``(old, i, j)``: the first matched edge ``old`` in sorted order
@@ -314,7 +312,7 @@ def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int],
 
 @dataclass(frozen=True)
 class LMLevel:
-    """One step of the level walk, everything in original vertex ids.
+    """One step of the level walk, in the vertex ids of the walked graph.
 
     ``matching`` is the local-search matching, ``witness_matching`` the extra
     edges pairing each residual vertex of the level above with its smallest
@@ -381,16 +379,11 @@ def lm_run(G: Graph, root: int | None = None) -> LMTrace:
     records: list[LMLevel] = []
     upper_saturated: frozenset[int] = frozenset()
     for i in range(L.N, 0, -1):
-        lower = L.levels[i - 1]
-        upper = L.levels[i] - upper_saturated
-        H, vmap = induced_subgraph(G, lower | upper)
-        res = two_level_matching(H, (k for k, v in enumerate(vmap) if v in lower),
-                                 (k for k, v in enumerate(vmap) if v in upper))
-        # vmap is increasing, so a matching edge (a, b) of H with a < b stays ordered
-        m_edges = tuple(sorted((vmap[a], vmap[b]) for a, b in res.matching))
-        x_res = tuple(sorted(vmap[x] for x in res.x_residual))
-        y_res = tuple(sorted(vmap[y] for y in res.y_residual))
-        w_edges = tuple(sorted(_norm_edge(vmap[x], vmap[y]) for x, (y, _) in res.private))
+        res = two_level_matching(G, L.levels[i - 1], L.levels[i] - upper_saturated)
+        m_edges = tuple(sorted(res.matching))
+        x_res = tuple(sorted(res.x_residual))
+        y_res = tuple(sorted(res.y_residual))
+        w_edges = tuple(sorted((min(x, y), max(x, y)) for x, (y, _) in res.private))
         upper_saturated = frozenset(v for e in m_edges + w_edges for v in e)
         leftover = tuple(sorted(set(y_res) - upper_saturated))
         records.append(LMLevel(i, m_edges, w_edges, x_res, y_res, leftover))

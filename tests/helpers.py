@@ -20,6 +20,8 @@ from bonematch import (
     CheckResult,
     Graph,
     GuardExceededError,
+    LMLevel,
+    LMTrace,
     PostconditionError,
     TheoremSpec,
     TwoLevelResult,
@@ -28,8 +30,10 @@ from bonematch import (
     check_theorem,
     clique_number,
     deficiency,
+    induced_subgraph,
     is_connected,
     is_deficiency_critical,
+    levelling,
     local_independence_number,
     snail_horns,
 )
@@ -681,6 +685,37 @@ def verify_two_level_frozen(H: Graph, X: frozenset[int], Y: frozenset[int],
                 spoiled += 1
         if spoiled > 1:
             raise PostconditionError(f"matched vertex {v} spoils {spoiled} residual vertices")
+
+
+def lm_run_reference(G: Graph, root: int) -> LMTrace:
+    """The level walk as it stood when each level pair was a relabelled subgraph.
+
+    Each step builds ``induced_subgraph`` of the two levels, relabelled to
+    ``0..k-1``, runs ``two_level_matching_reference`` and the frozen
+    postcondition check on it, and translates every output back through the
+    subgraph's vertex map, so a ``PostconditionError`` names relabelled ids.
+    The root is given: no snail-horn head is chosen or checked.
+    """
+    L = levelling(G, root)
+    records: list[LMLevel] = []
+    upper_saturated: frozenset[int] = frozenset()
+    for i in range(L.N, 0, -1):
+        lower = L.levels[i - 1]
+        upper = L.levels[i] - upper_saturated
+        H, vmap = induced_subgraph(G, lower | upper)
+        X = frozenset(k for k, v in enumerate(vmap) if v in lower)
+        Y = frozenset(k for k, v in enumerate(vmap) if v in upper)
+        res = two_level_matching_reference(H, X, Y)
+        verify_two_level_frozen(H, X, Y, res)
+        # vmap is increasing, so a matching edge (a, b) of H with a < b stays ordered
+        m_edges = tuple(sorted((vmap[a], vmap[b]) for a, b in res.matching))
+        x_res = tuple(sorted(vmap[x] for x in res.x_residual))
+        y_res = tuple(sorted(vmap[y] for y in res.y_residual))
+        w_edges = tuple(sorted(tuple(sorted((vmap[x], vmap[y]))) for x, (y, _) in res.private))
+        upper_saturated = frozenset(v for e in m_edges + w_edges for v in e)
+        leftover = tuple(sorted(set(y_res) - upper_saturated))
+        records.append(LMLevel(i, m_edges, w_edges, x_res, y_res, leftover))
+    return LMTrace(root, L.N, tuple(records), sum(len(r.leftover) for r in records))
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,20 @@ def test_search_refuses_an_order_above_the_cap(monkeypatch, capsys):
     assert captured.err == f"guard exceeded: search limited to {cap} vertices, got {cap + 1}\n"
 
 
+def test_search_refuses_an_omega_bound_above_the_clique_guard(monkeypatch, capsys):
+    # refused before any graph is drawn, so the outcome does not hang on
+    # whether a drawn graph passes the alpha_l test first and omega is asked
+    def no_draw(*args):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(harness, "random_connected", no_draw)
+    argv = ["search", "--n", "60", "--omega-max", "3", "--alpha-l-max", "2",
+            "--iters", "50", "--seed", "1"]
+    assert run_cli(argv) == 2
+    assert tuple(capsys.readouterr()) == (
+        "", f"guard exceeded: clique number limited to {structure._MIS_MAX} vertices\n")
+
+
 # the smallest instance of each family above the cap of 100,000 vertices or
 # edges: the star t_tree(3, n) has n vertices, t_tree(m, 4) 73,723 vertices at
 # m = 29 and more past it, skeleton(a) has 3a + 1, complete(k) k(k - 1)/2 edges

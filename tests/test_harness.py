@@ -27,7 +27,7 @@ from bonematch import (
     t_family,
     t_tree,
 )
-from bonematch import canon, graphs, harness, matching
+from bonematch import canon, graphs, harness, matching, structure
 from bonematch.harness import _connected_classes, _instance_row, _table_facts, rows_to_csv
 
 from . import helpers
@@ -456,6 +456,11 @@ def test_search_constraints_validation():
     assert SearchConstraints(harness._SEARCH_MAX_N).n == harness._SEARCH_MAX_N
     with pytest.raises(GuardExceededError, match=f"limited to {harness._SEARCH_MAX_N} vertices"):
         SearchConstraints(harness._SEARCH_MAX_N + 1)
+    # the clique-number guard bounds an omega constraint, so it is refused up front
+    assert SearchConstraints(40, omega_max=3).n == 40 == structure._MIS_MAX
+    with pytest.raises(GuardExceededError, match="clique number limited to 40 vertices"):
+        SearchConstraints(41, omega_max=3)
+    assert SearchConstraints(41).n == 41
 
 
 def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):

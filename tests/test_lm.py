@@ -8,9 +8,12 @@ from hypothesis import given, strategies as st
 
 from bonematch import (
     PostconditionError,
+    TwoLevelResult,
     bs,
     build_graph,
     deficiency,
+    induced_subgraph,
+    levelling,
     lm_root_sweep,
     lm_run,
     path_graph,
@@ -25,6 +28,8 @@ from bonematch import (
 from bonematch import lm as lm_module
 from .helpers import (
     check_two_level_postconditions,
+    layered_graph,
+    lm_run_reference,
     random_connected_graph,
     two_level_matching_reference,
     verify_two_level_frozen,
@@ -62,8 +67,12 @@ def test_two_level_allows_empty_upper_class():
 
 
 def test_two_level_validates_partition():
-    with pytest.raises(ValueError):
-        two_level_matching(path_graph(3), {0}, {1})  # vertex 2 unassigned
+    # a vertex in neither side is outside the searched subgraph
+    assert two_level_matching(path_graph(3), {0}, {1}) == two_level_matching(
+        path_graph(2), {0}, {1})
+    for outside in (3, -1):
+        with pytest.raises(ValueError, match="vertices of a graph on 3 vertices"):
+            two_level_matching(path_graph(3), {0}, {1, outside})
     with pytest.raises(ValueError):
         two_level_matching(path_graph(3), {0, 1}, {1, 2})  # classes overlap
     with pytest.raises(ValueError):
@@ -233,11 +242,90 @@ def test_verifier_matches_the_frozen_triple_loop(monkeypatch):
     assert len(kinds) == 8, kinds  # a pass and each of the seven errors
 
 
-def test_lm_run_matches_reference_on_family_instances(monkeypatch):
+def _outcome(run, G, root):
+    try:
+        return run(G, root)
+    except PostconditionError:
+        return PostconditionError
+
+
+# the README's rule-(4) reproduction with its root renamed to 0, on which
+# the search fails in every version
+README_G12 = build_graph(12, [(0, 1), (0, 2), (0, 3), (0, 10), (0, 11), (1, 5), (1, 7), (1, 8),
+                              (2, 6), (2, 7), (2, 9), (3, 4), (3, 5), (3, 6)])
+
+
+def test_lm_run_matches_reference_on_family_instances():
+    # the walk on level sets of G gives the traces of the walk that relabelled
+    # each level pair to a subgraph of its own, from every snail-horn head
+    rng = random.Random(2020)
     graphs = [G for G in _family_instances() if snail_horns(G)]
-    traces = [lm_run(G) for G in graphs]
-    monkeypatch.setattr(lm_module, "two_level_matching", two_level_matching_reference)
-    assert [lm_run(G) for G in graphs] == traces
+    graphs += [layered_graph(rng, rng.choice((30, 60, 120)))[0] for _ in range(40)]
+    graphs.append(README_G12)
+    runs = failed = 0
+    for G in graphs:
+        for head in (h.head for h in snail_horns(G)):
+            got = _outcome(lm_run, G, head)
+            assert got == _outcome(lm_run_reference, G, head), (G, head)
+            runs += 1
+            failed += got is PostconditionError
+    assert runs >= 100 and failed == 1
+
+
+def test_lm_run_searches_the_level_sets_of_the_input_graph(monkeypatch):
+    calls, verify = [], lm_module._verify_two_level
+    monkeypatch.setattr(lm_module, "_verify_two_level",
+                        lambda H, X, Y, res: calls.append((H, X, Y)) or verify(H, X, Y, res))
+    rng = random.Random(2021)
+    graphs = [t_tree(5, 4), s_family(3, 3), bs(3, 5)]
+    graphs += [layered_graph(rng, rng.choice((30, 60)))[0] for _ in range(5)]
+    for G in graphs:
+        calls.clear()
+        trace = lm_run(G)
+        L = levelling(G, trace.root)
+        saturated = [frozenset()] + [frozenset(v for e in (*r.matching, *r.witness_matching)
+                                               for v in e) for r in trace.levels[:-1]]
+        assert calls == [(G, L.levels[r.level - 1], L.levels[r.level] - sat)
+                         for r, sat in zip(trace.levels, saturated)]
+        assert all(H is G for H, _, _ in calls)
+
+
+def test_two_level_matches_reference_on_the_induced_subgraph(monkeypatch):
+    # the search on two vertex sets of a larger graph is the reference search
+    # on the subgraph they induce, relabelled to 0..k-1, in the ids of G; the
+    # terminal states are compared also where the postcondition check fails
+    states, verify = [], lm_module._verify_two_level
+    monkeypatch.setattr(lm_module, "_verify_two_level",
+                        lambda H, X, Y, res: states.append(res) or verify(H, X, Y, res))
+    rng = random.Random(2022)
+    instances = []
+    for _ in range(3000):
+        n = rng.randint(3, 40)
+        G = random_connected_graph(rng, n, extra=rng.choice((0.1, 0.2, 0.3)))
+        S = rng.sample(range(n), rng.randint(2, n - 1))
+        X = set(S[: rng.randint(1, len(S) - 1)])
+        instances.append((G, X, {y for y in S if y not in X and G.adj[y] & X}))
+    # levels 1 and 2 of the README graph without the root's pendants
+    instances.append((README_G12, {1, 2, 3}, set(range(4, 10))))
+    outside_witness = failed = 0
+    for G, X, Y in instances:
+        H, vmap = induced_subgraph(G, X | Y)
+        Xh = {k for k, v in enumerate(vmap) if v in X}
+        ref = two_level_matching_reference(H, Xh, set(range(H.n)) - Xh)
+        expected = TwoLevelResult(
+            frozenset((vmap[a], vmap[b]) for a, b in ref.matching),
+            frozenset(vmap[x] for x in ref.x_residual),
+            frozenset(vmap[y] for y in ref.y_residual),
+            tuple((vmap[x], (vmap[a], vmap[b])) for x, (a, b) in ref.private))
+        try:
+            two_level_matching(G, X, Y)
+        except PostconditionError:
+            failed += 1
+            with pytest.raises(PostconditionError):
+                verify_two_level_frozen(H, frozenset(Xh), frozenset(range(H.n)) - Xh, ref)
+        assert states.pop() == expected, (G, X, Y)
+        outside_witness += any(G.adj[y] - X - Y for _, pair in expected.private for y in pair)
+    assert outside_witness >= 250 and failed == 1, (outside_witness, failed)
 
 
 def test_lm_run_on_double_broom_worked_example():

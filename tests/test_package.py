@@ -1,6 +1,8 @@
 import ast
 import functools
 import importlib
+import inspect
+import json
 import pkgutil
 import re
 import sys
@@ -115,3 +117,26 @@ def test_readme_code_references_resolve():
         except (ImportError, AttributeError):
             unresolved.append(ref)
     assert unresolved == []
+
+
+def test_benchmark_layer_names_are_public_functions():
+    # the traced benchmark reads one value per per-layer metric of
+    # BENCHMARK.json, and the tracer records only the public functions of its
+    # layer modules, so a deleted or renamed function would leave it a name
+    # it cannot fill; families.build is the sum over every families.* span
+    layers = next(ast.literal_eval(node.value)
+                  for node in ast.parse((ROOT / "bench" / "tracer.py").read_text()).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    checked, missing = 0, []
+    for metric in spec["per_layer"]:
+        found = re.fullmatch(r"(\w+)\.(\w+)\.(calls|self_s)", metric["name"])
+        if not found or found[1] not in layers or found.group(1, 2) == ("families", "build"):
+            continue
+        module = importlib.import_module(f"bonematch.{found[1]}")
+        fn = getattr(module, found[2], None)
+        checked += 1
+        if not (found[2] in module.__all__ and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__):
+            missing.append(metric["name"])
+    assert checked >= 20 and missing == []
