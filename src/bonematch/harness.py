@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 from .canon import CanonicalForm, _search, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
-from .matching import CriticalityResult, deficiency, is_deficiency_critical
+from .matching import CriticalityResult, _components, deficiency, is_deficiency_critical
 from .serialize import graph_key, graph_to_json_dict, json_text
 from .structure import _MIS_MAX, admitting_set, clique_number, local_independence_number
 
@@ -315,12 +315,24 @@ def _connected_classes(n_max: int):
 
     ``G`` is the canonical relabelling of the class and ``labelled`` is
     ``n!/|Aut(G)|``, the number of labelled graphs in it.  Order ``n`` adds
-    a vertex with every non-empty neighbourhood to every class of order
-    ``n - 1`` and keeps one graph per canonical code.  That reaches every
-    class, because every connected graph has a vertex whose removal leaves
-    it connected (a leaf of a spanning tree).  Only one neighbourhood per
-    orbit of ``Aut(H)`` is canonicalised: ``H + S`` and ``H + g(S)`` are
+    a new vertex with a non-empty neighbourhood ``S`` to every class ``H`` of
+    order ``n - 1`` and keeps one graph per canonical code.  Only one ``S``
+    per orbit of ``Aut(H)`` is tried: ``H + S`` and ``H + g(S)`` are
     isomorphic for every automorphism ``g`` of ``H``.
+
+    Canonical deletion (McKay, J. Algorithms 26, 1998): ``H + S`` is dropped
+    before it is canonicalised when an old vertex ``u`` has degree above
+    ``|S|`` and ``H + S - u`` is connected, that is when every component of
+    ``H - u`` meets ``S``.  No class is lost.  A connected class ``G`` of
+    order ``n >= 2`` has a vertex ``u*`` of largest degree among the
+    vertices whose removal leaves it connected (a leaf of a spanning tree is
+    one).  ``G - u*`` is a class ``H`` of order ``n - 1``, and an
+    isomorphism onto ``H`` maps ``N(u*)`` to some ``S``, whose orbit is
+    tried.  Its representative gives a graph isomorphic to ``G`` in which
+    the new vertex plays ``u*``, so every old vertex whose removal keeps it
+    connected has degree at most ``|S|``, and the graph is kept.  The filter
+    is the same on a whole orbit, so the kept codes, their ``|Aut|`` and
+    their sorted order are those of the unfiltered generation.
     """
     forms = [canonical_form(build_graph(1, []))]
     for n in range(1, n_max + 1):
@@ -336,9 +348,14 @@ def _connected_classes(n_max: int):
                         low = S & -S
                         image[S] = image[S ^ low] | 1 << g[low.bit_length() - 1]
                     images.append(image)
+                # (degree, u, components of H - u) of every old vertex u
+                cuts = [(m.bit_count(), u, _components(masks, (1 << new) - 1 ^ 1 << u))
+                        for u, m in enumerate(masks)]
                 seen = bytearray(1 << new)
                 for nbrs in range(1, 1 << new):
-                    if seen[nbrs]:
+                    k = nbrs.bit_count()
+                    if seen[nbrs] or any(d + (nbrs >> u & 1) > k and all(c & nbrs for c in comps)
+                                         for d, u, comps in cuts):
                         continue
                     seen[nbrs] = 1
                     orbit = [nbrs]

@@ -2,10 +2,11 @@
 
 The driver levels a graph from a snail-horn head and walks the levels top
 down.  Each step solves a two-level subproblem on two level sets of the
-graph, in its own vertex ids, by local search over two kinds of improving
-moves; the terminal matching is guaranteed (and verified at runtime) to leave
-every residual lower vertex with two private witnesses, which feeds the next
-level.  The sum of the leftover sets bounds the deficiency from above.
+graph, in the graph's own vertex ids, by local search over two kinds of
+improving moves; the terminal matching is guaranteed (and verified at
+runtime) to leave every residual lower vertex with two private witnesses,
+which feeds the next level.  The sum of the leftover sets bounds the
+deficiency from above.
 
 The local search is incremental.  Every upper vertex keeps a count of its
 unmatched lower neighbours, and a move is legal iff no unmatched upper vertex
@@ -174,9 +175,7 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     private = []
     for x in sorted(x_res):
         witnesses = sorted(
-            y for y in y_res
-            if x in adj[y] and all(w in matched for w in adj[y] & S if w != x)
-        )
+            y for y in adj[x] & y_res if all(w in matched for w in adj[y] & S if w != x))
         if len(witnesses) < 2:
             raise PostconditionError(f"residual vertex {x} has {len(witnesses)} private witnesses")
         private.append((x, (witnesses[0], witnesses[1])))

@@ -202,25 +202,19 @@ def brute_force_matching_size(G: Graph) -> int:
     return result
 
 
-def _odd_components(masks: list[int], avail: int) -> int:
-    count = 0
-    rem = avail
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                b = f & -f
-                grow |= masks[b.bit_length() - 1]
-                f &= f - 1
-            frontier = grow & avail & ~comp
-            comp |= frontier
-        if comp.bit_count() & 1:
-            count += 1
-        rem &= ~comp
-    return count
+def _components(masks: list[int], keep: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced by ``keep``."""
+    comps = []
+    while keep:
+        comp = reach = keep & -keep
+        while reach:
+            low = reach & -reach
+            grown = masks[low.bit_length() - 1] & keep & ~comp
+            comp |= grown
+            reach ^= low | grown
+        comps.append(comp)
+        keep &= ~comp
+    return comps
 
 
 def berge_tutte_deficiency(G: Graph) -> int:
@@ -234,7 +228,7 @@ def berge_tutte_deficiency(G: Graph) -> int:
     full = (1 << G.n) - 1
     best = 0
     for s in range(full + 1):
-        value = _odd_components(masks, full & ~s) - s.bit_count()
+        value = sum(c.bit_count() & 1 for c in _components(masks, full & ~s)) - s.bit_count()
         if value > best:
             best = value
     return best

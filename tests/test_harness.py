@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -385,9 +387,28 @@ def _automorphisms(H):
     return found
 
 
+def _kept_by_canonical_deletion(H, S):
+    # H + S is canonicalised unless an old vertex of degree above |S| leaves
+    # it connected when deleted
+    new = {v for v in range(H.n) if S >> v & 1}
+    adj = [a | {H.n} if v in new else a for v, a in enumerate(H.adj)] + [new]
+    for u in range(H.n):
+        if len(adj[u]) > len(new):
+            reached = {H.n}
+            stack = [H.n]
+            while stack:
+                for w in adj[stack.pop()] - reached - {u}:
+                    reached.add(w)
+                    stack.append(w)
+            if len(reached) == H.n:
+                return False
+    return True
+
+
 def test_connected_classes_match_the_frozen_generation(monkeypatch):
-    # One neighbourhood per Aut(H)-orbit is canonicalised, so the classes and
-    # their order must be the reference's, from one canonical form per orbit.
+    # One neighbourhood per Aut(H)-orbit is canonicalised, and only if it
+    # passes the canonical-deletion rule, so the classes and their order must
+    # be the reference's, from one canonical form per kept orbit.
     # Augmentations are searched from their masks, and each class H below the
     # top order takes one more search, for the generators of Aut(H).
     calls = []
@@ -396,14 +417,32 @@ def test_connected_classes_match_the_frozen_generation(monkeypatch):
     got = [(G.adj, labelled) for G, labelled in _connected_classes(7)]
     reference = list(connected_classes_reference(7))
     assert got == [(G.adj, labelled) for G, labelled in reference]
-    orbits = 1  # the call on the single vertex
+    orbits = kept = 1  # the call on the single vertex
     below = [G for G, _ in reference if G.n < 7]
     for H in below:
         images = [{sum(1 << p[v] for v in range(H.n) if S >> v & 1) for p in _automorphisms(H)}
                   for S in range(1, 1 << H.n)]
-        orbits += len({min(orbit) for orbit in images})
-    assert orbits == 4160
-    assert len(calls) == orbits + len(below)
+        representatives = {min(orbit) for orbit in images}
+        orbits += len(representatives)
+        kept += sum(_kept_by_canonical_deletion(H, S) for S in representatives)
+    assert orbits == 4160 and kept == 1325
+    assert len(calls) == kept + len(below)
+
+
+def test_connected_classes_census_of_order_8():
+    # A001349 and A001187 at order 8, and a digest of every class's order,
+    # canonical code and |Aut| in generation order on <= 8 vertices, frozen
+    # from the generation that canonicalised every orbit of augmentations
+    rows = []
+    labelled = Counter()
+    for G, count in _connected_classes(8):
+        code = canon._code(G.adjacency_masks(), list(range(G.n)))
+        rows.append(f"{G.n} {code} {factorial(G.n) // count}\n")
+        labelled[G.n] += count
+    assert sum(row.startswith("8 ") for row in rows) == 11117
+    assert labelled[8] == 251548592 and sum(labelled.values()) == 253442324
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == (
+        "63255ee866c733211124e4a1bb1cee262d57d1483f0f3880ff368a217a388c97")
 
 
 def test_canonical_form_of_large_complete_graphs_stays_under_the_budget():
