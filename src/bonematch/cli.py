@@ -153,6 +153,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_lm(args: argparse.Namespace) -> int:
+    if args.root != "auto" and not args.root.removeprefix("-").isdecimal():
+        raise ValueError(f"--root takes 'auto' or a vertex id, not {args.root!r}")
     G = read_graph_json(args.graph)
     root = None if args.root == "auto" else int(args.root)
     trace = lm_run(G, root)

@@ -76,9 +76,10 @@ class TwoLevelResult:
     """Terminal state of the two-level local search.
 
     ``x_residual`` is the set of unmatched lower-side vertices that still see
-    an unmatched upper vertex; each maps to its two smallest private
-    witnesses in ``private``, sorted by vertex: upper vertices whose only
-    unmatched neighbour is that vertex.
+    an unmatched upper vertex.  ``private`` maps each, sorted by vertex, to its
+    two smallest private witnesses: upper vertices whose only unmatched
+    neighbour is that vertex.  The postcondition check builds this one map
+    from the terminal matching, checks the rules on it and returns it.
     """
 
     matching: frozenset[Edge]
@@ -98,8 +99,8 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     for two new edges.  Both moves must keep every unmatched ``Y`` vertex
     adjacent to an unmatched ``X`` vertex.
 
-    The guarantees of the terminal state are re-verified before returning;
-    a failure raises ``PostconditionError`` and indicates a bug.
+    The terminal state is verified, and its private witnesses are read off the
+    check; a failure raises ``PostconditionError`` and indicates a bug.
     """
     Xs, Ys = frozenset(X), frozenset(Y)
     if not Xs:
@@ -170,19 +171,10 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     while try_add() or try_trade():
         pass
 
+    M = frozenset(matching)
     y_res = frozenset(y for y in Ys if y not in matched)
     x_res = frozenset(x for x in Xs if x not in matched and adj[x] & y_res)
-    private = []
-    for x in sorted(x_res):
-        witnesses = sorted(
-            y for y in adj[x] & y_res if all(w in matched for w in adj[y] & S if w != x))
-        if len(witnesses) < 2:
-            raise PostconditionError(f"residual vertex {x} has {len(witnesses)} private witnesses")
-        private.append((x, (witnesses[0], witnesses[1])))
-
-    result = TwoLevelResult(frozenset(matching), x_res, y_res, tuple(private))
-    _verify_two_level(H, Xs, Ys, result)
-    return result
+    return TwoLevelResult(M, x_res, y_res, _verify_two_level(H, Xs, Ys, M, x_res, y_res))
 
 
 class _Index(NamedTuple):
@@ -271,42 +263,45 @@ def _best_trade(ix: _Index, matching: set[Edge], matched: set[int],
     return None
 
 
-def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int],
-                      res: TwoLevelResult) -> None:
+def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int], matching: frozenset[Edge],
+                      x_res: frozenset[int], y_res: frozenset[int]
+                      ) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """Check a terminal state on its one private-witness map, built from the matching,
+    and return each residual lower vertex with its two smallest witnesses, ascending."""
     adj = H.adj
-    saturated = {v for e in res.matching for v in e}
-    for u, v in res.matching:
+    saturated = {v for e in matching for v in e}
+    for u, v in matching:
         if v not in adj[u]:
             raise PostconditionError(f"matching edge ({u}, {v}) not in graph")
-    if len(saturated) != 2 * len(res.matching):
+    if len(saturated) != 2 * len(matching):
         raise PostconditionError("matching edges share vertices")
     # (1) every residual upper vertex sees a residual lower vertex
-    for y in res.y_residual:
-        if not (adj[y] & res.x_residual):
+    for y in y_res:
+        if not (adj[y] & x_res):
             raise PostconditionError(f"uncovered residual upper vertex {y}")
     # (2) residual upper set is independent
-    for y in res.y_residual:
-        if adj[y] & res.y_residual:
+    for y in y_res:
+        if adj[y] & y_res:
             raise PostconditionError("residual upper set is not independent")
     # (3) two private witnesses each; private[x]: the residual upper y with adj[y] & live == {x}
     live = (X | Y) - saturated
     private: dict[int, set[int]] = {}
-    for y in res.y_residual:
+    for y in y_res:
         seen = adj[y] & live
         if len(seen) == 1:
             private.setdefault(next(iter(seen)), set()).add(y)
-    pairs = dict(res.private)
-    if set(pairs) != set(res.x_residual):
-        raise PostconditionError("private witness map keys do not match the residual set")
-    for x, (y1, y2) in pairs.items():
-        for y in (y1, y2):
-            if y not in private.get(x, ()):
-                raise PostconditionError(f"witness {y} of {x} is not private")
+    pairs = []
+    for x in sorted(x_res):
+        witnesses = sorted(private.get(x, ()))
+        if len(witnesses) < 2:
+            raise PostconditionError(f"residual vertex {x} has {len(witnesses)} private witnesses")
+        pairs.append((x, (witnesses[0], witnesses[1])))
     # (4) each matched lower vertex can spoil at most one residual vertex
     for v in sorted(v for v in saturated if v in X):
-        spoiled = sum(len(private.get(x, set()) - adj[v]) < 2 for x in res.x_residual)
+        spoiled = sum(len(private[x] - adj[v]) < 2 for x in x_res)
         if spoiled > 1:
             raise PostconditionError(f"matched vertex {v} spoils {spoiled} residual vertices")
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -435,16 +430,18 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
 
     seen: set[int] = set()
     for u, v in (e for rec in trace.levels for e in (*rec.matching, *rec.witness_matching)):
-        if v not in G.adj[u]:
+        if not (0 <= u < G.n and 0 <= v < G.n and v in G.adj[u]):
             out.append(TraceViolation("matching-edges", None, f"({u}, {v}) is not an edge"))
         if u in seen or v in seen:
             out.append(TraceViolation("matching-disjoint", None, f"({u}, {v}) reuses a vertex"))
         seen.update((u, v))
 
     covered = seen | {v for rec in trace.levels for v in rec.leftover}
-    if covered != set(range(G.n)):
-        missing = sorted(set(range(G.n)) - covered)
-        out.append(TraceViolation("coverage", None, f"vertices {missing} unaccounted for"))
+    missing, outside = set(range(G.n)) - covered, covered - set(range(G.n))
+    if missing or outside:
+        gaps = [f"vertices {sorted(missing)} unaccounted for"] if missing else []
+        gaps += [f"ids {sorted(outside)} outside the graph"] if outside else []
+        out.append(TraceViolation("coverage", None, "; ".join(gaps)))
 
     for rec in trace.levels:
         z = len(rec.leftover)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -82,6 +83,16 @@ def test_analyze_reports_profile(tmp_path, capsys):
     assert "alpha_l        3" in out
     assert "admitting      {3}" in out
     assert "snail horns    2" in out
+
+
+@pytest.mark.parametrize("cap, admitting", [(2, "{}"), (3, "{3}")])
+def test_analyze_caps_the_bone_indices_searched(tmp_path, capsys, cap, admitting):
+    path = make_graph_file(tmp_path, "bs", "n=2,p=3")
+    out_path = tmp_path / "analysis.json"
+    capsys.readouterr()
+    assert run_cli(["analyze", str(path), "--max-bone", str(cap), "--out", str(out_path)]) == 0
+    assert f"admitting      {admitting} (cap {cap})" in capsys.readouterr().out
+    assert json.loads(out_path.read_text())["profile"]["admitting_cap"] == cap
 
 
 def test_analyze_criticality_and_artifact(tmp_path, capsys):
@@ -226,6 +237,43 @@ def test_lm_rejects_non_head_root(tmp_path, capsys):
     path = make_graph_file(tmp_path, "bs", "n=2,p=3")
     assert run_cli(["lm", str(path), "--root", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("root", ["x", "1.0", "", "--1"])
+def test_lm_refuses_a_root_that_is_no_vertex_id(tmp_path, capsys, root):
+    path = make_graph_file(tmp_path, "bs", "n=2,p=3")
+    capsys.readouterr()
+    assert run_cli(["lm", str(path), f"--root={root}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --root takes 'auto' or a vertex id, not {root!r}\n"
+
+
+def test_lm_runs_from_the_given_snail_horn_head(tmp_path, capsys):
+    path = make_graph_file(tmp_path, "bs", "n=2,p=3")
+    trace_path = tmp_path / "trace.json"
+    capsys.readouterr()
+    assert run_cli(["lm", str(path), "--root", "2", "--out", str(trace_path)]) == 0
+    assert "root           2" in capsys.readouterr().out
+    trace = json.loads(trace_path.read_text())["trace"]
+    assert trace == lm_run(bs(2, 3), 2).to_json_dict() != lm_run(bs(2, 3), 0).to_json_dict()
+
+
+def test_lm_prints_the_readme_rule_4_reproduction(tmp_path, capsys):
+    # README "Known issue: two-level rule (4)": each JSON graph is followed by
+    # the stderr line that bonematch lm prints for it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Known issue: two-level rule (4)")[1].split("\n#")[0]
+    graphs = re.findall(r"```json\n(.*?)```", section, re.S)
+    messages = re.findall(r"`(internal check failed: [^`]*)`", section)
+    assert len(graphs) == 2 and messages == [
+        f"internal check failed: matched vertex {v} spoils 2 residual vertices" for v in (0, 1)]
+    for k, (text, message) in enumerate(zip(graphs, messages)):
+        path = tmp_path / f"g{k}.json"
+        path.write_text(text)
+        assert run_cli(["lm", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
 
 
 def test_lm_reports_a_failed_internal_check_without_traceback(tmp_path, capsys, monkeypatch):

@@ -168,58 +168,73 @@ def test_trade_candidates_match_reference_and_cover_both_kinds(monkeypatch):
             kinds[_trade_kind(*instance, before, old, ix.edges[i], ix.edges[j])] += 1
         return move
 
-    def spy_verify(H, X, Y, res):
-        results.append(res)
-        verify(H, X, Y, res)
+    def spy_verify(H, X, Y, *state):
+        results.append(state)
+        return verify(H, X, Y, *state)
 
     monkeypatch.setattr(lm_module, "_best_trade", spy_trade)
     monkeypatch.setattr(lm_module, "_verify_two_level", spy_verify)
     for seed in range(800):
         H, X, Y = _bipartite_two_level_instance(seed, k_max=5 if seed % 2 else 9)
         instance[:] = [H, X]
+        ref = two_level_matching_reference(H, X, Y)
         # some of these inputs fail postcondition (4) in every version of the
         # search; the terminal states are compared all the same
         try:
-            two_level_matching(H, X, Y)
+            assert two_level_matching(H, X, Y) == ref, seed
         except PostconditionError:
             pass
-        assert results[-1] == two_level_matching_reference(H, X, Y), seed
+        assert results[-1] == (ref.matching, ref.x_residual, ref.y_residual), seed
     assert kinds["other"] == 0, kinds
     assert kinds["touching"] >= 150 and kinds["rescued"] >= 30, kinds
 
 
-def _verdict(verify, H, X, Y, res):
+def _verdict(verify, H, X, Y, *state):
     try:
-        verify(H, X, Y, res)
+        return "pass", verify(H, X, Y, *state)
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    return None
 
 
-def _perturbed(H, res, rng):
+def _perturbed(H, state, rng):
     # broken copies of a terminal state, one for each way the check can fail
-    M, pv = res.matching, res.private
+    M, x_res, y_res = state
     u, v = rng.sample(range(H.n), 2)
     w = rng.randrange(H.n)
-    out = [replace(res, matching=M | {(u, v)}), replace(res, x_residual=res.x_residual ^ {w}),
-           replace(res, y_residual=res.y_residual ^ {w})]
+    out = [(M | {(u, v)}, x_res, y_res), (M, x_res ^ {w}, y_res), (M, x_res, y_res ^ {w})]
     if M:
         a, b = min(M)
-        out += [replace(res, matching=M | {(b, a)}), replace(res, matching=M - {(a, b)})]
-    if pv:
-        # a foreign witness, alone or overridden by a later pair for the same vertex
-        x, (y1, _) = pv[0]
-        foreign = ((x, (y1, rng.randrange(H.n))), *pv[1:])
-        out += [replace(res, private=pv[1:]), replace(res, private=foreign),
-                replace(res, private=(*foreign, pv[0]))]
+        out += [(M | {(b, a)}, x_res, y_res), (M - {(a, b)}, x_res, y_res)]
     return out
 
 
+def _frozen_verdict(H, X, Y, state, got):
+    # The frozen check reads a witness listing: the one the check under test
+    # returned on a pass, else the two smallest witnesses of each residual
+    # vertex that has two.  It reports a vertex short of two, left out of the
+    # listing, as a key mismatch, its form of rule (3); that is translated.
+    M, x_res, y_res = state
+    live = (X | Y) - {v for e in M for v in e}
+    count, listing = {}, ()
+    for x in sorted(x_res):
+        ws = sorted(y for y in y_res if H.adj[y] & live == {x})
+        count[x] = len(ws)
+        listing += ((x, (ws[0], ws[1])),) if len(ws) >= 2 else ()
+    listing = got[1] if got[0] == "pass" else listing
+    verdict = _verdict(verify_two_level_frozen, H, X, Y, TwoLevelResult(*state, listing))
+    if verdict[0] == "pass":
+        return "pass", listing
+    if verdict[1] == "private witness map keys do not match the residual set":
+        x = min(x for x, k in count.items() if k < 2)
+        return verdict[0], f"residual vertex {x} has {count[x]} private witnesses"
+    return verdict
+
+
 def test_verifier_matches_the_frozen_triple_loop(monkeypatch):
-    # the one-pass private-witness map gives every state, terminal or broken,
-    # the outcome of the check as first written: a pass, or the same error
+    # the one private-witness map gives every state, terminal or broken, the
+    # outcome of the check as first written: a pass, or the same error
     states, verify = [], lm_module._verify_two_level
-    monkeypatch.setattr(lm_module, "_verify_two_level", lambda *state: states.append(state))
+    monkeypatch.setattr(lm_module, "_verify_two_level", lambda *args: states.append(args) or ())
     instances = [_bipartite_two_level_instance(seed, k_max=5 if seed % 2 else 9)
                  for seed in range(2000)]
     instances += [_random_two_level_instance(seed, n_max=60 if seed % 4 == 0 else 14)
@@ -234,12 +249,12 @@ def test_verifier_matches_the_frozen_triple_loop(monkeypatch):
     assert _verdict(verify, *states[-1]) == (
         "PostconditionError", "matched vertex 0 spoils 2 residual vertices")
     rng, kinds = random.Random(14), Counter()
-    for H, X, Y, res in states:
-        for state in (res, *_perturbed(H, res, rng)):
-            got = _verdict(verify, H, X, Y, state)
-            assert got == _verdict(verify_two_level_frozen, H, X, Y, state), (H, state)
-            kinds[got and re.sub(r"\d+", "#", got[1])] += 1
-    assert len(kinds) == 8, kinds  # a pass and each of the seven errors
+    for H, X, Y, *state in states:
+        for s in (tuple(state), *_perturbed(H, state, rng)):
+            got = _verdict(verify, H, X, Y, *s)
+            assert got == _frozen_verdict(H, X, Y, s, got), (H, s)
+            kinds[got[0] == "pass" or re.sub(r"\d+", "#", got[1])] += 1
+    assert len(kinds) == 7, kinds  # a pass and each of the six errors
 
 
 def _outcome(run, G, root):
@@ -275,7 +290,7 @@ def test_lm_run_matches_reference_on_family_instances():
 def test_lm_run_searches_the_level_sets_of_the_input_graph(monkeypatch):
     calls, verify = [], lm_module._verify_two_level
     monkeypatch.setattr(lm_module, "_verify_two_level",
-                        lambda H, X, Y, res: calls.append((H, X, Y)) or verify(H, X, Y, res))
+                        lambda H, X, Y, *state: calls.append((H, X, Y)) or verify(H, X, Y, *state))
     rng = random.Random(2021)
     graphs = [t_tree(5, 4), s_family(3, 3), bs(3, 5)]
     graphs += [layered_graph(rng, rng.choice((30, 60)))[0] for _ in range(5)]
@@ -296,7 +311,7 @@ def test_two_level_matches_reference_on_the_induced_subgraph(monkeypatch):
     # terminal states are compared also where the postcondition check fails
     states, verify = [], lm_module._verify_two_level
     monkeypatch.setattr(lm_module, "_verify_two_level",
-                        lambda H, X, Y, res: states.append(res) or verify(H, X, Y, res))
+                        lambda H, X, Y, *state: states.append(state) or verify(H, X, Y, *state))
     rng = random.Random(2022)
     instances = []
     for _ in range(3000):
@@ -318,12 +333,13 @@ def test_two_level_matches_reference_on_the_induced_subgraph(monkeypatch):
             frozenset(vmap[y] for y in ref.y_residual),
             tuple((vmap[x], (vmap[a], vmap[b])) for x, (a, b) in ref.private))
         try:
-            two_level_matching(G, X, Y)
+            assert two_level_matching(G, X, Y) == expected, (G, X, Y)
         except PostconditionError:
             failed += 1
             with pytest.raises(PostconditionError):
                 verify_two_level_frozen(H, frozenset(Xh), frozenset(range(H.n)) - Xh, ref)
-        assert states.pop() == expected, (G, X, Y)
+        assert states.pop() == (expected.matching, expected.x_residual,
+                                expected.y_residual), (G, X, Y)
         outside_witness += any(G.adj[y] - X - Y for _, pair in expected.private for y in pair)
     assert outside_witness >= 250 and failed == 1, (outside_witness, failed)
 
@@ -441,6 +457,24 @@ def test_validate_trace_flags_nonedge_matching():
     bad = replace(trace, levels=tuple(levels))
     rules = {v.rule for v in validate_trace(G, bad, profile)}
     assert "matching-edges" in rules
+
+
+@pytest.mark.parametrize("field", ["matching", "witness_matching", "leftover"])
+@pytest.mark.parametrize("bad", [7, -1])
+def test_validate_trace_flags_ids_outside_the_graph(field, bad):
+    # level 3 of the bs(2, 3) trace has M' = ((2, 5),) and Z = (6,); an id
+    # outside 0..6 takes the place of 5 in M or M', or of 6 in Z.  Vertex 6
+    # sees 2, so -1 must not be read as 6
+    G, trace, profile = _valid_trace_fixture()
+    top = trace.levels[0]
+    if field == "leftover":
+        top, lost, edges = replace(top, leftover=(bad,)), 6, []
+    else:
+        top = replace(top, **{"witness_matching": (), field: ((bad, 2),)})
+        lost, edges = 5, [f"[matching-edges]: ({bad}, 2) is not an edge"]
+    bad_trace = replace(trace, levels=(top, *trace.levels[1:]))
+    assert [str(v) for v in validate_trace(G, bad_trace, profile)] == [
+        *edges, f"[coverage]: vertices [{lost}] unaccounted for; ids [{bad}] outside the graph"]
 
 
 def test_validate_trace_flags_overlapping_matchings():
