@@ -127,6 +127,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.max_bone is not None and args.max_bone < 0:
+        raise ValueError(f"--max-bone takes a bone index cap of 0 or more, not {args.max_bone}")
     G = read_graph_json(args.graph)
     profile = structure_profile(G, i_max=args.max_bone)
     kd = deficiency(G)

@@ -415,9 +415,11 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
     matched to ``x``, distinct by (3).  Leftover bounds: ``x``'s residual upper
     neighbours are independent (2), also with its BFS parent, which sees no
     level-``i`` vertex, so ``x`` sees at most ``alpha_l - 1`` leftover vertices
-    at the root and ``alpha_l - 2`` below.  clean-level: ``x``'s two witnesses
-    (3) are non-adjacent (2) children.  admitting-membership: they, a shortest
-    root path to ``x`` and the root's two beards form an induced bone of index ``i``.
+    at the root and ``alpha_l - 2`` below; the cap counts the distinct ids of
+    ``X_residual`` on level ``i - 1``, and residual-level flags any other.
+    clean-level: ``x``'s two witnesses (3) are non-adjacent (2) children.
+    admitting-membership: they, a shortest root path to ``x`` and the root's
+    two beards form an induced bone of index ``i``.
     """
     if profile.admitting_cap < min(trace.depth, G.n - 4):
         raise ValueError("trace validation needs the admitting set up to the trace depth")
@@ -445,13 +447,19 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
 
     for rec in trace.levels:
         z = len(rec.leftover)
+        lower = L.levels[rec.level - 1]
+        stray = sorted(set(rec.x_residual) - lower)
+        if stray:
+            out.append(TraceViolation(
+                "residual-level", rec.level,
+                f"X_residual ids {stray} are not at level {rec.level - 1}"))
         if rec.level == 1:
             if z > alpha - 1:
                 out.append(TraceViolation(
                     "first-level-leftover", 1,
                     f"|Z| = {z} exceeds alpha_l - 1 = {alpha - 1}"))
         else:
-            cap = (alpha - 2) * len(rec.x_residual)
+            cap = (alpha - 2) * len(lower.intersection(rec.x_residual))
             if z > cap:
                 out.append(TraceViolation(
                     "leftover-vs-residual", rec.level,

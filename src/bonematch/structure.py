@@ -6,28 +6,46 @@ edges.  The admitting set of a graph collects the indices of all bones it
 contains as induced subgraphs.
 
 One depth-first search over induced paths answers every bone query.  It
-starts from each vertex ``s`` of degree at least 3 in increasing order,
-grows induced spines from ``s``, and at each wanted spine length tries to
-close the spine into a bone by picking a pendant pair at each end.  It
-records the first bone of each index and drops an index once found.
+starts from each claw centre ``s`` (below) in increasing order, grows
+induced spines from ``s``, and at each wanted spine length tries to close
+the spine into a bone by picking a pendant pair at each end.  It records the
+first bone of each index and drops an index once found.
 
 The search closes a spine only at a tail ``t > s``, so each bone is found
-from its smaller end.  This changes no result and no node count.  A close
-that would succeed at start ``s`` with a tail ``t < s`` is a bone with spine
-ends ``t`` and ``s``.  Reversed, it is a bone whose spine starts at ``t``,
-and the search from ``t`` reaches that spine and can close it there.  So
-the first start that reaches a bone of index ``i`` is the least smaller end
-of such bones, and at that start a close at ``t < s`` would be a bone with
-smaller end ``t < s``, which is a contradiction.  Every skipped close would
-have failed, the DFS visits the same nodes, and each index is first found
-at the same node, with the same embedding, as when both directions are
-closed.
+from its smaller end.  A close that would succeed at start ``s`` with a tail
+``t < s`` is a bone with spine ends ``t`` and ``s``.  Reversed, it is a bone
+whose spine starts at ``t``, and the search from ``t`` reaches that spine
+and can close it there.  So the first start that reaches a bone of index
+``i`` is the least smaller end of such bones, and at that start a close at
+``t < s`` would be a bone with smaller end ``t < s``, which is a
+contradiction.  Every skipped close would have failed, and each index is
+first found at the same node, with the same embedding, as when both
+directions are closed.
 
-A close also needs two right candidates: neighbours of the tail off the
-spine and not adjacent to its other vertices.  The search keeps the union of
-the neighbourhoods of the spine per depth.  It tells whether a next vertex
-keeps the path induced, and it gives the right candidates as one mask, so a
-close with fewer than two is skipped before any list is built.
+Each end of the spine of an induced bone is the centre of an induced claw
+``K_{1,3}``: its spine neighbour and its two pendants are pairwise
+non-adjacent.  The search computes the claw centres once and skips work
+that holds no successful close at a tail above the start:
+
+- it starts only from claw centres, and ends once none lies above the start;
+- it closes only at a tail that is a claw centre;
+- it extends a spine with tail ``w`` only while some claw centre above the
+  start lies off the spine and outside the neighbourhoods of the spine
+  vertices before ``w``.  The spine stays induced, so no later tail is
+  adjacent to a vertex before ``w``; with no claw centre left there, no
+  close further along the spine can succeed.
+
+So the closes that succeed, and their order, are those of the search
+without these skips: every result and every early stop is the same.  The
+search visits a subset of that search's nodes, in the same order, so its
+node count never grows.
+
+A close also needs two right candidates.  The neighbours of the tail off
+the spine and not adjacent to its other vertices are both its right
+candidates and the vertices that keep the spine induced one step further.
+The search keeps the union of the neighbourhoods of the spine per depth and
+gives them as one mask, so a close with fewer than two is skipped before
+any list is built.
 
 A query may name indices to stop at (``admitting_set``'s ``stop``).  Every
 hypothesis of the form "no bone of these indices" is anti-monotone: one
@@ -43,6 +61,7 @@ from typing import Any
 
 from .errors import GuardExceededError
 from .graphs import Graph, snail_horns
+from .matching import _mask_vertices
 
 __all__ = [
     "local_independence_number",
@@ -147,14 +166,31 @@ class BoneEmbedding:
         return frozenset(self.path) | set(self.pendants_left) | set(self.pendants_right)
 
 
-def _close(masks: list[int], nbrs: list[list[int]], path: list[int], left: int,
-           right: int) -> BoneEmbedding | None:
-    # First pendant pair at each end, in sorted order.  ``left`` already
+def _claw_centres(masks: list[int]) -> int:
+    # Bitmask of the vertices with three pairwise non-adjacent neighbours
+    # a < b < c: the centres of induced claws.
+    centres = 0
+    for v, rest in enumerate(masks):
+        while rest and not centres >> v & 1:
+            a = rest & -rest
+            rest ^= a
+            far = rest & ~masks[a.bit_length() - 1]
+            while far:
+                b = far & -far
+                far ^= b
+                if far & ~masks[b.bit_length() - 1]:
+                    centres |= 1 << v
+                    break
+    return centres
+
+
+def _close(masks: list[int], path: list[int], left: int, right: int) -> BoneEmbedding | None:
+    # First pendant pair at each end, in ascending order.  ``left`` already
     # excludes every neighbour of the later spine vertices, and ``right``
     # (neighbours of the tail off the spine and not adjacent to its other
     # vertices) excludes every neighbour of ``path[0]``, so the pairs are disjoint.
-    right_list = [w for w in nbrs[path[-1]] if right >> w & 1]
-    for a1, a2 in combinations([w for w in nbrs[path[0]] if left >> w & 1], 2):
+    right_list = _mask_vertices(right)
+    for a1, a2 in combinations(_mask_vertices(left), 2):
         if masks[a1] >> a2 & 1:
             continue
         blocked = masks[a1] | masks[a2]
@@ -166,19 +202,21 @@ def _close(masks: list[int], nbrs: list[list[int]], path: list[int], left: int,
 
 def _bone_scan(G: Graph, wanted: set[int],
                stop: frozenset[int] = frozenset()) -> dict[int, BoneEmbedding]:
-    # One depth-first search over induced paths from every vertex of degree
-    # at least 3, recording the first bone of each wanted index; it returns
-    # at once after recording an index in ``stop``.  ``left`` is the start's
+    # One depth-first search over induced paths from every claw centre that
+    # has a claw centre above it, recording the first bone of each wanted
+    # index; it returns at once after recording an index in ``stop``.  ``hi``
+    # is the claw centres above the start.  ``left`` is the start's
     # private-pendant candidates: neighbours off the path and not adjacent to
     # any later spine vertex; a branch with fewer than two is dropped.
     # ``near`` is the union of the neighbourhoods of the spine before its
-    # tail, so a next vertex in it would make the path not induced; ``reach``
-    # adds the tail's, so a new tail ``w`` has the right candidates
-    # ``masks[w] & ~(body | reach)``.  Only a tail above the start is closed,
-    # and only with two right candidates (see the module docstring).  Every
-    # DFS node counts against ``_BONE_BUDGET``.  ``todo`` holds one neighbour
-    # iterator per spine vertex, so a long spine cannot hit Python's
-    # recursion limit.
+    # tail; ``reach`` adds the tail's, so a new tail ``w`` has the right
+    # candidates ``masks[w] & ~(body | reach)``, which are also the vertices
+    # that keep its spine induced.  Only a tail in ``hi`` is closed, only
+    # with two right candidates, and a node is extended only while ``hi``
+    # has a vertex outside ``body | reach`` (see the module docstring).
+    # Every node visited counts against ``_BONE_BUDGET``.  ``cands`` holds the
+    # unvisited candidates of each spine vertex as a mask, popped lowest bit
+    # first, so a long spine cannot hit Python's recursion limit.
     if G.n - 4 in wanted and G.edge_count() != G.n - 1:
         wanted = wanted - {G.n - 4}  # a spanning bone is a tree
     found: dict[int, BoneEmbedding] = {}
@@ -186,47 +224,49 @@ def _bone_scan(G: Graph, wanted: set[int],
         return found
     budget = _BONE_BUDGET
     masks = G.adjacency_masks()
-    nbrs = [sorted(s) for s in G.adj]
     missing = set(wanted)
     top = max(missing)
     nodes = 0
-    for v0 in range(G.n):
-        if len(nbrs[v0]) < 3:
-            continue
-        path, body, todo = [v0], 1 << v0, [iter(nbrs[v0])]
-        lefts, nears = [masks[v0]], [0]
-        while todo:
-            near = nears[-1]
-            reach = near | masks[path[-1]]
-            for w in todo[-1]:
-                bit = 1 << w
+    hi = _claw_centres(masks)
+    while hi & (hi - 1):  # a start needs a claw centre above it
+        start = hi & -hi
+        hi ^= start
+        v0 = start.bit_length() - 1
+        path, body = [v0], start
+        cands, lefts, nears = [masks[v0]], [masks[v0]], [0]
+        while cands:
+            todo = cands.pop()
+            reach = nears[-1] | masks[path[-1]]
+            free = hi & ~(body | reach)
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                w = bit.bit_length() - 1
                 left = lefts[-1] & ~(masks[w] | bit)
-                if body & bit or near & bit or left.bit_count() < 2:
+                if left.bit_count() < 2:
                     continue
                 nodes += 1
                 if nodes > budget:
                     raise GuardExceededError(f"bone search exceeded {budget} DFS nodes")
                 path.append(w)
                 body |= bit
-                if len(path) in missing and w > v0:
-                    right = masks[w] & ~(body | reach)
-                    if right.bit_count() >= 2:
-                        emb = _close(masks, nbrs, path, left, right)
-                        if emb is not None:
-                            found[emb.index] = emb
-                            missing.discard(emb.index)
-                            if not missing or emb.index in stop:
-                                return found
-                            top = max(missing)
-                if len(path) < top:
+                right = masks[w] & ~(body | reach)
+                if len(path) in missing and hi & bit and right.bit_count() >= 2:
+                    emb = _close(masks, path, left, right)
+                    if emb is not None:
+                        found[emb.index] = emb
+                        missing.discard(emb.index)
+                        if not missing or emb.index in stop:
+                            return found
+                        top = max(missing)
+                if len(path) < top and free:
+                    cands += (todo, right)
                     lefts.append(left)
                     nears.append(reach)
-                    todo.append(iter(nbrs[w]))
                     break
                 path.pop()
                 body ^= bit
             else:
-                todo.pop()
                 lefts.pop()
                 nears.pop()
                 body ^= 1 << path.pop()

@@ -95,6 +95,20 @@ def test_analyze_caps_the_bone_indices_searched(tmp_path, capsys, cap, admitting
     assert json.loads(out_path.read_text())["profile"]["admitting_cap"] == cap
 
 
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_analyze_refuses_a_negative_bone_cap_before_reading_the_graph(tmp_path, capsys, cap):
+    # the second file does not exist, so a refusal after the read would name it
+    path = make_graph_file(tmp_path, "bs", "n=2,p=3")
+    capsys.readouterr()
+    for graph in (path, tmp_path / "missing.json"):
+        assert run_cli(["analyze", str(graph), f"--max-bone={cap}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-bone takes a bone index cap of 0 or more, not {cap}\n"
+    assert run_cli(["analyze", str(path), "--max-bone", "0"]) == 0
+    assert "admitting      {} (cap 0)" in capsys.readouterr().out
+
+
 def test_analyze_criticality_and_artifact(tmp_path, capsys):
     path = make_graph_file(tmp_path, "bs", "n=2,p=3")
     out_path = tmp_path / "analysis.json"

@@ -477,6 +477,24 @@ def test_validate_trace_flags_ids_outside_the_graph(field, bad):
         *edges, f"[coverage]: vertices [{lost}] unaccounted for; ids [{bad}] outside the graph"]
 
 
+def test_validate_trace_flags_residual_ids_off_the_lower_level():
+    # level 3 of the bs(2, 3) trace has X_residual = (2,); with M' = ((2, 5),)
+    # moved into Z = (5, 6), the id 99 padded into X_residual must not raise
+    # the leftover cap (alpha_l - 2)|X| from 1 to 2
+    G, trace, profile = _valid_trace_fixture()
+    top = replace(trace.levels[0], witness_matching=(), leftover=(5, 6))
+    moved = replace(trace, levels=(top, *trace.levels[1:]), bound=4)
+    padded = replace(moved, levels=(replace(top, x_residual=(2, 99)), *trace.levels[1:]))
+    cap = "[leftover-vs-residual] at level 3: |Z| = 2 exceeds (alpha_l - 2)|X| = 1"
+    coverage = "[coverage]: vertices [2] unaccounted for"
+    assert [str(v) for v in validate_trace(G, moved, profile)] == [coverage, cap]
+    assert [str(v) for v in validate_trace(G, padded, profile)] == [
+        coverage, "[residual-level] at level 3: X_residual ids [99] are not at level 2", cap]
+    off_level = replace(moved, levels=(replace(top, x_residual=(1,)), *trace.levels[1:]))
+    assert "[residual-level] at level 3: X_residual ids [1] are not at level 2" in [
+        str(v) for v in validate_trace(G, off_level, profile)]
+
+
 def test_validate_trace_flags_overlapping_matchings():
     G, trace, profile = _valid_trace_fixture()
     levels = list(trace.levels)

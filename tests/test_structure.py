@@ -120,33 +120,64 @@ def test_bone_search_agrees_with_oracles():
                 assert (got is not None) == (i in A)
 
 
+def _dense_graphs():
+    # triangles leave many vertices of degree 3 or more that are no claw centre
+    rng = random.Random(2311)
+    for k in range(160):
+        yield random_connected_graph(rng, 8 + k % 13, extra=(0.2, 0.3, 0.45, 0.6)[k % 4])
+
+
 def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
-    # Closing spines only at a tail above the start, and only with two right
-    # candidates, finds each index at the same node with the same embedding.
-    # A stopped scan is the full scan's prefix up to its first stopping index.
+    # Closing spines in one direction at claw centres, and pruning branches
+    # that cannot reach one, finds each index at the same node with the same
+    # embedding within the reference's node budget, and strictly under it on
+    # most graphs.  A stopped scan is the full scan's prefix up to its first
+    # stopping index.
     stops = [frozenset(range(2, 30, 2)), frozenset(range(3, 30, 2)), frozenset(range(2, 30))]
-    stopped = 0
-    for G in _oracle_graphs():
-        wanted = set(range(2, G.n - 3))
-        expected, nodes = bone_scan_reference(G, wanted)
-        monkeypatch.setattr(structure, "_BONE_BUDGET", nodes)  # the same node count
-        found = structure._bone_scan(G, wanted)
-        assert found == expected and list(found) == list(expected), G.edges()
-        if nodes:
-            monkeypatch.setattr(structure, "_BONE_BUDGET", nodes - 1)
-            with pytest.raises(GuardExceededError):
-                structure._bone_scan(G, wanted)
-        monkeypatch.undo()
-        items = list(expected.items())
-        for stop in stops:
-            cut = next((k + 1 for k, (i, _) in enumerate(items) if i in stop), len(items))
-            assert structure._bone_scan(G, wanted, stop) == dict(items[:cut]), (stop, G.edges())
-            stopped += cut < len(items)
-    assert stopped >= 100
+    for graphs, least in ((_oracle_graphs(), 50), (_dense_graphs(), 150)):
+        fewer = stopped = 0
+        for G in graphs:
+            wanted = set(range(2, G.n - 3))
+            expected, nodes = bone_scan_reference(G, wanted)
+            monkeypatch.setattr(structure, "_BONE_BUDGET", nodes)
+            found = structure._bone_scan(G, wanted)
+            assert found == expected and list(found) == list(expected), G.edges()
+            if nodes:
+                monkeypatch.setattr(structure, "_BONE_BUDGET", nodes - 1)
+                try:
+                    structure._bone_scan(G, wanted)
+                    fewer += 1
+                except GuardExceededError:
+                    pass
+            monkeypatch.undo()
+            items = list(expected.items())
+            for stop in stops:
+                cut = next((k + 1 for k, (i, _) in enumerate(items) if i in stop), len(items))
+                assert structure._bone_scan(G, wanted, stop) == dict(items[:cut]), (stop, G.edges())
+                stopped += cut < len(items)
+        assert stopped >= 100 and fewer >= least
+
+
+def test_claw_centres_match_the_neighbourhood_scan():
+    rng = random.Random(1733)
+    for k in range(300):
+        G = random_connected_graph(rng, 4 + k % 12, extra=(0.1, 0.25, 0.4, 0.6)[k % 4])
+        centres = structure._claw_centres(G.adjacency_masks())
+        assert {v for v in G.vertices() if centres >> v & 1} == {
+            v for v in G.vertices() if has_independent_neighbors(G, v, 3)}, G.edges()
+
+
+def test_claw_free_graphs_scan_no_node(monkeypatch):
+    monkeypatch.setattr(structure, "_BONE_BUDGET", 0)
+    cycle = build_graph(12, [(v, (v + 1) % 12) for v in range(12)])
+    for G in (complete_graph(8), cycle):
+        assert admitting_set(G) == frozenset()
+        assert find_induced_bone(G, 2) is None
 
 
 def test_bone_search_budget_trips_guard(monkeypatch):
-    monkeypatch.setattr(structure, "_BONE_BUDGET", 10)
+    # find_induced_bone(G, 8) visits 7 nodes, the full admitting-set scan more
+    monkeypatch.setattr(structure, "_BONE_BUDGET", 6)
     G = f_family(1, 2)
     with pytest.raises(GuardExceededError):
         admitting_set(G)
@@ -154,6 +185,8 @@ def test_bone_search_budget_trips_guard(monkeypatch):
         find_induced_bone(G, 8)
     result = check_theorem(G, TheoremSpec("thm-1.3-bonefree"))
     assert result.verdict == "indeterminate" and not result.passed
+    monkeypatch.setattr(structure, "_BONE_BUDGET", 7)
+    assert find_induced_bone(G, 8) is not None
 
 
 def test_bone_search_on_sparse_80_vertex_graph_ends():
