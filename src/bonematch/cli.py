@@ -182,10 +182,8 @@ def _cmd_lm(args: argparse.Namespace) -> int:
         for r, b in sweep:
             marker = "  <- best" if (r, b) == (best_root, best_bound) else ""
             print(f"  root {r:>3}  bound {b}{marker}")
-    # trace validation never reads omega, so its 40-vertex guard is skipped,
-    # and reads the admitting set only up to the depth of the trace
-    profile = structure_profile(G, trace.depth, with_omega=False)
-    violations = validate_trace(G, trace, profile)
+    # trace validation reads alpha_l only: the levelling certifies its bones
+    violations = validate_trace(G, trace, structure_profile(G, 0))
     if args.out:
         payload = {"graph": graph_to_json_dict(G), "trace": trace.to_json_dict(),
                    "exact": exact, "gap": trace.bound - exact,

@@ -55,7 +55,7 @@ from typing import Any, Iterable, NamedTuple
 from .errors import PostconditionError
 from .graphs import Graph, is_clean_level, levelling, snail_horns
 from .matching import deficiency
-from .structure import StructureProfile
+from .structure import StructureProfile, find_induced_bone
 
 __all__ = [
     "TwoLevelResult",
@@ -350,6 +350,10 @@ class LMTrace:
         }
 
 
+def _is_horn_head(G: Graph, v: int) -> bool:
+    return 0 <= v < G.n and sum(G.degree(y) == 1 for y in G.adj[v]) >= 2
+
+
 def _horn_heads(G: Graph) -> list[int]:
     horns = snail_horns(G)
     if not horns:
@@ -367,7 +371,7 @@ def lm_run(G: Graph, root: int | None = None) -> LMTrace:
     """
     if root is None:
         root = _horn_heads(G)[0]
-    elif not (0 <= root < G.n and sum(G.degree(y) == 1 for y in G.adj[root]) >= 2):
+    elif not _is_horn_head(G, root):
         raise ValueError(f"root {root} is not a snail-horn head")
     L = levelling(G, root)
     records: list[LMLevel] = []
@@ -404,11 +408,8 @@ class TraceViolation(NamedTuple):
 def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[TraceViolation]:
     """Check a level walk against every guarantee the theory promises.
 
-    The membership rule reads the admitting set at levels ``2..depth`` only,
-    and no bone index exceeds ``n - 4``, so ``profile`` must carry it up to
-    ``min(trace.depth, n - 4)``; with a smaller cap the rule cannot be
-    decided and a ``ValueError`` is raised.  An empty return value means the
-    trace is fully consistent.
+    ``profile`` is read for alpha_l only, so ``structure_profile(G, 0)``
+    will do.  An empty return value means the trace is fully consistent.
 
     The level rules need two-level rules (1)-(3), not (4).  A leftover vertex
     at level ``i`` sees a residual lower ``x`` (1) and is not the witness
@@ -418,11 +419,14 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
     at the root and ``alpha_l - 2`` below; the cap counts the distinct ids of
     ``X_residual`` on level ``i - 1``, and residual-level flags any other.
     clean-level: ``x``'s two witnesses (3) are non-adjacent (2) children.
-    admitting-membership: they, a shortest root path to ``x`` and the root's
-    two beards form an induced bone of index ``i``.
+    admitting-membership: from a snail-horn head, a level ``i >= 2`` that is
+    not clean holds an induced bone of index ``i``: a shortest root path to
+    some ``u`` at level ``i - 1`` (induced, ``i`` vertices), the root's two
+    beards, which see only the root, and two non-adjacent children of ``u``,
+    which see no other path vertex, as those lie at level ``i - 2`` or lower.
+    So only a leftover on a clean level, which clean-level flags, or a root
+    that is no horn head takes a bone search.
     """
-    if profile.admitting_cap < min(trace.depth, G.n - 4):
-        raise ValueError("trace validation needs the admitting set up to the trace depth")
     L = levelling(G, trace.root)
     if trace.depth != L.N or [r.level for r in trace.levels] != list(range(L.N, 0, -1)):
         raise ValueError("trace does not match the levelling of this graph from its root")
@@ -464,13 +468,13 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
                 out.append(TraceViolation(
                     "leftover-vs-residual", rec.level,
                     f"|Z| = {z} exceeds (alpha_l - 2)|X| = {cap}"))
-        if z > 0 and is_clean_level(L, rec.level):
-            out.append(TraceViolation(
-                "clean-level", rec.level, f"clean level has |Z| = {z}"))
-        if z > 0 and rec.level != 1 and rec.level not in profile.admitting:
-            out.append(TraceViolation(
-                "admitting-membership", rec.level,
-                f"leftover at level {rec.level} outside the admitting set"))
+        clean = z > 0 and is_clean_level(L, rec.level)
+        if clean:
+            out.append(TraceViolation("clean-level", rec.level, f"clean level has |Z| = {z}"))
+        if (z > 0 and rec.level != 1 and (clean or not _is_horn_head(G, trace.root))
+                and find_induced_bone(G, rec.level) is None):
+            out.append(TraceViolation("admitting-membership", rec.level,
+                                      f"leftover at level {rec.level} outside the admitting set"))
 
     exact = deficiency(G)
     if trace.bound < exact:

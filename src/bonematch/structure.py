@@ -306,8 +306,8 @@ def admitting_set(G: Graph, i_max: int | None = None, *,
 class StructureProfile:
     """Summary of the structural parameters used by the deficiency bounds.
 
-    ``omega`` and ``triangle_free`` are ``None`` when the clique number was
-    skipped or is unknown because its 40-vertex guard tripped.
+    ``omega`` and ``triangle_free`` are ``None`` when the clique number's
+    40-vertex guard tripped.
     """
 
     alpha_l: int
@@ -330,25 +330,23 @@ class StructureProfile:
         }
 
 
-def structure_profile(G: Graph, i_max: int | None = None, *,
-                      with_omega: bool = True) -> StructureProfile:
+def structure_profile(G: Graph, i_max: int | None = None) -> StructureProfile:
     """Compute all structural parameters at once.
 
-    ``i_max`` caps the bone search; the recorded cap lets consumers tell a
-    truncated admitting set from a complete one.  ``with_omega=False`` skips
-    the clique number; above its 40-vertex guard it is unknown, not an error.
+    ``i_max`` caps the bone search (below 2 it searches none); the recorded
+    cap tells a truncated admitting set from a complete one.  Above its
+    40-vertex guard the clique number is unknown, not an error.
     """
     cap = G.n - 4 if i_max is None else min(i_max, G.n - 4)
     alpha_l = local_independence_number(G)
     try:
-        omega = clique_number(G) if with_omega else None
+        omega = clique_number(G)
     except GuardExceededError:
         omega = None
-    admitting = admitting_set(G, cap)
     return StructureProfile(
         alpha_l=alpha_l,
         omega=omega,
-        admitting=admitting,
+        admitting=admitting_set(G, cap),
         admitting_cap=cap,
         snail_horn_count=len(snail_horns(G)),
         claw_free=alpha_l < 3,

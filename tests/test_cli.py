@@ -180,15 +180,25 @@ def test_analyze_exits_2_when_the_alpha_l_guard_trips(tmp_path, capsys):
     assert captured.err == "guard exceeded: neighbourhood of 0 exceeds 40 vertices\n"
 
 
-def test_lm_validates_trace_on_a_300_vertex_layered_graph(tmp_path, capsys):
-    # the full bone scan of this graph exceeds its node budget; lm scans the
-    # bone indices only up to the levelling depth
+def _lm_on_a_300_vertex_layered_graph(tmp_path, capsys):
     G, _ = layered_graph(random.Random("lm_large:401"), 300)
     path = tmp_path / "layered.json"
     write_graph_json(G, path)
     assert run_cli(["lm", str(path)]) == 0
-    out = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+def test_lm_validates_trace_on_a_300_vertex_layered_graph(tmp_path, capsys):
+    # the full bone scan of this graph exceeds its node budget; lm searches
+    # no bone, as the levelling certifies those that trace validation needs
+    out = _lm_on_a_300_vertex_layered_graph(tmp_path, capsys)
     assert "depth          10" in out
+    assert any(line.split() == ["trace", "valid"] for line in out.splitlines())
+
+
+def test_lm_validates_trace_with_no_bone_search_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(structure, "_BONE_BUDGET", 0)
+    out = _lm_on_a_300_vertex_layered_graph(tmp_path, capsys)
     assert any(line.split() == ["trace", "valid"] for line in out.splitlines())
 
 

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bonematch import (
+    LMLevel,
+    LMTrace,
     PostconditionError,
     TwoLevelResult,
     bs,
     build_graph,
     deficiency,
+    find_induced_bone,
     induced_subgraph,
+    is_clean_level,
     levelling,
     lm_root_sweep,
     lm_run,
@@ -26,6 +30,7 @@ from bonematch import (
     validate_trace,
 )
 from bonematch import lm as lm_module
+from bonematch.harness import _connected_classes
 from .helpers import (
     check_two_level_postconditions,
     layered_graph,
@@ -421,26 +426,51 @@ def test_validate_trace_boundary_first_level():
     assert violations == []
 
 
-def test_validate_trace_requires_full_bone_scan():
-    G, trace, _ = _valid_trace_fixture()
-    with pytest.raises(ValueError):
-        validate_trace(G, trace, structure_profile(G, i_max=1))
-
-
-def test_validate_trace_reads_the_admitting_set_up_to_the_trace_depth():
-    # a leftover added at every level makes the membership rule read each one
-    flagged = 0
+def test_validate_trace_needs_no_admitting_set():
+    # The membership rule flags exactly the leftover levels 2.. outside the
+    # complete admitting set, from a profile that holds none of it.  From a
+    # snail-horn head the levelling certifies the bones; a trace from another
+    # root, here every level left over, takes the bone query
+    flagged = certified = 0
     for G in _family_instances():
-        if not snail_horns(G):
-            continue
-        trace = lm_run(G)
-        padded = replace(trace, levels=tuple(
-            replace(rec, leftover=rec.leftover + (trace.root,)) for rec in trace.levels))
-        full, capped = structure_profile(G), structure_profile(G, trace.depth)
-        for t in (trace, padded):
-            assert validate_trace(G, t, capped) == validate_trace(G, t, full), G.name
-        flagged += sum(v.rule == "admitting-membership" for v in validate_trace(G, padded, full))
-    assert flagged > 0
+        bare, full = structure_profile(G, 0), structure_profile(G)
+        assert bare.admitting == frozenset() and bare.alpha_l == full.alpha_l
+        heads = [h.head for h in snail_horns(G)]
+        traces = []
+        for root in heads[:3]:
+            trace = lm_run(G, root)
+            traces += [trace, replace(trace, levels=tuple(
+                replace(rec, leftover=rec.leftover + (root,)) for rec in trace.levels))]
+        for root in [v for v in G.vertices() if v not in heads][:3]:
+            L = levelling(G, root)
+            levels = tuple(LMLevel(i, (), (), (), (), tuple(sorted(L.levels[i])))
+                           for i in range(L.N, 0, -1))
+            traces.append(LMTrace(root, L.N, levels, G.n - 1))
+        for t in traces:
+            got = validate_trace(G, t, bare)
+            assert got == validate_trace(G, t, full), (G.name, t.root)
+            expected = [rec.level for rec in t.levels
+                        if rec.leftover and rec.level != 1 and rec.level not in full.admitting]
+            flags = [v.level for v in got if v.rule == "admitting-membership"]
+            assert flags == expected, (G.name, t.root)
+            flagged += len(expected)
+            if t.root not in heads:
+                certified += sum(bool(rec.leftover) and rec.level in full.admitting
+                                 for rec in t.levels)
+    assert flagged > 0 and certified > 0
+
+
+def test_every_unclean_level_below_a_snail_horn_head_holds_a_bone():
+    # the lemma validate_trace reads in place of a bone search
+    checked = 0
+    for G, _ in _connected_classes(7):
+        for head in (h.head for h in snail_horns(G)):
+            L = levelling(G, head)
+            for i in range(2, L.N + 1):
+                if not is_clean_level(L, i):
+                    assert find_induced_bone(G, i) is not None, (G.edges(), head, i)
+                    checked += 1
+    assert checked > 0
 
 
 def test_validate_trace_refuses_the_trace_of_another_graph():

@@ -15,11 +15,6 @@ from bonematch import (canon, cli, errors, families, graphs, harness, lm, matchi
 MODULES = (canon, errors, families, graphs, harness, lm, matching, serialize, structure)
 ROOT = Path(__file__).resolve().parents[1]
 
-# Public names that nothing calls, each with the reason it stays.
-UNCALLED = {
-    "find_induced_bone": "the benchmark names it only as a string, as a traced layer",
-}
-
 
 def test_package_exports_every_module_api_once():
     # every module but the command-line entry point is re-exported
@@ -48,7 +43,7 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     public = {name for module in (*MODULES, cli) for name in module.__all__}
-    assert sorted(public - used) == sorted(UNCALLED)
+    assert sorted(public - used) == []
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bonematch import (
+    ADMITTING_CONSTRAINTS,
     GuardExceededError,
     TheoremSpec,
     admitting_set,
@@ -189,13 +190,18 @@ def test_bone_search_budget_trips_guard(monkeypatch):
     assert find_induced_bone(G, 8) is not None
 
 
-def test_bone_search_on_sparse_80_vertex_graph_ends():
+def test_bone_search_on_sparse_80_vertex_graph_ends(monkeypatch):
+    # the full scan of this graph trips the guard at the real budget, after
+    # seconds; each early-stopping constraint of the search is answered at
+    # once by a bone of an index that refutes it
     G = random_connected(80, 0.05, 1)
-    try:
-        A = admitting_set(G)
-    except GuardExceededError:
-        return
-    assert A <= set(range(2, G.n - 3))
+    for name, constraint in ADMITTING_CONSTRAINTS.items():
+        if constraint is not None:
+            stop = frozenset(filter(constraint.refuted_by, range(2, G.n - 3)))
+            assert admitting_set(G, stop=stop) & stop, name
+    monkeypatch.setattr(structure, "_BONE_BUDGET", 10_000)
+    with pytest.raises(GuardExceededError):
+        admitting_set(G)
 
 
 def test_admitting_set_examples():
@@ -260,18 +266,10 @@ def test_structure_profile_examples():
     e = structure_profile(e_family(3, 2, 2))
     assert e.admitting == {4}
     assert e.alpha_l == 3
-
-
-def test_structure_profile_can_skip_omega():
-    G = t_tree(7, 5)  # above the 40-vertex clique-number guard
-    p = structure_profile(G, with_omega=False)
-    assert p.omega is None and p.triangle_free is None
-    assert p.admitting == {3, 5, 7, 9} and p.admitting_cap == G.n - 4
-    # asked for, omega above its guard is unknown rather than an error
-    q = structure_profile(G)
-    assert q.omega is None and q.triangle_free is None and q == p
-    with pytest.raises(GuardExceededError):
-        clique_number(G)
+    # above the 40-vertex clique-number guard omega is unknown, not an error
+    t = structure_profile(t_tree(7, 5), 0)
+    assert t.omega is None and t.triangle_free is None
+    assert (t.alpha_l, t.admitting, t.admitting_cap) == (4, frozenset(), 0)
 
 
 def test_structure_profile_json_keys():
