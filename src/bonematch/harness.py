@@ -225,7 +225,7 @@ THEOREM_IDS = tuple(_THEOREMS)
 
 def _kd(f: dict[str, Any]) -> int | None:
     # kd among the facts ``f``: the criticality scan computes it too; None if not read
-    return f["kd"] if "kd" in f else f["critical"].deficiency if "critical" in f else None
+    return f["kd"] if "kd" in f else f["critical"].deficiency if f.get("critical") else None
 
 
 def _details(f: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -417,8 +417,10 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
 
 def _table_facts(G: Graph, result: CheckResult | None) -> dict[str, Any]:
     """The facts ``result`` read, completed with kd, alpha_l, omega and the
-    admitting set; a completed fact whose guard trips is unknown (``None``)."""
+    admitting set; a fact whose guard trips, now or in the check, is ``None``."""
     f = dict(result.details) if result else {}
+    if result and result.verdict == "indeterminate":  # its guard tripped on this fact
+        f[next(name for name in _THEOREMS[result.theorem].facts if name not in f)] = None
     if _kd(f) is None:
         f["kd"] = _FACTS["kd"](G)
     for name in ("alpha_l", "omega", "admitting"):

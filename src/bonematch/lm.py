@@ -426,6 +426,9 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
     which see no other path vertex, as those lie at level ``i - 2`` or lower.
     So only a leftover on a clean level, which clean-level flags, or a root
     that is no horn head takes a bone search.
+    soundness: with no matching-edges or matching-disjoint hit, the ``M`` and
+    ``M'`` edges form one matching of ``G`` saturating ``s`` vertices, so
+    ``kd(G) <= G.n - s``, and kd is computed only for a bound below that.
     """
     L = levelling(G, trace.root)
     if trace.depth != L.N or [r.level for r in trace.levels] != list(range(L.N, 0, -1)):
@@ -476,11 +479,12 @@ def validate_trace(G: Graph, trace: LMTrace, profile: StructureProfile) -> list[
             out.append(TraceViolation("admitting-membership", rec.level,
                                       f"leftover at level {rec.level} outside the admitting set"))
 
-    exact = deficiency(G)
-    if trace.bound < exact:
-        out.append(TraceViolation(
-            "soundness", None,
-            f"bound {trace.bound} is below the exact deficiency {exact}"))
+    if trace.bound < G.n - len(seen) or any(v.rule.startswith("matching-") for v in out):
+        exact = deficiency(G)
+        if trace.bound < exact:
+            out.append(TraceViolation(
+                "soundness", None,
+                f"bound {trace.bound} is below the exact deficiency {exact}"))
     if trace.bound != sum(len(r.leftover) for r in trace.levels):
         out.append(TraceViolation("bound-sum", None, "bound does not equal the leftover total"))
     return out

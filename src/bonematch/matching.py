@@ -1,13 +1,8 @@
 """Maximum matchings, deficiency, pendant reduction, and deficiency-criticality.
 
 The production maximum-matching path is a hand-written blossom algorithm
-(augmenting paths with cycle contraction).  Each augmenting-path search
-resets only the vertices its tree reached, and a contraction relabels and
-queues the reached vertices in increasing vertex order, the order in which a
-scan of all n vertices would meet them; a vertex the tree never reached keeps
-its own base and is never relabelled.  So every search visits the same
-vertices in the same order as a search that resets all n, and returns the
-same matching.
+(augmenting paths with cycle contraction).  It returns a maximum matching,
+deterministic for a labelled graph; no caller reads which one.
 
 Two independent exponential oracles, ``brute_force_matching_size`` and
 ``berge_tutte_deficiency``, exist purely so tests can cross-check the
@@ -64,9 +59,9 @@ class MatchingResult:
 
 def _blossom(n: int, adj: list[list[int]]) -> list[int]:
     # Edmonds' blossom search: grow an alternating BFS tree from each exposed
-    # vertex, contracting odd cycles onto their base.  A search touches only
-    # the t vertices its tree reaches (``reached``), so it costs the degrees
-    # of those vertices plus O(t log t) per contraction, never O(n).
+    # vertex, contracting odd cycles onto their base.  A search resets and
+    # relabels only the t vertices its tree reaches (``reached``; no other one
+    # leaves its own base), so it costs their degrees plus O(t) per contraction.
     match = [-1] * n
     for u in range(n):
         if match[u] == -1:
@@ -122,8 +117,7 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
                     in_blossom: set[int] = set()
                     mark_path(v, cur, to, in_blossom)
                     mark_path(to, cur, v, in_blossom)
-                    # in vertex order, as a scan of all n would queue them
-                    for i in sorted(reached):
+                    for i in reached:
                         if base[i] in in_blossom:
                             base[i] = cur
                             if not in_queue[i]:
@@ -143,8 +137,7 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
     for root in range(n):
         if match[root] != -1:
             continue
-        finish = find_augmenting(root)
-        v = finish
+        v = find_augmenting(root)
         while v != -1:
             pv = parent[v]
             nxt = match[pv]

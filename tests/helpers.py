@@ -40,15 +40,16 @@ from bonematch import (
 
 
 # ---------------------------------------------------------------------------
-# frozen blossom
+# stdlib blossom
 
 
 def blossom_reference(n: int, adj: list[list[int]]) -> list[int]:
-    """Frozen copy of the blossom before its searches kept a reached list.
+    """Maximum-matching size oracle above the reach of the brute force, in the stdlib.
 
-    Every search resets all n vertices and every contraction scans all n, so
-    the order in which it relabels and queues is plain vertex order; the
-    package's blossom must return the same ``match`` list.
+    A frozen copy of the blossom before its searches kept a reached list:
+    every search resets all n vertices and every contraction scans all n.
+    The package's blossom may return another maximum matching, so tests
+    compare the size of its ``match`` list with this one, not the list.
     """
     # Classic O(V^3) blossom search: repeatedly grow an alternating BFS tree
     # from each exposed vertex, contracting odd cycles onto their base.

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from bonematch import (PostconditionError, bs, build_graph, cli, f_family, families,
-                       graph_from_json_dict, harness, lm_run, read_graph_json, skeleton_tree,
-                       star_graph, structure, t_tree, write_graph_json)
+from bonematch import (PostconditionError, bs, build_graph, cli, deficiency, f_family, families,
+                       graph_from_json_dict, harness, lm, lm_run, matching, read_graph_json,
+                       skeleton_tree, star_graph, structure, t_tree, write_graph_json)
 from bonematch.cli import _parse_range, run_cli
 
 from .helpers import layered_graph
@@ -200,6 +200,16 @@ def test_lm_validates_trace_with_no_bone_search_budget(tmp_path, capsys, monkeyp
     monkeypatch.setattr(structure, "_BONE_BUDGET", 0)
     out = _lm_on_a_300_vertex_layered_graph(tmp_path, capsys)
     assert any(line.split() == ["trace", "valid"] for line in out.splitlines())
+
+
+def test_lm_computes_the_deficiency_once(tmp_path, capsys, monkeypatch):
+    # for exact; the trace's own matching certifies its bound to validate_trace
+    calls = []
+    for module in (cli, lm):
+        monkeypatch.setattr(module, "deficiency", lambda G: calls.append(G.n) or deficiency(G))
+    out = _lm_on_a_300_vertex_layered_graph(tmp_path, capsys)
+    assert any(line.split() == ["trace", "valid"] for line in out.splitlines())
+    assert calls == [300]
 
 
 def test_lm_root_sweep(tmp_path, capsys):
@@ -450,6 +460,31 @@ def test_sweep_family_mode_computes_each_fact_once(tmp_path, capsys, monkeypatch
         '"BS(4,3)",11,5,2,3,7,3,True,\n'
         '"BS(4,5)",13,5,2,5,7,3,True,\n'
     )
+
+
+def test_sweep_family_mode_does_not_rerun_the_fact_whose_guard_tripped(capsys, monkeypatch):
+    scans = []
+    bone_scan = structure._bone_scan
+    monkeypatch.setattr(structure, "_bone_scan", lambda *a: scans.append(1) or bone_scan(*a))
+    monkeypatch.setattr(structure, "_BONE_BUDGET", 50)
+    assert run_cli(["sweep", "--family", "t_tree", "--range", "m=7,n=5",
+                    "--theorem", "thm-1.3-bonefree"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "instance                 kd  alpha_l  omega    admitting   bound  verdict",
+        "T_tree(7,5)              35        4      ?            ?            indet",
+    ]
+    assert len(scans) == 1
+    # a tripped criticality scan leaves kd to the blossom
+    calls = []
+    monkeypatch.setattr(harness, "deficiency", lambda G: calls.append(G.n) or deficiency(G))
+    monkeypatch.setattr(matching, "_CRITICALITY_BUDGET", 1)
+    assert run_cli(["sweep", "--family", "bs", "--range", "n=2..3,p=3",
+                    "--theorem", "cor-2.3-snailhorn"]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "BS(2,3)                   3        3      2          {3}            indet",
+        "BS(3,3)                   5        4      2          {3}            indet",
+    ]
+    assert calls == [7, 9]
 
 
 def test_sweep_family_mode_reuses_facts_of_guarded_and_criticality_checks(capsys, monkeypatch):

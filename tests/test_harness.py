@@ -216,6 +216,24 @@ def test_exhaustive_sweep_multiple_theorems_clean_at_five():
         assert not rep.violations and rep.connected_count == 1 + 1 + 4 + 38 + 728
 
 
+@pytest.mark.parametrize("tid", ["thm-1.2-clawfree", "thm-1.3-bonefree", "thm-1.4-m3",
+                                 "cor-2.3-snailhorn"])
+def test_exhaustive_sweep_calls_check_theorem_with_the_graph_and_spec_only(monkeypatch, tid):
+    # the benchmark times each check by a wrapper of exactly (G, spec) put in
+    # as the module global; any further argument would fail every sweep item
+    spec, calls = TheoremSpec(tid), []
+    expected = exhaustive_sweep(5, spec)
+    inner = harness.check_theorem
+
+    def strict(G, spec):
+        calls.append(G.n)
+        return inner(G, spec)
+
+    monkeypatch.setattr(harness, "check_theorem", strict)
+    assert exhaustive_sweep(5, spec) == expected
+    assert len(calls) == expected.class_count == 1 + 1 + 2 + 6 + 21
+
+
 def test_exhaustive_sweep_guard():
     with pytest.raises(GuardExceededError):
         exhaustive_sweep(9, TheoremSpec("thm-1.2-clawfree"))

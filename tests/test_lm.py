@@ -580,6 +580,66 @@ def test_validate_trace_flags_unsound_bound():
     assert "soundness" in rules and "coverage" in rules
 
 
+def test_validate_trace_reads_no_deficiency_when_the_matching_certifies_the_bound(monkeypatch):
+    # M and M' saturate s vertices, so kd <= n - s <= the leftover total
+    def refuse(G):
+        raise AssertionError("validate_trace computed the deficiency")
+
+    graphs = [bs(2, 3), star_graph(4), t_tree(5, 4), s_family(3, 3), bs(3, 5)]
+    graphs.append(build_graph(7, [(0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5),
+                                  (5, 6)]))  # LM bound 3, kd 1
+    graphs.append(layered_graph(random.Random("lm_large:401"), 300)[0])
+    traces = [(G, lm_run(G)) for G in graphs]
+    monkeypatch.setattr(lm_module, "deficiency", refuse)
+    for G, trace in traces:
+        assert validate_trace(G, trace, structure_profile(G, 0)) == []
+
+
+def _broken_traces(G, trace):
+    # (kind, trace): the genuine trace, a foreign edge or a shared vertex that
+    # covers leftovers, and a dropped leftover, each with its own bound and
+    # with understated ones
+    def moved(covered, *edges):
+        levels = [replace(rec, leftover=tuple(z for z in rec.leftover if z not in covered))
+                  for rec in trace.levels]
+        levels[-1] = replace(levels[-1], witness_matching=levels[-1].witness_matching + edges)
+        return replace(trace, levels=tuple(levels))
+
+    left = [z for rec in trace.levels for z in rec.leftover]
+    saturated = {v for rec in trace.levels for e in rec.matching + rec.witness_matching for v in e}
+    broken = [("genuine", trace)]
+    foreign = [(a, b) for a in left for b in left if a < b and not G.has_edge(a, b)]
+    if foreign:
+        broken.append(("foreign", moved(foreign[0], foreign[0])))
+    shared = [(u, z) for z in left for u in sorted(G.adj[z] & saturated)]
+    if shared:
+        broken.append(("shared", moved({shared[0][1]}, shared[0])))
+    if left:
+        broken.append(("dropped", moved({left[0]})))
+    return [(kind, replace(t, bound=b)) for kind, t in broken
+            for b in sorted({trace.bound - k for k in range(3)} | {0})]
+
+
+def test_validate_trace_flags_soundness_exactly_below_the_deficiency():
+    # kd is computed only when the trace's matching does not certify the
+    # bound, and a bound below kd is still flagged with its message
+    graphs = [G for G in _family_instances() if snail_horns(G)]
+    graphs += [G for G, _ in _connected_classes(6) if snail_horns(G)]
+    graphs += [layered_graph(random.Random(f"lm_large:{seed}"), 120)[0] for seed in (401, 7002)]
+    hits, misses = Counter(), Counter()
+    for G in graphs:
+        kd, profile = deficiency(G), structure_profile(G, 0)
+        for head in (h.head for h in snail_horns(G)):
+            for kind, bad in _broken_traces(G, lm_run(G, head)):
+                got = [str(v) for v in validate_trace(G, bad, profile) if v.rule == "soundness"]
+                low = bad.bound < kd
+                assert got == [f"[soundness]: bound {bad.bound} is below the exact deficiency "
+                               f"{kd}"] * low, (G, head, kind, bad.bound)
+                (hits if low else misses)[kind] += 1
+    kinds = {"genuine", "foreign", "shared", "dropped"}
+    assert set(hits) == set(misses) == kinds and min(hits.values()) >= 20
+
+
 def test_trace_violation_rendering():
     G, trace, profile = _valid_trace_fixture()
     bad = replace(trace, bound=trace.bound + 1)
