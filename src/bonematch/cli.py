@@ -113,6 +113,12 @@ def _print_kv(label: str, value: Any) -> None:
     print(f"{label:<14} {value}")
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write an artefact and name it on standard output."""
+    Path(path).write_text(text)
+    _print_kv("written", path)
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     params = _parse_params(args.params)
     G = build_family(args.family, params)
@@ -149,8 +155,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _print_kv("criticality", f"{crit.verdict} (mode {crit.mode})")
         payload["criticality"] = crit.to_json_dict()
     if args.out:
-        Path(args.out).write_text(json_text(payload))
-        _print_kv("written", args.out)
+        _write(args.out, json_text(payload))
     return 0
 
 
@@ -188,8 +193,7 @@ def _cmd_lm(args: argparse.Namespace) -> int:
         payload = {"graph": graph_to_json_dict(G), "trace": trace.to_json_dict(),
                    "exact": exact, "gap": trace.bound - exact,
                    "violations": [str(v) for v in violations]}
-        Path(args.out).write_text(json_text(payload))
-        _print_kv("written", args.out)
+        _write(args.out, json_text(payload))
     if violations:
         print("trace INVALID:")
         for v in violations:
@@ -221,8 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _print_kv("note", result.note)
     if args.out:
         payload = {"graph": graph_to_json_dict(G), "result": result.to_json_dict()}
-        Path(args.out).write_text(json_text(payload))
-        _print_kv("written", args.out)
+        _write(args.out, json_text(payload))
     _print_kv("verdict", {"fail": "FAIL", "indeterminate": "INDETERMINATE (guard exceeded)"}
               .get(result.verdict, "pass"))
     return _exit_code(result.verdict == "fail", result.verdict == "indeterminate")
@@ -292,10 +295,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(row)
         print(line)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "instances.csv").write_text(rows_to_csv(rows))
-        _print_kv("written", str(out_dir / "instances.csv"))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        _write(Path(args.out) / "instances.csv", rows_to_csv(rows))
     return _exit_code("fail" in verdicts, "indeterminate" in verdicts)
 
 
@@ -320,8 +321,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             _print_kv("mod check",
                        f"kd == 1 (mod {report.mod_base}): {'yes' if report.mod_hit else 'no'}")
     if args.out:
-        Path(args.out).write_text(json_text(report.to_json_dict()))
-        _print_kv("written", args.out)
+        _write(args.out, json_text(report.to_json_dict()))
     return 0
 
 
@@ -329,8 +329,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     G = read_graph_json(args.graph)
     text = graph_to_dot(G) if args.format == "dot" else json_text(graph_to_json_dict(G))
     if args.out:
-        Path(args.out).write_text(text)
-        _print_kv("written", args.out)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

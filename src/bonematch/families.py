@@ -1,12 +1,13 @@
 """Deterministic constructors for the extremal graph families.
 
 Every builder assigns vertex ids in a fixed documented order, so repeated
-calls give identical labelled graphs, and builds each instance from one edge
-list with a single ``build_graph`` call at the end.  Family names are
-recorded on the returned graphs and a registry maps family ids to builders
-for the CLI, each with its parameter kinds and its vertex and edge counts as
-a function of the parameters, so an instance with malformed parameters or
-too large to build is refused before any list is allocated.
+calls give identical labelled graphs, and ends with one ``build_graph`` call
+on an edge list; ``e_family``, ``e_plus_family`` and ``f_family`` build a
+graph before it.  Family names are recorded on the returned graphs and a
+registry maps family ids to builders for the CLI, each with its parameter
+kinds and its vertex and edge counts as a function of the parameters, so an
+instance with malformed parameters or too large to build is refused before
+any list is allocated.
 """
 
 from __future__ import annotations
@@ -146,8 +147,12 @@ def t_tree(m: int, n: int) -> Graph:
         raise ValueError(f"t_tree needs odd m >= 3, got {m}")
     if n <= 3:
         raise ValueError(f"t_tree needs n > 3, got {n}")
-    fan_outs = [n - 1] + [1 if i % 2 else n - 2 for i in range(1, m - 2)]
-    return _layered_tree(fan_outs, f"T_tree({m},{n})")
+    return _layered_tree(_t_tree_fan_outs(m, n), f"T_tree({m},{n})")
+
+
+def _t_tree_fan_outs(m: int, n: int) -> Iterable[int]:
+    # the root has n - 1 children, then levels of fan-out 1 and n - 2 alternate
+    return chain([n - 1], islice(cycle([1, n - 2]), m - 3))
 
 
 def skeleton_tree(*branch_levels: int) -> Graph:
@@ -168,10 +173,10 @@ def skeleton_tree(*branch_levels: int) -> Graph:
     return _layered_tree(fan_outs, "T(" + ",".join(str(x) for x in a) + ")")
 
 
-def _layered_tree(fan_outs: Sequence[int], name: str) -> Graph:
+def _layered_tree(fan_outs: Iterable[int], name: str) -> Graph:
     """Tree grown from root 0 level by level, each vertex of level ``i`` getting
-    ``fan_outs[i]`` children; ids follow levels, and a parent's children are
-    consecutive."""
+    as many children as entry ``i`` of ``fan_outs``; ids follow levels, and a
+    parent's children are consecutive."""
     edges: list[tuple[int, int]] = []
     level: Sequence[int] = [0]
     for k in fan_outs:
@@ -255,9 +260,9 @@ def _layered_size(fan_outs: Iterable[int]) -> int:
 def _t_tree_vertices(m: int, n: int) -> int:
     if m < 5 or n < 4:  # the star K(1, n - 1), or parameters t_tree refuses
         return n
-    # fan-outs n - 1, then 1 and n - 2 in turn: the levels double at least
-    # every two levels, so the count passes the cap within 40 of them
-    return _layered_size(chain([n - 1], islice(cycle([1, n - 2]), m - 3)))
+    # the levels double at least every two levels, so the count passes the
+    # cap within 40 of them
+    return _layered_size(_t_tree_fan_outs(m, n))
 
 
 def _skeleton_counts(a: int | Sequence[int]) -> tuple[int, int]:

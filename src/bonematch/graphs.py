@@ -1,13 +1,13 @@
 """Immutable simple graphs with BFS levellings and level-based queries.
 
-Vertices are dense integers ``0..n-1``.  Every operation here is pure:
-inputs are never mutated and all outputs are plain immutable values, so
-graphs and levellings can be shared freely between threads.
+Vertices are dense integers ``0..n-1``, and one breadth-first search serves
+``is_connected`` and ``levelling``.  Every operation here is pure: inputs are
+never mutated and all outputs are plain immutable values, so graphs and
+levellings can be shared freely between threads.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -105,19 +105,23 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(vs), adj, G.name), tuple(vs)
 
 
+def _distances(G: Graph, root: int) -> list[int]:
+    """BFS distance of every vertex from ``root``; -1 for a vertex it does not reach."""
+    dist = [-1] * G.n
+    dist[root] = 0
+    order = [root]
+    for u in order:  # the list is the queue: the loop reaches what it appends
+        d = dist[u] + 1
+        for v in G.adj[u]:
+            if dist[v] < 0:
+                dist[v] = d
+                order.append(v)
+    return dist
+
+
 def is_connected(G: Graph) -> bool:
     """True for connected graphs; the empty graph and a single vertex count as connected."""
-    if G.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in G.adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == G.n
+    return G.n <= 1 or min(_distances(G, 0)) >= 0
 
 
 @dataclass(frozen=True)
@@ -147,15 +151,7 @@ def levelling(G: Graph, root: int) -> Levelling:
     """
     if not (0 <= root < G.n):
         raise ValueError(f"root {root} out of range for n={G.n}")
-    dist = [-1] * G.n
-    dist[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in G.adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    dist = _distances(G, root)
     if min(dist) < 0:
         raise ValueError("levelling requires a connected graph")
     depth = max(dist)

@@ -493,15 +493,8 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
             return G
     order = list(range(n))
     rng.shuffle(order)
-    edges_set = set()
-    for i in range(1, n):
-        j = rng.randrange(i)
-        a, b = order[i], order[j]
-        edges_set.add((a, b) if a < b else (b, a))
-    for e in pairs:
-        if rng.random() < edge_prob:
-            edges_set.add(e)
-    return build_graph(n, sorted(edges_set))
+    tree = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    return build_graph(n, tree + [e for e in pairs if rng.random() < edge_prob])
 
 
 class _Admitting(NamedTuple):

@@ -22,6 +22,7 @@ from bonematch import (
     GuardExceededError,
     LMLevel,
     LMTrace,
+    PendantReduction,
     PostconditionError,
     TheoremSpec,
     TwoLevelResult,
@@ -157,6 +158,25 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.15) -> G
     return build_graph(n, sorted(edges))
 
 
+def random_connected_fallback_reference(n: int, edge_prob: float,
+                                        rng: random.Random) -> Graph:
+    """The spanning-tree fallback of ``harness.random_connected`` as it stood
+    when it oriented, deduplicated and sorted its edges itself, run from the
+    random state in which the fallback starts."""
+    pairs = list(combinations(range(n), 2))
+    order = list(range(n))
+    rng.shuffle(order)
+    edges_set = set()
+    for i in range(1, n):
+        j = rng.randrange(i)
+        a, b = order[i], order[j]
+        edges_set.add((a, b) if a < b else (b, a))
+    for e in pairs:
+        if rng.random() < edge_prob:
+            edges_set.add(e)
+    return build_graph(n, sorted(edges_set))
+
+
 def layered_graph(rng: random.Random, n: int):
     """Sparse random graph with a fixed BFS level profile from its root.
 
@@ -238,6 +258,30 @@ def matching_number_subsets(G: Graph) -> int:
                 best = size
                 break
     return best
+
+
+def reduce_pendants_reference(G: Graph) -> PendantReduction:
+    """``matching.reduce_pendants`` as it stood before its pendant heap: every
+    removal re-sorts and rescans all remaining vertices for the smallest pendant."""
+    adj = {v: set(G.adj[v]) for v in range(G.n)}
+    removed: list[tuple[int, int]] = []
+    while True:
+        pend = next((y for y in sorted(adj) if len(adj[y]) == 1), None)
+        if pend is None:
+            break
+        (sup,) = adj[pend]
+        for w in adj[sup]:
+            if w != pend:
+                adj[w].discard(sup)
+        del adj[pend]
+        del adj[sup]
+        removed.append((sup, pend))
+    keep = sorted(adj)
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u in keep for v in adj[u] if u < v]
+    reduced = build_graph(len(keep), edges, name=G.name)
+    isolated = sum(1 for v in keep if not adj[v])
+    return PendantReduction(reduced, tuple(keep), tuple(removed), isolated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -656,6 +657,37 @@ def test_every_json_artifact_has_one_format(tmp_path, capsys):
     for path in paths:
         text = Path(path).read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
+# Each --out artefact on bs(2, 3): the command, then SHA-256 prefixes of the
+# artefact and of stdout (written to <tmp>/out<k>), as they were before the
+# commands shared one writer.
+_OUT_DIGESTS = [
+    (["analyze", "{graph}", "--critical", "exhaustive"], "1b755428e5d7d13d", "7370b42020024abb"),
+    (["lm", "{graph}", "--explain", "--sweep-roots"], "0ba8ca7995517fca", "14e3ab456f4c323a"),
+    (["verify", "{graph}", "--theorem", "thm-1.4-m3", "--n", "4"],
+     "e56e70df9ce2e088", "a22ae063be26f27c"),
+    (["sweep", "--family", "bs", "--range", "n=2..3,p=3..5:2", "--theorem", "thm-1.4-m3",
+      "--n", "4"], "d5a0afe8100a60a9", "eb18bfc95afb1b20"),
+    (["search", "--n", "7", "--alpha-l-max", "3", "--iters", "200", "--seed", "7"],
+     "eb81d713134a8ced", "2e5bf7c3d2837032"),
+    (["export", "{graph}", "--format", "dot"], "d54e2b8a89169b4c", "fa27e6a391479ae2"),
+    (["export", "{graph}", "--format", "json"], "ad836be32c020cc9", "8d9186368704cff8"),
+]
+
+
+def test_every_out_option_writes_the_same_bytes_and_names_them(tmp_path, capsys):
+    graph = make_graph_file(tmp_path, "bs", "n=2,p=3")
+    for k, (argv, artefact, stdout) in enumerate(_OUT_DIGESTS):
+        capsys.readouterr()
+        out = tmp_path / f"out{k}"
+        assert run_cli([a.format(graph=graph) for a in argv] + ["--out", str(out)]) == 0
+        written = out / "instances.csv" if argv[0] == "sweep" else out
+        text = capsys.readouterr().out
+        assert f"written        {written}" in text.splitlines(), argv
+        assert hashlib.sha256(written.read_bytes()).hexdigest()[:16] == artefact, argv
+        text = text.replace(str(tmp_path), "<tmp>")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == stdout, argv
 
 
 def test_export_round_trip(tmp_path, capsys):

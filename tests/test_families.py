@@ -266,6 +266,13 @@ def test_registry_counts_equal_the_built_graphs():
     assert built >= 600
 
 
+def test_t_tree_size_guard_counts_the_tree_it_guards():
+    # the guard and t_tree read one fan-out list; t_tree(11, 12) is over the cap
+    for m in range(3, 12, 2):
+        for n in range(4, 13):
+            assert families._t_tree_vertices(m, n) == t_tree(m, n).n, (m, n)
+
+
 def test_family_cap_refuses_before_building_and_admits_the_cap(monkeypatch):
     over = [("t_tree", {"m": 3, "n": 100_001}), ("t_tree", {"m": 31, "n": 4}),
             ("t_tree", {"m": 41, "n": 20}), ("skeleton", {"a": 33_334}),

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,6 +81,31 @@ def test_is_connected_small_cases():
     assert is_connected(build_graph(1, []))
     assert is_connected(path_graph(5))
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
+
+
+def test_is_connected_and_levelling_match_the_bfs_oracle_on_any_graph():
+    # one BFS serves both; graphs of 0 and 1 vertices and disconnected ones included
+    rng = random.Random(2627)
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(2, []),
+              build_graph(3, [(0, 2)]), build_graph(5, [(1, 2), (3, 4)])]
+    for _ in range(600):
+        n = rng.randint(1, 16)
+        p = rng.choice((0.05, 0.15, 0.3, 0.6))
+        graphs.append(build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    assert sum(not is_connected(G) for G in graphs) >= 200
+    for G in graphs:
+        dist = bfs_levels(G, 0) if G.n else {}
+        assert is_connected(G) == (len(dist) == G.n)
+        for root in range(G.n):
+            dist = bfs_levels(G, root)
+            if len(dist) < G.n:
+                with pytest.raises(ValueError, match="connected"):
+                    levelling(G, root)
+                continue
+            L = levelling(G, root)
+            assert L.level_of == tuple(dist[v] for v in range(G.n))
+            assert L.levels == tuple(frozenset(v for v in dist if dist[v] == k)
+                                     for k in range(max(dist.values()) + 1))
 
 
 def test_levelling_of_double_broom():

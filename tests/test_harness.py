@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from math import factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -505,6 +506,36 @@ def test_random_connected_falls_back_to_a_spanning_tree(monkeypatch):
     assert G == random_connected(5, 1e-12, seed=0)
     assert graphs.is_connected(G) and G.edge_count() == 4
     assert G.edges() == [(0, 1), (1, 4), (2, 4), (3, 4)]
+
+
+def test_random_connected_fallback_matches_the_sorted_edge_set_reference(monkeypatch):
+    # Every draw is rejected, so each call reaches the fallback, which is
+    # compared with the reference from the random state it starts in.  The
+    # rejected draws are never read, so they are not built.
+    starts = []
+
+    class Recording(random.Random):
+        def shuffle(self, x):
+            starts.append(self.getstate())
+            super().shuffle(x)
+
+    calls = []
+
+    def build(n, edges):
+        calls.append(n)
+        return graphs.build_graph(n, edges) if len(calls) % 10_001 == 0 else None
+
+    monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(harness, "is_connected", lambda G: False)
+    monkeypatch.setattr(harness, "build_graph", build)
+    # 50 seeds over n = 1..20, then duplicate edges at n <= 10
+    for seed, n, edge_prob in [(s, 1 + s % 20, 1e-12) for s in range(50)] + [
+            (s, 1 + s % 10, 0.3) for s in range(50, 70)]:
+        G = random_connected(n, edge_prob, seed)
+        rng = random.Random()
+        rng.setstate(starts.pop())
+        assert G == helpers.random_connected_fallback_reference(n, edge_prob, rng), seed
+        assert graphs.is_connected(G) and G.edge_count() >= n - 1
 
 
 def test_search_constraints_validation():

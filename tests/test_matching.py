@@ -36,6 +36,7 @@ from .helpers import (
     matching_number_subsets,
     random_connected_graph,
     random_tree,
+    reduce_pendants_reference,
 )
 from .test_acceptance import _family_instances
 
@@ -125,6 +126,29 @@ def test_reduce_pendants_preserves_deficiency_on_trees():
     G = t_tree(5, 4)
     red = reduce_pendants(G)
     assert deficiency(red.graph) == deficiency(G) == 5
+
+
+def test_reduce_pendants_matches_the_rescanning_reference():
+    # seeded trees and connected graphs, disconnected graphs with isolated
+    # edges and vertices, the acceptance families and two large trees
+    rng = random.Random(2626)
+    inputs = [random_tree(rng, rng.randint(1, 60)) for _ in range(400)]
+    inputs += [random_connected_graph(rng, rng.randint(1, 40), extra=rng.choice((0.02, 0.1, 0.3)))
+               for _ in range(400)]
+    for _ in range(200):
+        parts = [random_tree(rng, rng.randint(1, 12)) for _ in range(rng.randint(2, 4))]
+        parts += [path_graph(2)] * rng.randint(1, 3) + [path_graph(1)] * rng.randint(0, 2)
+        rng.shuffle(parts)
+        edges, n = [], 0
+        for H in parts:
+            edges += [(n + u, n + v) for u, v in H.edges()]
+            n += H.n
+        perm = rng.sample(range(n), n)  # interleave the components' ids
+        inputs.append(build_graph(n, [(perm[u], perm[v]) for u, v in edges], name="parts"))
+    inputs += _family_instances() + [t_tree(9, 12), f_family(*range(1, 11))]
+    for G in inputs:
+        red, ref = reduce_pendants(G), reduce_pendants_reference(G)
+        assert (red, red.graph.name) == (ref, ref.graph.name), G
 
 
 @given(st.integers(0, 10**6), st.integers(2, 12))
