@@ -15,7 +15,9 @@ dies iff its count equals the number of lower ends of ``e`` that it sees, so
 legality is tested without changing any state.  This is exact because
 coverage holds before every move: the precondition gives it for the empty
 matching, accepted moves keep it, and unmatching a traded edge only raises
-counts while its freed upper end sees its freed lower one.
+counts while its freed upper end sees its freed lower one.  Only the vertices
+with an edge in ``X | Y`` and those edges are indexed: any other lower vertex
+is never matched, and never residual, as it sees no upper vertex.
 
 A trade pass starts from a state ``M`` where no edge can be added, so every
 free edge ``e`` has a non-empty lost set ``L(e)``: the vertices it would kill.
@@ -43,8 +45,11 @@ special member, and by 2 if it loses a vertex its partner is one), and its
 partner is special or an edge whose lost set is one of its ends.  A pass
 lists these pairs for each ``old`` in sorted order and checks them exactly
 and in index order, so its move is the smallest legal pair, as when every
-pair is tried.  Two free edges with ``L(e1) <= e2`` and ``L(e2) <= e1``
-cannot even be disjoint, by the argument of 1.
+pair is tried.  Every legal pair has a special member, so an ``old`` with
+none is skipped before it is unmatched: unmatching it changes neither
+``L(e)``, read in ``M``, nor the other end of an edge at an end of ``old``.
+Two free edges with ``L(e1) <= e2`` and ``L(e2) <= e1`` cannot even be
+disjoint, by the argument of 1.
 """
 
 from __future__ import annotations
@@ -110,22 +115,25 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     S = Xs | Ys
     if min(S) < 0 or max(S) >= H.n:
         raise ValueError(f"sides must be vertices of a graph on {H.n} vertices")
-    for y in Ys:
-        if not (H.adj[y] & Xs):
-            raise ValueError(f"upper vertex {y} has no lower neighbour")
-
     adj = H.adj
-    edges = [(u, v) for u in sorted(S) for v in sorted(adj[u] & S) if u < v]
+    free: dict[int, int] = {}  # unmatched lower neighbours of each upper vertex
+    for y in Ys:
+        if not (c := len(adj[y] & Xs)):
+            raise ValueError(f"upper vertex {y} has no lower neighbour")
+        free[y] = c
+    nbr = {u: ns for u in S if (ns := adj[u] & S)}  # the vertices with an edge in S
+    edges = sorted((u, v) for u, ns in nbr.items() for v in ns if u < v)
     matched: set[int] = set()
     matching: set[Edge] = set()
-    # upper neighbours of each lower vertex; unmatched lower neighbours of each upper one
-    upper = {w: tuple(adj[w] & Ys) if w in Xs else () for w in S}
-    free = {y: len(adj[y] & Xs) for y in Ys}
-    at: dict[int, list[int]] = {v: [] for v in S}
-    for k, (u, v) in enumerate(edges):
-        at[u].append(k)
-        at[v].append(k)
-    touch = [_touch(upper, e) for e in edges]
+    upper = {w: tuple(ns & Ys) if w in Xs else () for w, ns in nbr.items()}
+    at: dict[int, list[int]] = {v: [] for v in nbr}
+    touch = []
+    for k, (a, b) in enumerate(edges):
+        at[a].append(k)
+        at[b].append(k)
+        ua, ub = upper[a], upper[b]  # both non-empty: two lower ends
+        touch.append(tuple({y: (y in ua) + (y in ub) for y in ua + ub}.items()) if ua and ub
+                     else tuple([(y, 1) for y in ua + ub if y != a and y != b]))
     ix = _Index(edges, at, touch, upper, Xs)
     start = 0  # no edge before ``start`` can be added
 
@@ -148,7 +156,7 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
                 start = k + 1
                 for y in edges[k]:
                     if y in Ys:
-                        for x in adj[y]:
+                        for x in nbr[y]:
                             if x in Xs and at[x][0] < start:
                                 start = at[x][0]
                 return True
@@ -172,30 +180,20 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
         pass
 
     M = frozenset(matching)
-    y_res = frozenset(y for y in Ys if y not in matched)
-    x_res = frozenset(x for x in Xs if x not in matched and adj[x] & y_res)
+    y_res = Ys - matched
+    x_res = (Xs - matched).intersection([x for y in y_res for x in nbr[y]])
     return TwoLevelResult(M, x_res, y_res, _verify_two_level(H, Xs, Ys, M, x_res, y_res))
 
 
 class _Index(NamedTuple):
     """The fixed part of one two-level search."""
 
-    edges: list[Edge]  # every edge, in the order moves are tried
-    at: dict[int, list[int]]  # indices of the edges at each vertex, ascending
+    edges: list[Edge]  # every edge of the searched subgraph, in the order moves are tried
+    at: dict[int, list[int]]  # indices of the edges at each vertex with one, ascending
     # per edge: (y, c) for each upper y off it that sees c of its lower ends
     touch: list[tuple[tuple[int, int], ...]]
-    upper: dict[int, tuple[int, ...]]  # upper neighbours of each lower vertex
+    upper: dict[int, tuple[int, ...]]  # same keys; upper neighbours of a lower vertex, else ()
     lower: frozenset[int]
-
-
-def _touch(upper: dict[int, tuple[int, ...]], e: Edge) -> tuple[tuple[int, int], ...]:
-    a, b = e
-    if not upper[a] or not upper[b]:
-        return tuple((y, 1) for y in upper[a] + upper[b] if y != a and y != b)
-    seen = dict.fromkeys(upper[a], 1)
-    for y in upper[b]:
-        seen[y] = seen.get(y, 0) + 1
-    return tuple(seen.items())
 
 
 def _set_matched(ix: _Index, matched: set[int], free: dict[int, int], e: Edge, on: bool) -> None:
@@ -236,12 +234,14 @@ def _best_trade(ix: _Index, matching: set[Edge], matched: set[int],
             single_at.setdefault(ls[0], []).append(k)
 
     for old in olds:
-        _set_matched(ix, matched, free, old, False)
         # edges at an end of old whose other end is unmatched, and rescued edges
         special = {k for v in old for k in at[v]
                    if edges[k] != old and sum(edges[k]) - v not in matched}
         for y in upper[old[0]] + upper[old[1]]:
             special.update(losing.get(y, ()))
+        if not special:
+            continue
+        _set_matched(ix, matched, free, old, False)
         pairs = set()
         for s in special:
             if lost(s):

@@ -293,7 +293,7 @@ def test_family_cap_refuses_before_building_and_admits_the_cap(monkeypatch):
     assert build_family("complete", {"k": 447}).edge_count() == 99_681
 
 
-def test_each_instance_is_built_from_one_edge_list(monkeypatch):
+def test_each_instance_takes_at_most_three_build_graph_calls(monkeypatch):
     # e_plus builds e_family, which builds complete_graph: three graphs at
     # most, however many brooms and triangles an instance has
     calls = 0

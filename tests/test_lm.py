@@ -194,6 +194,28 @@ def test_trade_candidates_match_reference_and_cover_both_kinds(monkeypatch):
     assert kinds["touching"] >= 150 and kinds["rescued"] >= 30, kinds
 
 
+
+def test_trade_pass_leaves_the_state_as_it_found_it(monkeypatch):
+    # _best_trade reads the state and puts back what it unmatched, whether it
+    # returns a move or finds none; the search applies the move itself
+    outcomes, best_trade = Counter(), lm_module._best_trade
+
+    def spy_trade(ix, matching, matched, free):
+        before = set(matching), set(matched), dict(free)
+        move = best_trade(ix, matching, matched, free)
+        assert (matching, matched, free) == before
+        outcomes[move is None] += 1
+        return move
+
+    monkeypatch.setattr(lm_module, "_best_trade", spy_trade)
+    for seed in range(800):
+        H, X, Y = _bipartite_two_level_instance(seed, k_max=5 if seed % 2 else 9)
+        try:
+            two_level_matching(H, X, Y)
+        except PostconditionError:
+            pass
+    assert outcomes[True] >= 800 and outcomes[False] >= 150, outcomes
+
 def _verdict(verify, H, X, Y, *state):
     try:
         return "pass", verify(H, X, Y, *state)
@@ -348,6 +370,66 @@ def test_two_level_matches_reference_on_the_induced_subgraph(monkeypatch):
         outside_witness += any(G.adj[y] - X - Y for _, pair in expected.private for y in pair)
     assert outside_witness >= 250 and failed == 1, (outside_witness, failed)
 
+
+
+def _has_special_edge(H, X, Y, M, old):
+    # an edge at an end of old with its other end unmatched, or a free edge of
+    # M that would kill an upper neighbour of old's lower ends (module docstring)
+    matched = {v for e in M for v in e}
+    if any(w not in matched for v in old for w in H.adj[v] & (X | Y)):
+        return True
+    R = {y for v in old if v in X for y in H.adj[v] & Y}
+    for u, w in H.edges():
+        if {u, w} <= (X | Y) - matched:
+            live = matched | {u, w}
+            if any(not (H.adj[y] & X) - live for y in R - live):
+                return True
+    return False
+
+
+def test_lm_run_searches_match_the_reference_on_layered_graphs(monkeypatch):
+    # every two-level call of lm_run on the lm_large shape ends in the state of
+    # the reference search on the induced subgraph, including the inputs that
+    # the set-up leaves out of its index and the olds a trade pass skips
+    calls, states, counts = [], [], Counter()
+    search, best_trade, verify = (lm_module.two_level_matching, lm_module._best_trade,
+                                  lm_module._verify_two_level)
+
+    def spy_search(H, X, Y):
+        calls.append((H, X, Y))
+        counts["empty Y"] += not Y
+        counts["isolated lower"] += sum(not (H.adj[x] & (X | Y)) for x in X)
+        return search(H, X, Y)
+
+    def spy_trade(ix, matching, matched, free):
+        H, X, Y = calls[-1]
+        for old in sorted(matching):
+            if old[0] in X or old[1] in X:
+                counts["no special edge"] += not _has_special_edge(H, X, Y, matching, old)
+        move = best_trade(ix, matching, matched, free)
+        counts["trades"] += move is not None
+        return move
+
+    monkeypatch.setattr(lm_module, "two_level_matching", spy_search)
+    monkeypatch.setattr(lm_module, "_best_trade", spy_trade)
+    monkeypatch.setattr(lm_module, "_verify_two_level",
+                        lambda H, X, Y, *state: states.append(state) or verify(H, X, Y, *state))
+    for seed in range(20):
+        G, root = layered_graph(random.Random(f"two-level:{seed}"), 300)
+        try:
+            lm_run(G, root)
+        except PostconditionError:
+            counts["failed"] += 1
+    assert len(states) == len(calls)
+    for (G, X, Y), state in zip(calls, states):
+        H, vmap = induced_subgraph(G, X | Y)
+        Xh = {k for k, v in enumerate(vmap) if v in X}
+        ref = two_level_matching_reference(H, Xh, set(range(H.n)) - Xh)
+        assert state == (frozenset((vmap[a], vmap[b]) for a, b in ref.matching),
+                         frozenset(vmap[x] for x in ref.x_residual),
+                         frozenset(vmap[y] for y in ref.y_residual)), (G, X, Y)
+    assert len(calls) >= 150 and counts["trades"] >= 8, counts
+    assert min(counts[k] for k in ("empty Y", "isolated lower", "no special edge")) >= 5, counts
 
 def test_lm_run_on_double_broom_worked_example():
     G = bs(2, 3)
