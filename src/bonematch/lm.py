@@ -50,6 +50,13 @@ none is skipped before it is unmatched: unmatching it changes neither
 ``L(e)``, read in ``M``, nor the other end of an edge at an end of ``old``.
 Two free edges with ``L(e1) <= e2`` and ``L(e2) <= e1`` cannot even be
 disjoint, by the argument of 1.
+
+The postcondition check reads everything off the terminal matching.  The
+residual upper set is ``Y`` minus the saturated vertices, and each of its
+vertices meets the free lower vertices once: that one set gives rule (1), the
+residual lower set, and, once rule (2) holds, the private witnesses.  Rule (4)
+is counted through the witnesses: a matched lower vertex spoils ``x`` iff it
+sees all but at most one of ``x``'s witnesses, so only their neighbours count.
 """
 
 from __future__ import annotations
@@ -83,8 +90,9 @@ class TwoLevelResult:
     ``x_residual`` is the set of unmatched lower-side vertices that still see
     an unmatched upper vertex.  ``private`` maps each, sorted by vertex, to its
     two smallest private witnesses: upper vertices whose only unmatched
-    neighbour is that vertex.  The postcondition check builds this one map
-    from the terminal matching, checks the rules on it and returns it.
+    neighbour is that vertex.  The postcondition check derives both residual
+    sets and this one map from the terminal matching alone, checks the rules
+    on them and returns the result.
     """
 
     matching: frozenset[Edge]
@@ -104,8 +112,9 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     for two new edges.  Both moves must keep every unmatched ``Y`` vertex
     adjacent to an unmatched ``X`` vertex.
 
-    The terminal state is verified, and its private witnesses are read off the
-    check; a failure raises ``PostconditionError`` and indicates a bug.
+    The check derives the residual sets and the private witnesses from the
+    terminal matching and returns the result; a failure raises
+    ``PostconditionError`` and indicates a bug.
     """
     Xs, Ys = frozenset(X), frozenset(Y)
     if not Xs:
@@ -179,10 +188,7 @@ def two_level_matching(H: Graph, X: Iterable[int], Y: Iterable[int]) -> TwoLevel
     while try_add() or try_trade():
         pass
 
-    M = frozenset(matching)
-    y_res = Ys - matched
-    x_res = (Xs - matched).intersection([x for y in y_res for x in nbr[y]])
-    return TwoLevelResult(M, x_res, y_res, _verify_two_level(H, Xs, Ys, M, x_res, y_res))
+    return _verify_two_level(H, Xs, Ys, frozenset(matching))
 
 
 class _Index(NamedTuple):
@@ -263,11 +269,14 @@ def _best_trade(ix: _Index, matching: set[Edge], matched: set[int],
     return None
 
 
-def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int], matching: frozenset[Edge],
-                      x_res: frozenset[int], y_res: frozenset[int]
-                      ) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """Check a terminal state on its one private-witness map, built from the matching,
-    and return each residual lower vertex with its two smallest witnesses, ascending."""
+def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int],
+                      matching: frozenset[Edge]) -> TwoLevelResult:
+    """Check a terminal matching on its one private-witness map and return the result.
+
+    The residual sets are read off the matching: ``Y`` minus the saturated
+    vertices, and the free lower vertices that one of those sees.  Each
+    residual lower vertex is listed with its two smallest witnesses, ascending.
+    """
     adj = H.adj
     saturated = {v for e in matching for v in e}
     for u, v in matching:
@@ -275,33 +284,46 @@ def _verify_two_level(H: Graph, X: frozenset[int], Y: frozenset[int], matching: 
             raise PostconditionError(f"matching edge ({u}, {v}) not in graph")
     if len(saturated) != 2 * len(matching):
         raise PostconditionError("matching edges share vertices")
+    y_res = Y - saturated
+    free_lower = X - saturated
+    sees = {y: adj[y] & free_lower for y in y_res}
     # (1) every residual upper vertex sees a residual lower vertex
-    for y in y_res:
-        if not (adj[y] & x_res):
+    for y, xs in sees.items():
+        if not xs:
             raise PostconditionError(f"uncovered residual upper vertex {y}")
+    x_res = frozenset().union(*sees.values())
     # (2) residual upper set is independent
     for y in y_res:
         if adj[y] & y_res:
             raise PostconditionError("residual upper set is not independent")
-    # (3) two private witnesses each; private[x]: the residual upper y with adj[y] & live == {x}
-    live = (X | Y) - saturated
-    private: dict[int, set[int]] = {}
-    for y in y_res:
-        seen = adj[y] & live
-        if len(seen) == 1:
-            private.setdefault(next(iter(seen)), set()).add(y)
+    # (3) two private witnesses each: private[x] holds the residual upper y
+    # whose only free neighbour in X | Y is x, and by (2) those are sees[y]
+    private: dict[int, list[int]] = {}
+    for y, xs in sees.items():
+        if len(xs) == 1:
+            private.setdefault(next(iter(xs)), []).append(y)
     pairs = []
     for x in sorted(x_res):
         witnesses = sorted(private.get(x, ()))
         if len(witnesses) < 2:
             raise PostconditionError(f"residual vertex {x} has {len(witnesses)} private witnesses")
         pairs.append((x, (witnesses[0], witnesses[1])))
-    # (4) each matched lower vertex can spoil at most one residual vertex
-    for v in sorted(v for v in saturated if v in X):
-        spoiled = sum(len(private[x] - adj[v]) < 2 for x in x_res)
-        if spoiled > 1:
-            raise PostconditionError(f"matched vertex {v} spoils {spoiled} residual vertices")
-    return tuple(pairs)
+    # (4) each matched lower vertex can spoil at most one residual vertex: v
+    # spoils x iff it sees all but at most one of private[x], at least one by (3)
+    lower = X.intersection(saturated)
+    spoils: dict[int, int] = {}
+    for ws in private.values():
+        seen: dict[int, int] = {}
+        for y in ws:
+            for v in adj[y] & lower:
+                seen[v] = seen.get(v, 0) + 1
+        for v, c in seen.items():
+            if c >= len(ws) - 1:
+                spoils[v] = spoils.get(v, 0) + 1
+    if bad := [v for v, c in spoils.items() if c > 1]:
+        v = min(bad)
+        raise PostconditionError(f"matched vertex {v} spoils {spoils[v]} residual vertices")
+    return TwoLevelResult(matching, x_res, y_res, tuple(pairs))
 
 
 @dataclass(frozen=True)

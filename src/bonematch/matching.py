@@ -4,6 +4,21 @@ The production maximum-matching path is a hand-written blossom algorithm
 (augmenting paths with cycle contraction).  It returns a maximum matching,
 deterministic for a labelled graph; no caller reads which one.
 
+A search that fails leaves a Hungarian tree (Edmonds 1965), which every later
+search skips.  In the tree ``T`` of a failed search from ``r``, the queued
+vertices are outer and the others inner; the outer ones form odd blossoms,
+one holding ``r`` and one per inner vertex, whose base it is matched to.  The
+queue ran dry, so every edge at an outer vertex stays in its blossom or ends
+at an inner vertex, and ``T - r`` is matched within ``T``.  So an augmenting
+path that meets ``T`` has an end outside it.  Walk it from there: it enters
+``T`` at an inner vertex by a free edge, takes its matched edge to a blossom's
+base, and leaves that blossom only by a free edge to another inner vertex, so
+it stays in ``T`` and ends at ``r``.  Augmenting it would saturate ``T``, and
+each odd blossom would need a vertex matched out of it, to an inner vertex of
+its own: one more than there are.  So no augmenting path meets ``T``, later
+augmentations leave the matching on ``T`` as it is, and the argument holds
+again for every later tree in the graph without ``T``.
+
 Two independent exponential oracles, ``brute_force_matching_size`` and
 ``berge_tutte_deficiency``, exist purely so tests can cross-check the
 blossom on small graphs; they are never called by other production code.
@@ -66,6 +81,7 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
     # vertex, contracting odd cycles onto their base.  A search resets and
     # relabels only the t vertices its tree reaches (``reached``; no other one
     # leaves its own base), so it costs their degrees plus O(t) per contraction.
+    # The tree of a failed search is dead to every later one (module docstring).
     match = [-1] * n
     for u in range(n):
         if match[u] == -1:
@@ -78,6 +94,7 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
+    dead = [False] * n
     reached: list[int] = []
 
     def lca(a: int, b: int) -> int:
@@ -113,7 +130,7 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
         while queue:
             v = queue.popleft()
             for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
+                if dead[to] or base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # Odd cycle: contract everything onto the common base.
@@ -142,6 +159,9 @@ def _blossom(n: int, adj: list[list[int]]) -> list[int]:
         if match[root] != -1:
             continue
         v = find_augmenting(root)
+        if v == -1:
+            for i in reached:
+                dead[i] = True
         while v != -1:
             pv = parent[v]
             nxt = match[pv]

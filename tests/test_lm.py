@@ -161,6 +161,26 @@ def _trade_kind(H, X, M, old, e1, e2):
     return "rescued" if (lost(e1) | lost(e2)) & R else "other"
 
 
+def _terminal_state(H, X, Y, M):
+    # the matching with the residual sets it defines: the free upper vertices,
+    # and the free lower vertices that one of them sees
+    saturated = {v for e in M for v in e}
+    y_res = Y - saturated
+    return M, frozenset(x for y in y_res for x in H.adj[y] & X if x not in saturated), y_res
+
+
+def _logged(verify, log):
+    # the check, logging each matching it is handed with the residual sets
+    # that matching defines, whether it passes or raises; a result it returns
+    # must carry those same sets
+    def spy(H, X, Y, M):
+        log.append(_terminal_state(H, X, Y, M))
+        res = verify(H, X, Y, M)
+        assert (res.matching, res.x_residual, res.y_residual) == log[-1]
+        return res
+    return spy
+
+
 def test_trade_candidates_match_reference_and_cover_both_kinds(monkeypatch):
     kinds, results, instance = Counter(), [], []
     best_trade, verify = lm_module._best_trade, lm_module._verify_two_level
@@ -173,12 +193,8 @@ def test_trade_candidates_match_reference_and_cover_both_kinds(monkeypatch):
             kinds[_trade_kind(*instance, before, old, ix.edges[i], ix.edges[j])] += 1
         return move
 
-    def spy_verify(H, X, Y, *state):
-        results.append(state)
-        return verify(H, X, Y, *state)
-
     monkeypatch.setattr(lm_module, "_best_trade", spy_trade)
-    monkeypatch.setattr(lm_module, "_verify_two_level", spy_verify)
+    monkeypatch.setattr(lm_module, "_verify_two_level", _logged(verify, results))
     for seed in range(800):
         H, X, Y = _bipartite_two_level_instance(seed, k_max=5 if seed % 2 else 9)
         instance[:] = [H, X]
@@ -216,41 +232,46 @@ def test_trade_pass_leaves_the_state_as_it_found_it(monkeypatch):
             pass
     assert outcomes[True] >= 800 and outcomes[False] >= 150, outcomes
 
-def _verdict(verify, H, X, Y, *state):
+def _verdict(verify, H, X, Y, M):
     try:
-        return "pass", verify(H, X, Y, *state)
+        return "pass", verify(H, X, Y, M)
     except Exception as exc:
         return type(exc).__name__, str(exc)
 
 
-def _perturbed(H, state, rng):
-    # broken copies of a terminal state, one for each way the check can fail
-    M, x_res, y_res = state
+def _perturbed(H, X, Y, M, rng):
+    # broken copies of a terminal matching, one for each way the check can
+    # fail: a foreign pair, a reversed duplicate, a dropped edge, and a graph
+    # edge added between two free vertices of X | Y
     u, v = rng.sample(range(H.n), 2)
-    w = rng.randrange(H.n)
-    out = [(M | {(u, v)}, x_res, y_res), (M, x_res ^ {w}, y_res), (M, x_res, y_res ^ {w})]
+    out = [M | {(u, v)}]
     if M:
         a, b = min(M)
-        out += [(M | {(b, a)}, x_res, y_res), (M - {(a, b)}, x_res, y_res)]
+        out += [M | {(b, a)}, M - {(a, b)}]
+    free = (X | Y) - {v for e in M for v in e}
+    if extra := [(a, b) for a in sorted(free) for b in sorted(H.adj[a] & free) if a < b]:
+        out.append(M | {rng.choice(extra)})
     return out
 
 
-def _frozen_verdict(H, X, Y, state, got):
-    # The frozen check reads a witness listing: the one the check under test
-    # returned on a pass, else the two smallest witnesses of each residual
-    # vertex that has two.  It reports a vertex short of two, left out of the
-    # listing, as a key mismatch, its form of rule (3); that is translated.
-    M, x_res, y_res = state
+def _frozen_verdict(H, X, Y, M, got):
+    # The frozen check reads the residual sets the matching defines and a
+    # witness listing: the one the check under test returned on a pass, else
+    # the two smallest witnesses of each residual vertex that has two.  It
+    # reports a vertex short of two, left out of the listing, as a key
+    # mismatch, its form of rule (3); that is translated.
+    state = _terminal_state(H, X, Y, M)
+    _, x_res, y_res = state
     live = (X | Y) - {v for e in M for v in e}
     count, listing = {}, ()
     for x in sorted(x_res):
         ws = sorted(y for y in y_res if H.adj[y] & live == {x})
         count[x] = len(ws)
         listing += ((x, (ws[0], ws[1])),) if len(ws) >= 2 else ()
-    listing = got[1] if got[0] == "pass" else listing
+    listing = got[1].private if got[0] == "pass" else listing
     verdict = _verdict(verify_two_level_frozen, H, X, Y, TwoLevelResult(*state, listing))
     if verdict[0] == "pass":
-        return "pass", listing
+        return "pass", TwoLevelResult(*state, listing)
     if verdict[1] == "private witness map keys do not match the residual set":
         x = min(x for x, k in count.items() if k < 2)
         return verdict[0], f"residual vertex {x} has {count[x]} private witnesses"
@@ -261,7 +282,7 @@ def test_verifier_matches_the_frozen_triple_loop(monkeypatch):
     # the one private-witness map gives every state, terminal or broken, the
     # outcome of the check as first written: a pass, or the same error
     states, verify = [], lm_module._verify_two_level
-    monkeypatch.setattr(lm_module, "_verify_two_level", lambda *args: states.append(args) or ())
+    monkeypatch.setattr(lm_module, "_verify_two_level", lambda *args: states.append(args))
     instances = [_bipartite_two_level_instance(seed, k_max=5 if seed % 2 else 9)
                  for seed in range(2000)]
     instances += [_random_two_level_instance(seed, n_max=60 if seed % 4 == 0 else 14)
@@ -276,10 +297,10 @@ def test_verifier_matches_the_frozen_triple_loop(monkeypatch):
     assert _verdict(verify, *states[-1]) == (
         "PostconditionError", "matched vertex 0 spoils 2 residual vertices")
     rng, kinds = random.Random(14), Counter()
-    for H, X, Y, *state in states:
-        for s in (tuple(state), *_perturbed(H, state, rng)):
-            got = _verdict(verify, H, X, Y, *s)
-            assert got == _frozen_verdict(H, X, Y, s, got), (H, s)
+    for H, X, Y, M in states:
+        for m in (M, *_perturbed(H, X, Y, M, rng)):
+            got = _verdict(verify, H, X, Y, m)
+            assert got == _frozen_verdict(H, X, Y, m, got), (H, m)
             kinds[got[0] == "pass" or re.sub(r"\d+", "#", got[1])] += 1
     assert len(kinds) == 7, kinds  # a pass and each of the six errors
 
@@ -317,7 +338,7 @@ def test_lm_run_matches_reference_on_family_instances():
 def test_lm_run_searches_the_level_sets_of_the_input_graph(monkeypatch):
     calls, verify = [], lm_module._verify_two_level
     monkeypatch.setattr(lm_module, "_verify_two_level",
-                        lambda H, X, Y, *state: calls.append((H, X, Y)) or verify(H, X, Y, *state))
+                        lambda H, X, Y, M: calls.append((H, X, Y)) or verify(H, X, Y, M))
     rng = random.Random(2021)
     graphs = [t_tree(5, 4), s_family(3, 3), bs(3, 5)]
     graphs += [layered_graph(rng, rng.choice((30, 60)))[0] for _ in range(5)]
@@ -337,8 +358,7 @@ def test_two_level_matches_reference_on_the_induced_subgraph(monkeypatch):
     # on the subgraph they induce, relabelled to 0..k-1, in the ids of G; the
     # terminal states are compared also where the postcondition check fails
     states, verify = [], lm_module._verify_two_level
-    monkeypatch.setattr(lm_module, "_verify_two_level",
-                        lambda H, X, Y, *state: states.append(state) or verify(H, X, Y, *state))
+    monkeypatch.setattr(lm_module, "_verify_two_level", _logged(verify, states))
     rng = random.Random(2022)
     instances = []
     for _ in range(3000):
@@ -412,8 +432,7 @@ def test_lm_run_searches_match_the_reference_on_layered_graphs(monkeypatch):
 
     monkeypatch.setattr(lm_module, "two_level_matching", spy_search)
     monkeypatch.setattr(lm_module, "_best_trade", spy_trade)
-    monkeypatch.setattr(lm_module, "_verify_two_level",
-                        lambda H, X, Y, *state: states.append(state) or verify(H, X, Y, *state))
+    monkeypatch.setattr(lm_module, "_verify_two_level", _logged(verify, states))
     for seed in range(20):
         G, root = layered_graph(random.Random(f"two-level:{seed}"), 300)
         try:

@@ -319,6 +319,26 @@ def test_blossom_matches_networkx_beyond_brute_force_reach():
     assert horns >= 30 and max(G.n for G in graphs) >= 300
 
 
+def _stars_and_brooms(rng, pieces):
+    # stars and brooms (a path with leaves at its far end) in a chain, each
+    # joined by one or two edges from leaves of the one before, labels
+    # shuffled: a search from a spare leaf can fail with the centre as its odd
+    # vertex, and the centre's other spare leaves are roots searched later
+    edges, n, prev = [], 0, []
+    for _ in range(pieces):
+        handle = rng.randint(0, 5)
+        path = list(range(n, n + handle + 1))
+        leaves = list(range(n + handle + 1, n + handle + 1 + rng.randint(2, 4)))
+        n = leaves[-1] + 1
+        edges += list(zip(path, path[1:])) + [(path[-1], x) for x in leaves]
+        joins = rng.sample(prev, min(len(prev), rng.randint(1, 2)))
+        edges += [(a, rng.choice(path + leaves)) for a in joins]
+        prev = leaves
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
 def _assert_maximum_match(n, adj, match):
     # a matching of the adjacency lists, as large as the full-reset blossom's
     assert all(m == -1 or (match[m] == v and m in adj[v]) for v, m in enumerate(match))
@@ -335,10 +355,12 @@ def test_blossom_returns_a_matching_as_large_as_the_full_reset_blossom():
     graphs += [random_tree(rng, n) for n in (40, 150, 400, 1000)]
     graphs += [random_connected_graph(rng, n, extra=2.5 / n) for n in (40, 80, 300, 1000)]
     graphs += [_odd_cycles_joined_by_paths(rng, c) for c in (3, 8, 15, 30, 60)]
+    # a failed search's tree is skipped by every later search
+    graphs += [_stars_and_brooms(rng, k) for k in (1, 2, 3, 5, 8, 13, 40, 100) for _ in range(5)]
     for G in graphs:
         adj = [sorted(s) for s in G.adj]
         _assert_maximum_match(G.n, adj, matching._blossom(G.n, adj))
-    assert len(graphs) >= 996 + 40 and max(G.n for G in graphs) == 1000
+    assert len(graphs) >= 996 + 80 and max(G.n for G in graphs) == 1000
 
 
 def test_blossom_is_maximum_on_every_criticality_subset(monkeypatch):
