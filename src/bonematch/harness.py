@@ -26,7 +26,8 @@ from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
 from .matching import CriticalityResult, _components, deficiency, is_deficiency_critical
 from .serialize import graph_key, graph_to_json_dict, json_text
-from .structure import _MIS_MAX, admitting_set, clique_number, local_independence_number
+from .structure import (
+    _MIS_MAX, _alpha_exceeds, admitting_set, clique_number, local_independence_number)
 
 __all__ = [
     "THEOREM_IDS",
@@ -540,15 +541,44 @@ class SearchConstraints:
             raise ValueError("search needs at least one vertex")
         if self.n > _SEARCH_MAX_N:
             raise GuardExceededError(f"search limited to {_SEARCH_MAX_N} vertices, got {self.n}")
+        for name, cap in (("alpha_l_max", self.alpha_l_max), ("omega_max", self.omega_max)):
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must be 0 or more, got {cap}")
         if self.omega_max is not None and self.n > _MIS_MAX:
             raise GuardExceededError(f"clique number limited to {_MIS_MAX} vertices")
         if self.admitting not in ADMITTING_CONSTRAINTS:
             raise ValueError(f"unknown admitting constraint {self.admitting!r}")
 
 
-def _satisfies(G: Graph, c: SearchConstraints) -> bool:
-    if c.alpha_l_max is not None and local_independence_number(G) > c.alpha_l_max:
-        return False
+def _satisfies(G: Graph, c: SearchConstraints, edit: tuple[int, int] | None = None) -> bool:
+    """Whether ``G`` meets the constraints ``c``.
+
+    ``edit`` names the pair ``uv`` whose toggle made ``G`` from the search's
+    current graph.  The alpha_l cap is then tested only on
+    ``W = {u, v} | (N(u) & N(v))``; without ``edit`` it is tested on every
+    vertex.  This is exact:
+
+    - the current graph always meets the cap: it is a draw tested on every
+      vertex, or an edit of a current graph accepted by this test;
+    - for ``w`` outside ``{u, v}``, ``N(w)`` is unchanged, and ``G[N(w)]``
+      changes only if ``u`` and ``v`` both lie in ``N(w)``, that is if ``w``
+      is in ``N(u) & N(v)``, which the toggle leaves as it was.  So every
+      vertex outside ``W`` keeps the alpha(N(w)) it had in the current graph,
+      which is within the cap;
+    - degrees change only at ``u`` and ``v``.  Every vertex of the current
+      graph has degree <= 40, or its test would have raised, so a vertex of
+      ``G`` above the 40-vertex guard is ``u`` or ``v``: the guard trips on
+      the same candidate, naming the same smallest vertex, as on all of ``G``.
+    """
+    if c.alpha_l_max is not None:
+        masks = G.adjacency_masks()
+        if edit is None:
+            among = (1 << G.n) - 1
+        else:
+            u, v = edit
+            among = 1 << u | 1 << v | masks[u] & masks[v]
+        if _alpha_exceeds(masks, among, c.alpha_l_max):
+            return False
     if c.omega_max is not None and clique_number(G) > c.omega_max:
         return False
     constraint = ADMITTING_CONSTRAINTS[c.admitting]
@@ -632,7 +662,7 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
         adj[u] ^= {v}
         adj[v] ^= {u}
         cand = Graph(n, tuple(adj))
-        if not is_connected(cand) or not _satisfies(cand, constraints):
+        if not is_connected(cand) or not _satisfies(cand, constraints, (u, v)):
             stale += 1
         else:
             feasible += 1

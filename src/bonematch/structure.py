@@ -77,12 +77,11 @@ _MIS_MAX = 40
 _BONE_BUDGET = 2_000_000
 
 
-def _alpha_of_mask(masks: list[int], avail: int) -> int:
-    # Exact branch and bound on bitmasks.  Vertices of degree <= 1 inside the
-    # candidate set are taken greedily (always safe for size); otherwise
-    # branch on a maximum-degree vertex.
-    best = 0
-
+def _alpha_of_mask(masks: list[int], avail: int, best: int = 0) -> int:
+    # max(best, independence number of ``avail``) by exact branch and bound on
+    # bitmasks; a branch that cannot beat ``best`` is pruned.  Vertices of
+    # degree <= 1 inside the candidate set are taken greedily (always safe for
+    # size); otherwise branch on a maximum-degree vertex.
     def rec(avail: int, size: int) -> None:
         nonlocal best
         while True:
@@ -131,12 +130,25 @@ def local_independence_number(G: Graph) -> int:
     for v in range(G.n):
         if G.degree(v) > _MIS_MAX:
             raise GuardExceededError(f"neighbourhood of {v} exceeds {_MIS_MAX} vertices")
-        if G.degree(v) <= best:
-            continue
-        a = _alpha_of_mask(masks, masks[v])
-        if a > best:
-            best = a
+        if G.degree(v) > best:
+            best = _alpha_of_mask(masks, masks[v], best)
     return best
+
+
+def _alpha_exceeds(masks: list[int], among: int, k: int) -> bool:
+    # Whether some vertex w of the mask ``among`` has alpha(N(w)) > k.  The
+    # degree guard of ``local_independence_number`` is checked on every vertex
+    # of ``among`` first, in ascending order, so on all vertices it trips
+    # exactly when, and with the message, that function's does.  A vertex of
+    # degree <= k cannot exceed k, and k is the floor of each search.
+    heavy = []
+    for w in _mask_vertices(among):
+        degree = masks[w].bit_count()
+        if degree > _MIS_MAX:
+            raise GuardExceededError(f"neighbourhood of {w} exceeds {_MIS_MAX} vertices")
+        if degree > k:
+            heavy.append(w)
+    return any(_alpha_of_mask(masks, masks[w], k) > k for w in heavy)
 
 
 def clique_number(G: Graph) -> int:
@@ -171,6 +183,8 @@ def _claw_centres(masks: list[int]) -> int:
     # a < b < c: the centres of induced claws.
     centres = 0
     for v, rest in enumerate(masks):
+        if rest.bit_count() < 3:
+            continue
         while rest and not centres >> v & 1:
             a = rest & -rest
             rest ^= a

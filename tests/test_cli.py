@@ -590,6 +590,12 @@ def test_search_rejects_negative_iterations(capsys):
     assert captured.err == "error: iteration count must be non-negative, got -3\n"
 
 
+def test_search_refuses_a_negative_cap(capsys):
+    for option, name in (("--alpha-l-max", "alpha_l_max"), ("--omega-max", "omega_max")):
+        assert run_cli(["search", "--n", "6", option, "-2", "--iters", "30", "--seed", "1"]) == 2
+        assert tuple(capsys.readouterr()) == ("", f"error: {name} must be 0 or more, got -2\n")
+
+
 def test_search_refuses_an_order_above_the_cap(monkeypatch, capsys):
     def no_draw(*args):
         raise AssertionError("a graph was drawn")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import combinations
 from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from bonematch import (
     extremal_search,
     graph_from_json_dict,
     graph_key,
+    json_text,
     path_graph,
     random_connected,
     s_family,
@@ -549,6 +551,102 @@ def test_search_constraints_validation():
     with pytest.raises(GuardExceededError, match="clique number limited to 40 vertices"):
         SearchConstraints(41, omega_max=3)
     assert SearchConstraints(41).n == 41
+
+
+def test_search_constraints_refuse_a_negative_alpha_l_cap():
+    with pytest.raises(ValueError, match="^alpha_l_max must be 0 or more, got -2$"):
+        SearchConstraints(6, alpha_l_max=-2)
+    assert SearchConstraints(6, alpha_l_max=0).alpha_l_max == 0
+
+
+def test_search_constraints_refuse_a_negative_omega_cap():
+    with pytest.raises(ValueError, match="^omega_max must be 0 or more, got -1$"):
+        SearchConstraints(6, omega_max=-1)
+    assert SearchConstraints(6, omega_max=0).omega_max == 0
+
+
+def test_edit_local_alpha_test_matches_the_full_test():
+    # A candidate made by toggling uv is tested on {u, v} and N(u) & N(v)
+    # only.  On every toggle of a graph within the cap, the verdict is that
+    # of the test on every vertex; ``common`` counts the toggles on which a
+    # test of u and v alone would be wrong.
+    rng = random.Random(2905)
+    pool = [G for G, _ in _connected_classes(6)]
+    pool += [random_connected_graph(rng, 7 + k % 6, extra=(0.15, 0.3, 0.5)[k % 3])
+             for k in range(120)]
+    verdicts = Counter()
+    common = 0
+    for G in pool:
+        k = structure.local_independence_number(G)
+        c = SearchConstraints(G.n, alpha_l_max=k)
+        for u, v in combinations(range(G.n), 2):
+            adj = list(G.adj)
+            adj[u] ^= {v}
+            adj[v] ^= {u}
+            cand = graphs.Graph(G.n, tuple(adj))
+            full = harness._satisfies(cand, c)
+            assert harness._satisfies(cand, c, (u, v)) == full, (u, v, G.edges())
+            assert harness._satisfies(cand, c, (v, u)) == full, (u, v, G.edges())
+            verdicts[full] += 1
+            masks = cand.adjacency_masks()
+            common += structure._alpha_exceeds(masks, 1 << u | 1 << v, k) == full
+    assert min(verdicts.values()) >= 500 and common >= 300, (verdicts, common)
+
+
+# SHA-256 prefixes of ``json_text(SearchReport.to_json_dict())``: one seed of
+# each ``bench/inputs.py`` search configuration (n, alpha_l_max, admitting)
+# at 400 iterations, which holds restarts as well as edits, and the README
+# example.  They were taken when the alpha_l cap was computed exactly on
+# every vertex of every candidate.
+SEARCH_DIGESTS = {
+    (8, 3, "odd"): "f928c308dc078300",
+    (9, 3, "odd"): "fd5bdd9dd6e8d39d",
+    (10, 3, "odd"): "246fbcba03354e19",
+    (11, 3, "odd"): "7801efbc39eb3603",
+    (9, 4, "odd"): "c867c4ddc6b05478",
+    (9, 4, "even"): "dd8bf41dd6f34856",
+    (10, 4, "even"): "482d3c8bafea5c89",
+    (11, 4, "even"): "6e719bd745bbc515",
+    (12, 4, "even"): "9cfdde5f37ecfd62",
+    (8, 3, "empty"): "ed6853065c8f1514",
+    (10, 3, "empty"): "71509be7a48fc0f2",
+    (11, 4, "empty"): "89e9f97d31735fab",
+    (12, 4, "odd"): "c423c79686830e84",
+}
+
+
+def _report_digest(constraints, iters, seed):
+    rep = extremal_search(constraints, iters=iters, seed=seed)
+    return hashlib.sha256(json_text(rep.to_json_dict()).encode()).hexdigest()[:16]
+
+
+def test_search_reports_are_pinned():
+    for k, ((n, a, adm), digest) in enumerate(SEARCH_DIGESTS.items()):
+        c = SearchConstraints(n, alpha_l_max=a, admitting=adm)
+        assert _report_digest(c, 400, 2900 + k) == digest, (n, a, adm)
+    readme = SearchConstraints(7, alpha_l_max=3, admitting="odd")
+    assert _report_digest(readme, 1000, 7) == "1500352daca5f1d2"
+
+
+def test_search_edit_trips_the_alpha_l_guard_at_the_first_candidate_above_it(monkeypatch):
+    # Every draw is this graph: vertex 0 sees the path 1..40, and 41 hangs
+    # off 1.  The cap is above every degree, so no alpha is searched, yet the
+    # first connected candidate with a vertex of degree 41 trips the guard,
+    # as the exact alpha_l on every vertex does (608 candidates at seed 3).
+    start = build_graph(42, [(0, i) for i in range(1, 41)]
+                        + [(i, i + 1) for i in range(1, 40)] + [(1, 41)])
+    monkeypatch.setattr(harness, "random_connected", lambda n, p, seed: start)
+    seen = []
+    monkeypatch.setattr(harness, "is_connected",
+                        lambda G: seen.append(G) or graphs.is_connected(G))
+    message = "^neighbourhood of 0 exceeds 40 vertices$"
+    with pytest.raises(GuardExceededError, match=message):
+        extremal_search(SearchConstraints(42, alpha_l_max=100), iters=3000, seed=3)
+    assert len(seen) == 608
+    tripped = next(G for G in seen if graphs.is_connected(G) and max(map(len, G.adj)) > 40)
+    assert tripped is seen[-1] and tripped.degree(0) == 41
+    with pytest.raises(GuardExceededError, match=message):
+        structure.local_independence_number(tripped)
 
 
 def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):

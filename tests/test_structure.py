@@ -25,6 +25,7 @@ from bonematch import (
     t_tree,
 )
 from bonematch import structure
+from bonematch.harness import _connected_classes
 from .helpers import (
     admitting_set_by_path_enum,
     bone_scan_reference,
@@ -159,6 +160,25 @@ def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
         assert stopped >= 100 and fewer >= least
 
 
+def test_alpha_threshold_matches_the_local_independence_number():
+    # "some vertex w has alpha(N(w)) > k" is alpha_l > k for every k up to
+    # alpha_l + 1, and each search with a floor f gives max(f, alpha)
+    rng = random.Random(2904)
+    pool = [G for G, _ in _connected_classes(7)]
+    pool += [random_connected_graph(rng, 5 + k % 16, extra=(0.1, 0.25, 0.4, 0.6)[k % 4])
+             for k in range(300)]
+    for G in pool:
+        masks = G.adjacency_masks()
+        alpha_l = local_independence_number(G)
+        for k in range(alpha_l + 2):
+            assert structure._alpha_exceeds(masks, (1 << G.n) - 1, k) == (alpha_l > k), (
+                k, G.edges())
+        for m in masks:
+            alpha = structure._alpha_of_mask(masks, m)
+            for floor in range(m.bit_count() + 2):
+                assert structure._alpha_of_mask(masks, m, floor) == max(floor, alpha)
+
+
 def test_claw_centres_match_the_neighbourhood_scan():
     rng = random.Random(1733)
     for k in range(300):
@@ -290,3 +310,9 @@ def test_structure_profile_json_keys():
 def test_structure_guards():
     with pytest.raises(GuardExceededError):
         local_independence_number(star_graph(41))
+    # the threshold test checks the degree guard before any search, so a
+    # cap above every degree still trips it, with the same message
+    masks = star_graph(41).adjacency_masks()
+    for k in (0, 3, 41, 100):
+        with pytest.raises(GuardExceededError, match="^neighbourhood of 0 exceeds 40 vertices$"):
+            structure._alpha_exceeds(masks, (1 << 42) - 1, k)
