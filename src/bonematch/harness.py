@@ -24,10 +24,12 @@ from typing import Any, Callable, NamedTuple
 from .canon import CanonicalForm, _search, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
-from .matching import CriticalityResult, _components, deficiency, is_deficiency_critical
+from .matching import (
+    CriticalityResult, _blossom, _components, _mask_vertices, deficiency, is_deficiency_critical)
 from .serialize import graph_key, graph_to_json_dict, json_text
 from .structure import (
-    _MIS_MAX, _alpha_exceeds, admitting_set, clique_number, local_independence_number)
+    _MIS_MAX, _alpha_exceeds, _bone_scan, _clique_of_masks, admitting_set, clique_number,
+    local_independence_number)
 
 __all__ = [
     "THEOREM_IDS",
@@ -479,7 +481,8 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
 
     Samples G(n, p) and rejects disconnected draws; after 10^4 rejections a
     random spanning tree is laid down first and the G(n, p) edges added on
-    top.
+    top.  A draw is tested on neighbour masks, so only the graph returned is
+    built.
     """
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
@@ -487,11 +490,15 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
         raise ValueError(f"edge probability must be in (0, 1], got {edge_prob}")
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
+    full = (1 << n) - 1
     for _ in range(10_000):
         edges = [e for e in pairs if rng.random() < edge_prob]
-        G = build_graph(n, edges)
-        if is_connected(G):
-            return G
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        if _components(masks, full) == [full]:
+            return build_graph(n, edges)
     order = list(range(n))
     rng.shuffle(order)
     tree = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
@@ -517,8 +524,9 @@ ADMITTING_CONSTRAINTS: dict[str, _Admitting | None] = {
 
 # The largest search order.  At the seed density 2.5/n, random_connected
 # rejects most draws as disconnected, so one call grows steeply with n.  Its
-# median over 5 to 9 seeds was 0.16 s at n = 80, 0.5-0.8 s at 90, 1.3-1.4 s
-# at 95 and 100, and 5.1 s at 110 (2-vCPU Xeon VM, Python 3.11).
+# median over seeds 1-7 was 0.12 s at n = 80, 0.23 s at 90, 0.84 s at 95,
+# 1.0 s at 100 and 2.9 s at 110, where every seed drew 10^4 disconnected
+# graphs before the spanning-tree fallback (2-vCPU Xeon VM, Python 3.11).
 _SEARCH_MAX_N = 90
 
 
@@ -550,8 +558,10 @@ class SearchConstraints:
             raise ValueError(f"unknown admitting constraint {self.admitting!r}")
 
 
-def _satisfies(G: Graph, c: SearchConstraints, edit: tuple[int, int] | None = None) -> bool:
-    """Whether ``G`` meets the constraints ``c``.
+def _satisfies(masks: list[int], c: SearchConstraints,
+               edit: tuple[int, int] | None = None) -> bool:
+    """Whether the graph ``G`` with the neighbour masks ``masks`` meets the
+    constraints ``c``.
 
     ``edit`` names the pair ``uv`` whose toggle made ``G`` from the search's
     current graph.  The alpha_l cap is then tested only on
@@ -570,22 +580,23 @@ def _satisfies(G: Graph, c: SearchConstraints, edit: tuple[int, int] | None = No
       ``G`` above the 40-vertex guard is ``u`` or ``v``: the guard trips on
       the same candidate, naming the same smallest vertex, as on all of ``G``.
     """
+    n = len(masks)
     if c.alpha_l_max is not None:
-        masks = G.adjacency_masks()
         if edit is None:
-            among = (1 << G.n) - 1
+            among = (1 << n) - 1
         else:
             u, v = edit
             among = 1 << u | 1 << v | masks[u] & masks[v]
         if _alpha_exceeds(masks, among, c.alpha_l_max):
             return False
-    if c.omega_max is not None and clique_number(G) > c.omega_max:
+    if c.omega_max is not None and _clique_of_masks(masks) > c.omega_max:
         return False
     constraint = ADMITTING_CONSTRAINTS[c.admitting]
     if constraint is None:
         return True
-    stop = frozenset(filter(constraint.refuted_by, range(2, G.n - 3)))
-    return constraint.test(admitting_set(G, stop=stop))
+    wanted = range(2, n - 3)  # the indices of admitting_set(G)
+    stop = frozenset(filter(constraint.refuted_by, wanted))
+    return constraint.test(frozenset(_bone_scan(masks, set(wanted), stop)))
 
 
 @dataclass(frozen=True)
@@ -620,6 +631,23 @@ class SearchReport:
 _RESTART_AFTER = 200
 
 
+def _rematch(masks: list[int], match: list[int], u: int, v: int) -> list[int]:
+    """A maximum matching of the graph with the neighbour masks ``masks``, made
+    by toggling ``uv`` in a graph whose maximum matching is ``match`` (cases
+    proved in ``extremal_search``); ``match`` is not changed."""
+    if masks[u] >> v & 1:  # uv was added
+        if match[u] == match[v] == -1:
+            match = match[:]
+            match[u], match[v] = v, u
+            return match
+    elif match[u] != v:  # uv was removed and is not matched
+        return match
+    else:
+        match = match[:]
+        match[u] = match[v] = -1
+    return _blossom(len(masks), [_mask_vertices(m) for m in masks], match)
+
+
 def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> SearchReport:
     """Hill-climb over single-edge edits, maximizing deficiency within the constraints.
 
@@ -627,57 +655,78 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     graph connected and feasible without lowering the deficiency, and
     restarts after a stretch of non-improving steps.  Exploratory tooling:
     the result is a lower bound witness, nothing more.
+
+    The current graph ``G`` is kept as neighbour masks, with a maximum
+    matching ``M``; a candidate ``G'`` toggles ``uv``, and a ``Graph`` is
+    built only for a new best.  ``M`` is repaired, not recomputed (Berge
+    1957: a matching is maximum iff no augmenting path exists):
+
+    - ``G' = G - uv``: a matching of ``G'`` is one of ``G``, so
+      nu(G') <= nu(G).  If ``uv`` is not in ``M``, ``M`` is a matching of
+      ``G'`` of size nu(G), so it is maximum;
+    - if ``uv`` is in ``M``, ``M - uv`` is a matching of ``G'``, and the
+      blossom starts from it;
+    - ``G' = G + uv``: dropping ``uv`` from a matching of ``G'`` leaves one of
+      ``G``, so nu(G') <= nu(G) + 1.  If ``u`` and ``v`` are both exposed by
+      ``M``, ``M + uv`` is a matching of size nu(G) + 1, so it is maximum;
+    - otherwise ``M`` is a matching of ``G'``, and the blossom starts from it.
+
+    The blossom returns a maximum matching from any start (``matching``
+    module docstring), so each case gives one, and kd(G') is its free count.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be non-negative, got {iters}")
     rng = random.Random(seed)
     n = constraints.n
+    full = (1 << n) - 1
     seed_prob = min(1.0, 2.5 / n) if n > 1 else 1.0
-    current: Graph | None = None
+    masks: list[int] | None = None
+    match: list[int] = []
     current_kd = -1
     best: Graph | None = None
     best_kd = -1
     feasible = 0
     stale = 0
 
-    def consider(G: Graph, kd: int) -> None:
+    def consider(kd: int) -> None:
         nonlocal best, best_kd
         if kd > best_kd:
-            best, best_kd = G, kd
+            best, best_kd = Graph(n, tuple(frozenset(_mask_vertices(m)) for m in masks)), kd
 
     for _ in range(iters):
-        if current is None:
-            cand = random_connected(n, seed_prob, rng.randrange(2**32))
+        if masks is None:
+            cand = random_connected(n, seed_prob, rng.randrange(2**32)).adjacency_masks()
             if _satisfies(cand, constraints):
-                current = cand
-                current_kd = deficiency(cand)
+                masks = cand
+                match = _blossom(n, [_mask_vertices(m) for m in masks])
+                current_kd = match.count(-1)
                 feasible += 1
-                consider(cand, current_kd)
+                consider(current_kd)
             continue
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v:
             continue
-        adj = list(current.adj)
-        adj[u] ^= {v}
-        adj[v] ^= {u}
-        cand = Graph(n, tuple(adj))
-        if not is_connected(cand) or not _satisfies(cand, constraints, (u, v)):
+        cand = masks[:]
+        cand[u] ^= 1 << v
+        cand[v] ^= 1 << u
+        if _components(cand, full) != [full] or not _satisfies(cand, constraints, (u, v)):
             stale += 1
         else:
             feasible += 1
-            kd = deficiency(cand)
+            cand_match = _rematch(cand, match, u, v)
+            kd = cand_match.count(-1)
             if kd >= current_kd:
                 if kd > current_kd:
                     stale = 0
                 else:
                     stale += 1
-                current, current_kd = cand, kd
-                consider(cand, kd)
+                masks, match, current_kd = cand, cand_match, kd
+                consider(kd)
             else:
                 stale += 1
         if stale >= _RESTART_AFTER:
-            current = None
+            masks = None
             stale = 0
 
     # prop-5.1's congruence, with the star parameter n = alpha_l_max + 1 > 3

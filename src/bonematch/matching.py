@@ -2,7 +2,8 @@
 
 The production maximum-matching path is a hand-written blossom algorithm
 (augmenting paths with cycle contraction).  It returns a maximum matching,
-deterministic for a labelled graph; no caller reads which one.
+deterministic for a labelled graph and start matching; no output reads which
+one.
 
 A search that fails leaves a Hungarian tree (Edmonds 1965), which every later
 search skips.  In the tree ``T`` of a failed search from ``r``, the queued
@@ -17,7 +18,10 @@ it stays in ``T`` and ends at ``r``.  Augmenting it would saturate ``T``, and
 each odd blossom would need a vertex matched out of it, to an inner vertex of
 its own: one more than there are.  So no augmenting path meets ``T``, later
 augmentations leave the matching on ``T`` as it is, and the argument holds
-again for every later tree in the graph without ``T``.
+again for every later tree in the graph without ``T``.  The argument reads
+the matching only as a matching, so it holds from any start: the greedy one,
+or one a caller passes (``extremal_search`` passes the matching of the graph
+it edits).
 
 Two independent exponential oracles, ``brute_force_matching_size`` and
 ``berge_tutte_deficiency``, exist purely so tests can cross-check the
@@ -76,13 +80,15 @@ class MatchingResult:
     deficiency: int
 
 
-def _blossom(n: int, adj: list[list[int]]) -> list[int]:
+def _blossom(n: int, adj: list[list[int]], start: list[int] | None = None) -> list[int]:
     # Edmonds' blossom search: grow an alternating BFS tree from each exposed
     # vertex, contracting odd cycles onto their base.  A search resets and
     # relabels only the t vertices its tree reaches (``reached``; no other one
     # leaves its own base), so it costs their degrees plus O(t) per contraction.
     # The tree of a failed search is dead to every later one (module docstring).
-    match = [-1] * n
+    # ``start``, a matching of the graph as a mate list, is extended greedily
+    # and then augmented; it is not changed.
+    match = [-1] * n if start is None else start[:]
     for u in range(n):
         if match[u] == -1:
             for v in adj[u]:

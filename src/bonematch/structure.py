@@ -47,10 +47,12 @@ The search keeps the union of the neighbourhoods of the spine per depth and
 gives them as one mask, so a close with fewer than two is skipped before
 any list is built.
 
-A query may name indices to stop at (``admitting_set``'s ``stop``).  Every
-hypothesis of the form "no bone of these indices" is anti-monotone: one
-induced bone of a refuting index decides it, so the search returns at the
-first such bone and visits a prefix of the nodes of the full search.
+The search's admitting constraints name indices to stop at (``_bone_scan``'s
+``stop``).  Every hypothesis of the form "no bone of these indices" is
+anti-monotone: one induced bone of a refuting index decides it, so the
+search returns at the first such bone and visits a prefix of the nodes of
+the full search.  A stopped result holds that index and the indices found
+before it; a result without an index of ``stop`` is complete.
 """
 
 from __future__ import annotations
@@ -156,10 +158,12 @@ def clique_number(G: Graph) -> int:
     (guard: 40 vertices)."""
     if G.n > _MIS_MAX:
         raise GuardExceededError(f"clique number limited to {_MIS_MAX} vertices")
-    full = (1 << G.n) - 1
-    masks = G.adjacency_masks()
-    comp = [full & ~(masks[v] | (1 << v)) for v in range(G.n)]
-    return _alpha_of_mask(comp, full)
+    return _clique_of_masks(G.adjacency_masks())
+
+
+def _clique_of_masks(masks: list[int]) -> int:
+    full = (1 << len(masks)) - 1
+    return _alpha_of_mask([full & ~(m | 1 << v) for v, m in enumerate(masks)], full)
 
 
 @dataclass(frozen=True)
@@ -214,14 +218,15 @@ def _close(masks: list[int], path: list[int], left: int, right: int) -> BoneEmbe
     return None
 
 
-def _bone_scan(G: Graph, wanted: set[int],
+def _bone_scan(masks: list[int], wanted: set[int],
                stop: frozenset[int] = frozenset()) -> dict[int, BoneEmbedding]:
-    # One depth-first search over induced paths from every claw centre that
-    # has a claw centre above it, recording the first bone of each wanted
-    # index; it returns at once after recording an index in ``stop``.  ``hi``
-    # is the claw centres above the start.  ``left`` is the start's
-    # private-pendant candidates: neighbours off the path and not adjacent to
-    # any later spine vertex; a branch with fewer than two is dropped.
+    # One depth-first search over the induced paths of the graph with the
+    # neighbour masks ``masks``, from every claw centre that has a claw centre
+    # above it, recording the first bone of each wanted index; it returns at
+    # once after recording an index in ``stop``.  ``hi`` is the claw centres
+    # above the start.  ``left`` is the start's private-pendant candidates:
+    # neighbours off the path and not adjacent to any later spine vertex; a
+    # branch with fewer than two is dropped.
     # ``near`` is the union of the neighbourhoods of the spine before its
     # tail; ``reach`` adds the tail's, so a new tail ``w`` has the right
     # candidates ``masks[w] & ~(body | reach)``, which are also the vertices
@@ -231,13 +236,13 @@ def _bone_scan(G: Graph, wanted: set[int],
     # Every node visited counts against ``_BONE_BUDGET``.  ``cands`` holds the
     # unvisited candidates of each spine vertex as a mask, popped lowest bit
     # first, so a long spine cannot hit Python's recursion limit.
-    if G.n - 4 in wanted and G.edge_count() != G.n - 1:
-        wanted = wanted - {G.n - 4}  # a spanning bone is a tree
+    n = len(masks)
+    if n - 4 in wanted and sum(m.bit_count() for m in masks) != 2 * (n - 1):
+        wanted = wanted - {n - 4}  # a spanning bone is a tree
     found: dict[int, BoneEmbedding] = {}
     if not wanted:
         return found
     budget = _BONE_BUDGET
-    masks = G.adjacency_masks()
     missing = set(wanted)
     top = max(missing)
     nodes = 0
@@ -296,24 +301,22 @@ def find_induced_bone(G: Graph, i: int) -> BoneEmbedding | None:
         raise ValueError(f"bone index must be at least 2, got {i}")
     if i + 4 > G.n:
         return None
-    return _bone_scan(G, {i}).get(i)
+    return _bone_scan(G.adjacency_masks(), {i}).get(i)
 
 
-def admitting_set(G: Graph, i_max: int | None = None, *,
-                  stop: frozenset[int] = frozenset()) -> frozenset[int]:
+def admitting_set(G: Graph, i_max: int | None = None) -> frozenset[int]:
     """Indices ``i`` in ``2..i_max`` for which an induced bone exists.
 
     The cap defaults to (and is clamped at) ``n - 4``, beyond which no bone
     fits, so the default is the complete admitting set.  One search covers
     every index; it raises ``GuardExceededError`` past its node budget.
-
-    The search stops at the first bone whose index is in ``stop``.  A stopped
-    result is partial: it holds that index and the indices found before it.
-    A result without an index of ``stop`` is complete.  So a test that any
-    index of ``stop`` refutes is decided exactly by the result.
     """
     cap = G.n - 4 if i_max is None else min(i_max, G.n - 4)
-    return frozenset(_bone_scan(G, set(range(2, cap + 1)), stop))
+    if cap == G.n - 4 and G.edge_count() != G.n - 1:
+        cap -= 1  # a spanning bone is a tree (as in _bone_scan), known before masks are built
+    if cap < 2:
+        return frozenset()
+    return frozenset(_bone_scan(G.adjacency_masks(), set(range(2, cap + 1))))
 
 
 @dataclass(frozen=True)

@@ -501,10 +501,13 @@ def test_random_connected():
 
 
 def test_random_connected_falls_back_to_a_spanning_tree(monkeypatch):
+    # each draw is tested on its neighbour masks
     calls = []
-    monkeypatch.setattr(harness, "is_connected", lambda G: calls.append(G) or graphs.is_connected(G))
+    components = harness._components
+    monkeypatch.setattr(harness, "_components",
+                        lambda masks, keep: calls.append(masks) or components(masks, keep))
     G = random_connected(5, 1e-12, seed=0)
-    assert len(calls) == 10_000 and not any(H.edge_count() for H in calls)
+    assert len(calls) == 10_000 and not any(any(masks) for masks in calls)
     assert G == random_connected(5, 1e-12, seed=0)
     assert graphs.is_connected(G) and G.edge_count() == 4
     assert G.edges() == [(0, 1), (1, 4), (2, 4), (3, 4)]
@@ -512,8 +515,8 @@ def test_random_connected_falls_back_to_a_spanning_tree(monkeypatch):
 
 def test_random_connected_fallback_matches_the_sorted_edge_set_reference(monkeypatch):
     # Every draw is rejected, so each call reaches the fallback, which is
-    # compared with the reference from the random state it starts in.  The
-    # rejected draws are never read, so they are not built.
+    # compared with the reference from the random state it starts in.  A
+    # draw is tested on masks, so only the returned graph is built.
     starts = []
 
     class Recording(random.Random):
@@ -525,10 +528,10 @@ def test_random_connected_fallback_matches_the_sorted_edge_set_reference(monkeyp
 
     def build(n, edges):
         calls.append(n)
-        return graphs.build_graph(n, edges) if len(calls) % 10_001 == 0 else None
+        return graphs.build_graph(n, edges)
 
     monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Recording))
-    monkeypatch.setattr(harness, "is_connected", lambda G: False)
+    monkeypatch.setattr(harness, "_components", lambda masks, keep: [])
     monkeypatch.setattr(harness, "build_graph", build)
     # 50 seeds over n = 1..20, then duplicate edges at n <= 10
     for seed, n, edge_prob in [(s, 1 + s % 20, 1e-12) for s in range(50)] + [
@@ -538,6 +541,22 @@ def test_random_connected_fallback_matches_the_sorted_edge_set_reference(monkeyp
         rng.setstate(starts.pop())
         assert G == helpers.random_connected_fallback_reference(n, edge_prob, rng), seed
         assert graphs.is_connected(G) and G.edge_count() >= n - 1
+        assert calls.pop() == n and not calls
+
+
+def test_random_connected_draws_are_pinned():
+    # SHA-256 prefix of the edges of seeded draws at n 5-30 and four
+    # densities, then of the spanning-tree fallback at n 2-8; taken when each
+    # rejected draw was built as a Graph and tested with is_connected.
+    digest = hashlib.sha256()
+    for n in range(5, 31):
+        for p in (0.08, 0.15, 0.3, 0.6):
+            for seed in range(3):
+                G = random_connected(n, p, 1000 * n + 10 * seed + int(100 * p))
+                digest.update(repr(G.edges()).encode())
+    for n in range(2, 9):
+        digest.update(repr(random_connected(n, 1e-12, n).edges()).encode())
+    assert digest.hexdigest()[:16] == "71b8760ed3f6fd61"
 
 
 def test_search_constraints_validation():
@@ -583,14 +602,48 @@ def test_edit_local_alpha_test_matches_the_full_test():
             adj = list(G.adj)
             adj[u] ^= {v}
             adj[v] ^= {u}
-            cand = graphs.Graph(G.n, tuple(adj))
-            full = harness._satisfies(cand, c)
-            assert harness._satisfies(cand, c, (u, v)) == full, (u, v, G.edges())
-            assert harness._satisfies(cand, c, (v, u)) == full, (u, v, G.edges())
+            masks = graphs.Graph(G.n, tuple(adj)).adjacency_masks()
+            full = harness._satisfies(masks, c)
+            assert harness._satisfies(masks, c, (u, v)) == full, (u, v, G.edges())
+            assert harness._satisfies(masks, c, (v, u)) == full, (u, v, G.edges())
             verdicts[full] += 1
-            masks = cand.adjacency_masks()
             common += structure._alpha_exceeds(masks, 1 << u | 1 << v, k) == full
     assert min(verdicts.values()) >= 500 and common >= 300, (verdicts, common)
+
+
+def _graph_of(masks):
+    # the Graph with these neighbour masks, as the search builds its best one
+    return graphs.Graph(len(masks), tuple(frozenset(matching._mask_vertices(m)) for m in masks))
+
+
+def test_repaired_matching_is_maximum_on_every_one_edge_toggle():
+    # The search repairs the current graph's maximum matching after a toggle
+    # of uv, in four cases (``extremal_search`` docstring).  On every toggle,
+    # the result is a matching of the candidate whose free count is its
+    # deficiency, and the current matching is left as it was.
+    rng = random.Random(3002)
+    pool = [G for G, _ in _connected_classes(6)]
+    pool += [random_connected_graph(rng, 7 + k % 8, extra=(0.0, 0.1, 0.3)[k % 3])
+             for k in range(120)]
+    cases = Counter()
+    for G in pool:
+        masks = G.adjacency_masks()
+        match = matching._blossom(G.n, [sorted(s) for s in G.adj])
+        given = match[:]
+        for u, v in combinations(range(G.n), 2):
+            cand = masks[:]
+            cand[u] ^= 1 << v
+            cand[v] ^= 1 << u
+            got = harness._rematch(cand, match, u, v)
+            assert match == given
+            H = _graph_of(cand)
+            assert all(m == -1 or (got[m] == w and H.has_edge(w, m)) for w, m in enumerate(got))
+            assert got.count(-1) == matching.deficiency(H), (u, v, G.edges())
+            if G.has_edge(u, v):
+                cases["removed, matched" if match[u] == v else "removed, unmatched"] += 1
+            else:
+                cases["added, both exposed" if match[u] == match[v] == -1 else "added"] += 1
+    assert len(cases) == 4 and min(cases.values()) >= 30, cases
 
 
 # SHA-256 prefixes of ``json_text(SearchReport.to_json_dict())``: one seed of
@@ -632,13 +685,15 @@ def test_search_edit_trips_the_alpha_l_guard_at_the_first_candidate_above_it(mon
     # Every draw is this graph: vertex 0 sees the path 1..40, and 41 hangs
     # off 1.  The cap is above every degree, so no alpha is searched, yet the
     # first connected candidate with a vertex of degree 41 trips the guard,
-    # as the exact alpha_l on every vertex does (608 candidates at seed 3).
+    # as the exact alpha_l on every vertex does (608 candidates at seed 3,
+    # each tested for connectivity on its masks).
     start = build_graph(42, [(0, i) for i in range(1, 41)]
                         + [(i, i + 1) for i in range(1, 40)] + [(1, 41)])
     monkeypatch.setattr(harness, "random_connected", lambda n, p, seed: start)
     seen = []
-    monkeypatch.setattr(harness, "is_connected",
-                        lambda G: seen.append(G) or graphs.is_connected(G))
+    components = harness._components
+    monkeypatch.setattr(harness, "_components", lambda masks, keep:
+                        seen.append(_graph_of(masks)) or components(masks, keep))
     message = "^neighbourhood of 0 exceeds 40 vertices$"
     with pytest.raises(GuardExceededError, match=message):
         extremal_search(SearchConstraints(42, alpha_l_max=100), iters=3000, seed=3)
@@ -654,8 +709,9 @@ def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
     # first refuting bone; its verdict is the constraint's test on the full set.
     scans = []
     admitting = harness.admitting_set
-    monkeypatch.setattr(harness, "admitting_set",
-                        lambda G, **k: scans.append(k["stop"]) or admitting(G, **k))
+    bone_scan = harness._bone_scan
+    monkeypatch.setattr(harness, "_bone_scan", lambda masks, wanted, stop:
+                        scans.append(stop) or bone_scan(masks, wanted, stop))
     rng = random.Random(1604)
     graphs = [random_connected_graph(rng, 5 + k % 26, extra=rng.choice(
         (0.1, 0.2, 0.3) if k % 26 < 8 else (0.03, 0.06, 0.1))) for k in range(330)]
@@ -665,7 +721,7 @@ def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
         full = admitting(G)
         for name in ("empty", "odd", "even"):
             constraint = harness.ADMITTING_CONSTRAINTS[name]
-            got = harness._satisfies(G, SearchConstraints(n, admitting=name))
+            got = harness._satisfies(G.adjacency_masks(), SearchConstraints(n, admitting=name))
             assert got == constraint.test(full), (name, G.edges())
             assert scans.pop() == {i for i in range(2, n - 3) if constraint.refuted_by(i)}
             verdicts[name, got] = verdicts.get((name, got), 0) + 1
@@ -675,9 +731,9 @@ def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
 
 def test_admitting_constraints_answer_a_sparse_80_vertex_graph_at_once():
     # the full admitting set of this graph trips the bone-search guard
-    G = random_connected(80, 0.05, 1)
+    masks = random_connected(80, 0.05, 1).adjacency_masks()
     for name in ("empty", "odd", "even"):
-        assert not harness._satisfies(G, SearchConstraints(80, admitting=name))
+        assert not harness._satisfies(masks, SearchConstraints(80, admitting=name))
 
 
 def test_extremal_search_finds_odd_bone_landscape():
@@ -710,11 +766,12 @@ def test_extremal_search_is_deterministic_and_reports_congruence():
 
 
 def test_extremal_search_edits_keep_simple_graphs(monkeypatch):
-    # Every candidate, edited in place one edge at a time, is a simple graph,
-    # and the seeded result is pinned to the one a whole-graph rebuild gave.
+    # Every candidate, the current masks with one edge toggled, is a simple
+    # graph, and the seeded result is pinned to the one a whole-graph rebuild gave.
     seen = []
-    monkeypatch.setattr(harness, "is_connected",
-                        lambda G: seen.append(G) or graphs.is_connected(G))
+    components = harness._components
+    monkeypatch.setattr(harness, "_components", lambda masks, keep:
+                        seen.append(_graph_of(masks)) or components(masks, keep))
     rep = extremal_search(SearchConstraints(9, alpha_l_max=4), iters=400, seed=5)
     assert len(seen) > 300 and all(G == build_graph(G.n, G.edges()) for G in seen)
     assert (rep.feasible_seen, rep.best_deficiency) == (359, 3)

@@ -378,3 +378,31 @@ def test_blossom_is_maximum_on_every_criticality_subset(monkeypatch):
     for G in _criticality_inputs():
         is_deficiency_critical(G)
     assert len(orders) >= 1700 and max(orders) == 18
+
+
+def test_blossom_from_a_start_matching_is_maximum():
+    # The Hungarian-tree argument holds from any start matching (module
+    # docstring): from random matchings of G(n, p) graphs, connected or not,
+    # the blossom returns a matching of the brute-force size and leaves the
+    # start as it was.  ``short`` counts the starts it had to augment.
+    rng = random.Random(3001)
+    short = 0
+    for k in range(420):
+        n = 1 + k % 14
+        G = build_graph(n, [e for e in combinations(range(n), 2)
+                            if rng.random() < (0.15, 0.3, 0.5)[k % 3]])
+        adj = [sorted(s) for s in G.adj]
+        start = [-1] * n
+        edges = G.edges()
+        rng.shuffle(edges)
+        for u, v in edges:
+            if start[u] == start[v] == -1 and rng.random() < 0.6:
+                start[u], start[v] = v, u
+        given = start[:]
+        match = matching._blossom(n, adj, start)
+        assert start == given
+        assert all(m == -1 or (match[m] == v and m in adj[v]) for v, m in enumerate(match))
+        size = brute_force_matching_size(G)
+        assert (n - match.count(-1)) // 2 == size, G.edges()
+        short += (n - start.count(-1)) // 2 < size
+    assert short >= 150, short

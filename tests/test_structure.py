@@ -141,13 +141,14 @@ def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
         for G in graphs:
             wanted = set(range(2, G.n - 3))
             expected, nodes = bone_scan_reference(G, wanted)
+            masks = G.adjacency_masks()
             monkeypatch.setattr(structure, "_BONE_BUDGET", nodes)
-            found = structure._bone_scan(G, wanted)
+            found = structure._bone_scan(masks, wanted)
             assert found == expected and list(found) == list(expected), G.edges()
             if nodes:
                 monkeypatch.setattr(structure, "_BONE_BUDGET", nodes - 1)
                 try:
-                    structure._bone_scan(G, wanted)
+                    structure._bone_scan(masks, wanted)
                     fewer += 1
                 except GuardExceededError:
                     pass
@@ -155,7 +156,8 @@ def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
             items = list(expected.items())
             for stop in stops:
                 cut = next((k + 1 for k, (i, _) in enumerate(items) if i in stop), len(items))
-                assert structure._bone_scan(G, wanted, stop) == dict(items[:cut]), (stop, G.edges())
+                got = structure._bone_scan(masks, wanted, stop)
+                assert got == dict(items[:cut]), (stop, G.edges())
                 stopped += cut < len(items)
         assert stopped >= 100 and fewer >= least
 
@@ -218,7 +220,8 @@ def test_bone_search_on_sparse_80_vertex_graph_ends(monkeypatch):
     for name, constraint in ADMITTING_CONSTRAINTS.items():
         if constraint is not None:
             stop = frozenset(filter(constraint.refuted_by, range(2, G.n - 3)))
-            assert admitting_set(G, stop=stop) & stop, name
+            found = structure._bone_scan(G.adjacency_masks(), set(range(2, G.n - 3)), stop)
+            assert found.keys() & stop, name
     monkeypatch.setattr(structure, "_BONE_BUDGET", 10_000)
     with pytest.raises(GuardExceededError):
         admitting_set(G)
