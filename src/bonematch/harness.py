@@ -25,11 +25,12 @@ from .canon import CanonicalForm, _search, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
 from .matching import (
-    CriticalityResult, _blossom, _components, _mask_vertices, deficiency, is_deficiency_critical)
+    CriticalityResult, _blossom, _components, _mask_vertices, _MaskLists, deficiency,
+    is_deficiency_critical)
 from .serialize import graph_key, graph_to_json_dict, json_text
 from .structure import (
-    _MIS_MAX, _alpha_exceeds, _bone_scan, _clique_of_masks, admitting_set, clique_number,
-    local_independence_number)
+    _MIS_MAX, _alpha_exceeds, _bone_scan, _claw_centres, _clique_of_masks, admitting_set,
+    clique_number, local_independence_number)
 
 __all__ = [
     "THEOREM_IDS",
@@ -488,21 +489,35 @@ def random_connected(n: int, edge_prob: float, seed: int) -> Graph:
         raise ValueError(f"vertex count must be positive, got {n}")
     if not (0 < edge_prob <= 1):
         raise ValueError(f"edge probability must be in (0, 1], got {edge_prob}")
+    return build_graph(n, _connected_draw(n, edge_prob, seed)[1])
+
+
+def _connected_draw(n: int, edge_prob: float,
+                    seed: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The neighbour masks and the edges of the draw ``random_connected``
+    returns for these arguments, which are not checked; the edges of the
+    spanning-tree fallback may repeat a pair."""
+
+    def masks_of(edges: list[tuple[int, int]]) -> list[int]:
+        masks = [0] * n
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return masks
+
     rng = random.Random(seed)
     pairs = list(combinations(range(n), 2))
     full = (1 << n) - 1
     for _ in range(10_000):
         edges = [e for e in pairs if rng.random() < edge_prob]
-        masks = [0] * n
-        for u, v in edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        masks = masks_of(edges)
         if _components(masks, full) == [full]:
-            return build_graph(n, edges)
+            return masks, edges
     order = list(range(n))
     rng.shuffle(order)
-    tree = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
-    return build_graph(n, tree + [e for e in pairs if rng.random() < edge_prob])
+    edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
+    edges += [e for e in pairs if rng.random() < edge_prob]
+    return masks_of(edges), edges
 
 
 class _Admitting(NamedTuple):
@@ -558,10 +573,11 @@ class SearchConstraints:
             raise ValueError(f"unknown admitting constraint {self.admitting!r}")
 
 
-def _satisfies(masks: list[int], c: SearchConstraints,
-               edit: tuple[int, int] | None = None) -> bool:
+def _satisfies(masks: list[int], c: SearchConstraints, edit: tuple[int, int] | None = None,
+               claws: int | None = None) -> bool:
     """Whether the graph ``G`` with the neighbour masks ``masks`` meets the
-    constraints ``c``.
+    constraints ``c``.  ``claws`` is the mask of the claw centres of ``G``;
+    a bone query computes it when it is not given.
 
     ``edit`` names the pair ``uv`` whose toggle made ``G`` from the search's
     current graph.  The alpha_l cap is then tested only on
@@ -579,6 +595,12 @@ def _satisfies(masks: list[int], c: SearchConstraints,
       graph has degree <= 40, or its test would have raised, so a vertex of
       ``G`` above the 40-vertex guard is ``u`` or ``v``: the guard trips on
       the same candidate, naming the same smallest vertex, as on all of ``G``.
+
+    A vertex ``w`` is a claw centre iff alpha(N(w)) >= 3, so the second
+    point shows as well that every vertex outside ``W`` is a claw centre of
+    ``G`` iff it is one of the current graph.  ``_edited_claws`` therefore
+    tests only ``W`` and takes every other vertex's status from the current
+    graph's mask.
     """
     n = len(masks)
     if c.alpha_l_max is not None:
@@ -596,7 +618,9 @@ def _satisfies(masks: list[int], c: SearchConstraints,
         return True
     wanted = range(2, n - 3)  # the indices of admitting_set(G)
     stop = frozenset(filter(constraint.refuted_by, wanted))
-    return constraint.test(frozenset(_bone_scan(masks, set(wanted), stop)))
+    if claws is None:
+        claws = _claw_centres(masks)
+    return constraint.test(frozenset(_bone_scan(masks, claws, set(wanted), stop)))
 
 
 @dataclass(frozen=True)
@@ -645,7 +669,15 @@ def _rematch(masks: list[int], match: list[int], u: int, v: int) -> list[int]:
     else:
         match = match[:]
         match[u] = match[v] = -1
-    return _blossom(len(masks), [_mask_vertices(m) for m in masks], match)
+    return _blossom(len(masks), _MaskLists(masks), match)
+
+
+def _edited_claws(masks: list[int], claws: int, u: int, v: int) -> int:
+    """The claw centres of the graph with the neighbour masks ``masks``, made
+    by toggling ``uv`` in a graph whose claw centres are ``claws``: only
+    ``{u, v} | (N(u) & N(v))`` is tested again (proof in ``_satisfies``)."""
+    among = 1 << u | 1 << v | masks[u] & masks[v]
+    return claws & ~among | _claw_centres(masks, among)
 
 
 def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> SearchReport:
@@ -673,6 +705,13 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
 
     The blossom returns a maximum matching from any start (``matching``
     module docstring), so each case gives one, and kd(G') is its free count.
+
+    Under a bone constraint, the claw centres of ``G`` are kept as a mask as
+    well.  A draw's are computed on every vertex; a candidate's are carried
+    from ``G`` and tested again only on the vertices whose neighbourhood the
+    toggle changed, which is exact (``_satisfies``).  So every graph the
+    search tests, and every result, is that of a search that computes them
+    afresh.  Without a bone constraint, none are computed.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be non-negative, got {iters}")
@@ -680,7 +719,9 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     n = constraints.n
     full = (1 << n) - 1
     seed_prob = min(1.0, 2.5 / n) if n > 1 else 1.0
+    bones = ADMITTING_CONSTRAINTS[constraints.admitting] is not None
     masks: list[int] | None = None
+    claws: int | None = None
     match: list[int] = []
     current_kd = -1
     best: Graph | None = None
@@ -695,10 +736,11 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
 
     for _ in range(iters):
         if masks is None:
-            cand = random_connected(n, seed_prob, rng.randrange(2**32)).adjacency_masks()
-            if _satisfies(cand, constraints):
-                masks = cand
-                match = _blossom(n, [_mask_vertices(m) for m in masks])
+            cand = _connected_draw(n, seed_prob, rng.randrange(2**32))[0]
+            cand_claws = _claw_centres(cand) if bones else None
+            if _satisfies(cand, constraints, None, cand_claws):
+                masks, claws = cand, cand_claws
+                match = _blossom(n, _MaskLists(masks))
                 current_kd = match.count(-1)
                 feasible += 1
                 consider(current_kd)
@@ -710,7 +752,12 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
         cand = masks[:]
         cand[u] ^= 1 << v
         cand[v] ^= 1 << u
-        if _components(cand, full) != [full] or not _satisfies(cand, constraints, (u, v)):
+        if _components(cand, full) == [full]:
+            cand_claws = _edited_claws(cand, claws, u, v) if bones else None
+            feasible_edit = _satisfies(cand, constraints, (u, v), cand_claws)
+        else:
+            feasible_edit = False
+        if not feasible_edit:
             stale += 1
         else:
             feasible += 1
@@ -721,7 +768,7 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
                     stale = 0
                 else:
                     stale += 1
-                masks, match, current_kd = cand, cand_match, kd
+                masks, claws, match, current_kd = cand, cand_claws, cand_match, kd
                 consider(kd)
             else:
                 stale += 1

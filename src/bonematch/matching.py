@@ -38,7 +38,9 @@ partner in one maximum matching M of G if that partner is in the set and
 still free, else to its lowest free neighbour in the set, else left free.
 Any matching of G[S] leaves at least kd(S) vertices of S free, so the free
 count is an exact upper bound on kd(S), and the blossom runs only on the
-sets where it reaches the deficiency sought.
+sets where it reaches the deficiency sought.  The bound holds whichever
+maximum matching M is, so M decides only which sets the blossom runs on,
+never which ones it confirms: the verdict and the witness do not depend on M.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Any, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, induced_subgraph, is_connected
@@ -80,14 +82,17 @@ class MatchingResult:
     deficiency: int
 
 
-def _blossom(n: int, adj: list[list[int]], start: list[int] | None = None) -> list[int]:
+def _blossom(n: int, adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
+             start: list[int] | None = None) -> list[int]:
     # Edmonds' blossom search: grow an alternating BFS tree from each exposed
     # vertex, contracting odd cycles onto their base.  A search resets and
     # relabels only the t vertices its tree reaches (``reached``; no other one
     # leaves its own base), so it costs their degrees plus O(t) per contraction.
     # The tree of a failed search is dead to every later one (module docstring).
-    # ``start``, a matching of the graph as a mate list, is extended greedily
-    # and then augmented; it is not changed.
+    # ``adj[v]`` is any iterable of the neighbours of ``v``, read only for the
+    # vertices the greedy pass or a search reaches.  ``start``, a matching of
+    # the graph as a mate list, is extended greedily and then augmented; it is
+    # not changed.
     match = [-1] * n if start is None else start[:]
     for u in range(n):
         if match[u] == -1:
@@ -187,8 +192,12 @@ def maximum_matching(G: Graph) -> MatchingResult:
 
 
 def deficiency(G: Graph) -> int:
-    """Number of vertices missed by a maximum matching."""
-    return maximum_matching(G).deficiency
+    """Number of vertices missed by a maximum matching.
+
+    Every maximum matching misses the same number, so the blossom reads the
+    neighbour sets unsorted and no ``MatchingResult`` is built.
+    """
+    return _blossom(G.n, G.adj).count(-1)
 
 
 def brute_force_matching_size(G: Graph) -> int:
@@ -309,6 +318,20 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _MaskLists(dict):
+    """The neighbour lists of the graph with the neighbour masks ``masks``,
+    indexed by vertex as ``_blossom`` reads them; each list is made, in
+    ascending order, on its first read."""
+
+    def __init__(self, masks: list[int]) -> None:
+        super().__init__()
+        self.masks = masks
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        out = self[v] = _mask_vertices(self.masks[v])
+        return out
+
+
 def _set_deficiency(masks: list[int], S: int) -> int:
     vs = _mask_vertices(S)
     index = {v: i for i, v in enumerate(vs)}
@@ -383,7 +406,7 @@ def is_deficiency_critical(G: Graph, mode: str = "exhaustive") -> CriticalityRes
     """
     if mode not in ("exhaustive", "delete-one"):
         raise ValueError(f"unknown mode {mode!r}")
-    match = _blossom(G.n, [sorted(s) for s in G.adj])
+    match = _blossom(G.n, G.adj)  # any maximum matching bounds the scan (module docstring)
     kd = match.count(-1)
     if mode == "delete-one":
         for v in range(G.n):

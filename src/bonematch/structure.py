@@ -24,8 +24,8 @@ directions are closed.
 
 Each end of the spine of an induced bone is the centre of an induced claw
 ``K_{1,3}``: its spine neighbour and its two pendants are pairwise
-non-adjacent.  The search computes the claw centres once and skips work
-that holds no successful close at a tail above the start:
+non-adjacent.  The search is given the claw centres as a mask, and skips
+work that holds no successful close at a tail above the start:
 
 - it starts only from claw centres, and ends once none lies above the start;
 - it closes only at a tail that is a claw centre;
@@ -39,6 +39,13 @@ So the closes that succeed, and their order, are those of the search
 without these skips: every result and every early stop is the same.  The
 search visits a subset of that search's nodes, in the same order, so its
 node count never grows.
+
+A vertex ``w`` is a claw centre iff ``alpha(G[N(w)]) >= 3``, so whether it
+is one depends on ``G[N(w)]`` alone.  Toggling one pair ``uv`` changes
+``G[N(w)]`` only for ``w`` in ``{u, v} | (N(u) & N(v))``, so a caller that
+edits a graph one pair at a time carries the mask and re-tests only those
+vertices (``_claw_centres(masks, among)``).  ``extremal_search`` does so;
+``find_induced_bone`` and ``admitting_set`` test every vertex.
 
 A close also needs two right candidates.  The neighbours of the tail off
 the spine and not adjacent to its other vertices are both its right
@@ -182,11 +189,13 @@ class BoneEmbedding:
         return frozenset(self.path) | set(self.pendants_left) | set(self.pendants_right)
 
 
-def _claw_centres(masks: list[int]) -> int:
-    # Bitmask of the vertices with three pairwise non-adjacent neighbours
-    # a < b < c: the centres of induced claws.
+def _claw_centres(masks: list[int], among: int | None = None) -> int:
+    # Bitmask of the vertices (of the mask ``among``, by default all) with
+    # three pairwise non-adjacent neighbours a < b < c: the centres of
+    # induced claws.
     centres = 0
-    for v, rest in enumerate(masks):
+    for v in range(len(masks)) if among is None else _mask_vertices(among):
+        rest = masks[v]
         if rest.bit_count() < 3:
             continue
         while rest and not centres >> v & 1:
@@ -218,13 +227,14 @@ def _close(masks: list[int], path: list[int], left: int, right: int) -> BoneEmbe
     return None
 
 
-def _bone_scan(masks: list[int], wanted: set[int],
+def _bone_scan(masks: list[int], centres: int, wanted: set[int],
                stop: frozenset[int] = frozenset()) -> dict[int, BoneEmbedding]:
     # One depth-first search over the induced paths of the graph with the
-    # neighbour masks ``masks``, from every claw centre that has a claw centre
-    # above it, recording the first bone of each wanted index; it returns at
-    # once after recording an index in ``stop``.  ``hi`` is the claw centres
-    # above the start.  ``left`` is the start's private-pendant candidates:
+    # neighbour masks ``masks`` and the claw centres ``centres`` (as
+    # ``_claw_centres`` gives them), from every claw centre that has a claw
+    # centre above it, recording the first bone of each wanted index; it
+    # returns at once after recording an index in ``stop``.  ``hi`` is the
+    # claw centres above the start.  ``left`` is the start's private-pendant candidates:
     # neighbours off the path and not adjacent to any later spine vertex; a
     # branch with fewer than two is dropped.
     # ``near`` is the union of the neighbourhoods of the spine before its
@@ -246,7 +256,7 @@ def _bone_scan(masks: list[int], wanted: set[int],
     missing = set(wanted)
     top = max(missing)
     nodes = 0
-    hi = _claw_centres(masks)
+    hi = centres
     while hi & (hi - 1):  # a start needs a claw centre above it
         start = hi & -hi
         hi ^= start
@@ -301,7 +311,8 @@ def find_induced_bone(G: Graph, i: int) -> BoneEmbedding | None:
         raise ValueError(f"bone index must be at least 2, got {i}")
     if i + 4 > G.n:
         return None
-    return _bone_scan(G.adjacency_masks(), {i}).get(i)
+    masks = G.adjacency_masks()
+    return _bone_scan(masks, _claw_centres(masks), {i}).get(i)
 
 
 def admitting_set(G: Graph, i_max: int | None = None) -> frozenset[int]:
@@ -316,7 +327,8 @@ def admitting_set(G: Graph, i_max: int | None = None) -> frozenset[int]:
         cap -= 1  # a spanning bone is a tree (as in _bone_scan), known before masks are built
     if cap < 2:
         return frozenset()
-    return frozenset(_bone_scan(G.adjacency_masks(), set(range(2, cap + 1))))
+    masks = G.adjacency_masks()
+    return frozenset(_bone_scan(masks, _claw_centres(masks), set(range(2, cap + 1))))
 
 
 @dataclass(frozen=True)

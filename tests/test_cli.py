@@ -600,7 +600,7 @@ def test_search_refuses_an_order_above_the_cap(monkeypatch, capsys):
     def no_draw(*args):
         raise AssertionError("a graph was drawn")
 
-    monkeypatch.setattr(harness, "random_connected", no_draw)
+    monkeypatch.setattr(harness, "_connected_draw", no_draw)
     cap = harness._SEARCH_MAX_N
     argv = ["search", "--n", str(cap + 1), "--iters", "1", "--seed", "1"]
     assert run_cli(argv) == 2
@@ -615,7 +615,7 @@ def test_search_refuses_an_omega_bound_above_the_clique_guard(monkeypatch, capsy
     def no_draw(*args):
         raise AssertionError("a graph was drawn")
 
-    monkeypatch.setattr(harness, "random_connected", no_draw)
+    monkeypatch.setattr(harness, "_connected_draw", no_draw)
     argv = ["search", "--n", "60", "--omega-max", "3", "--alpha-l-max", "2",
             "--iters", "50", "--seed", "1"]
     assert run_cli(argv) == 2

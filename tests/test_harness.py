@@ -544,6 +544,22 @@ def test_random_connected_fallback_matches_the_sorted_edge_set_reference(monkeyp
         assert calls.pop() == n and not calls
 
 
+def test_search_draw_masks_are_those_of_random_connected():
+    # the search reads the masks of the draw that random_connected builds;
+    # the spanning-tree fallback is reached at n 2-8
+    for n in range(1, 31):
+        for p in (0.08, 0.15, 0.3, 0.6):
+            for seed in range(3):
+                s = 1000 * n + 10 * seed + int(100 * p)
+                masks, edges = harness._connected_draw(n, p, s)
+                G = random_connected(n, p, s)
+                assert masks == G.adjacency_masks() and build_graph(n, edges) == G, (n, p, s)
+    for n in range(1, 9):
+        masks, edges = harness._connected_draw(n, 1e-12, n)
+        assert masks == random_connected(n, 1e-12, n).adjacency_masks(), n
+        assert n == 1 or len(edges) == n - 1
+
+
 def test_random_connected_draws_are_pinned():
     # SHA-256 prefix of the edges of seeded draws at n 5-30 and four
     # densities, then of the spanning-tree fallback at n 2-8; taken when each
@@ -609,6 +625,31 @@ def test_edit_local_alpha_test_matches_the_full_test():
             verdicts[full] += 1
             common += structure._alpha_exceeds(masks, 1 << u | 1 << v, k) == full
     assert min(verdicts.values()) >= 500 and common >= 300, (verdicts, common)
+
+
+def test_carried_claw_centres_match_a_fresh_scan_on_every_one_edge_toggle():
+    # The search carries the claw centres across a toggle of uv and tests
+    # again only {u, v} and N(u) & N(v).  On every toggle, the carried mask
+    # is the fresh scan's; ``common`` counts the toggles on which a test of
+    # u and v alone would be wrong.
+    rng = random.Random(3101)
+    pool = [G for G, _ in _connected_classes(6)]
+    pool += [random_connected_graph(rng, 7 + k % 8, extra=(0.15, 0.3, 0.5)[k % 3])
+             for k in range(120)]
+    common = 0
+    for G in pool:
+        masks = G.adjacency_masks()
+        claws = structure._claw_centres(masks)
+        for u, v in combinations(range(G.n), 2):
+            cand = masks[:]
+            cand[u] ^= 1 << v
+            cand[v] ^= 1 << u
+            fresh = structure._claw_centres(cand)
+            assert harness._edited_claws(cand, claws, u, v) == fresh, (u, v, G.edges())
+            assert harness._edited_claws(cand, claws, v, u) == fresh, (u, v, G.edges())
+            ends = 1 << u | 1 << v
+            common += claws & ~ends | structure._claw_centres(cand, ends) != fresh
+    assert common >= 1000, common
 
 
 def _graph_of(masks):
@@ -689,7 +730,8 @@ def test_search_edit_trips_the_alpha_l_guard_at_the_first_candidate_above_it(mon
     # each tested for connectivity on its masks).
     start = build_graph(42, [(0, i) for i in range(1, 41)]
                         + [(i, i + 1) for i in range(1, 40)] + [(1, 41)])
-    monkeypatch.setattr(harness, "random_connected", lambda n, p, seed: start)
+    monkeypatch.setattr(harness, "_connected_draw",
+                        lambda n, p, seed: (start.adjacency_masks(), start.edges()))
     seen = []
     components = harness._components
     monkeypatch.setattr(harness, "_components", lambda masks, keep:
@@ -710,8 +752,8 @@ def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
     scans = []
     admitting = harness.admitting_set
     bone_scan = harness._bone_scan
-    monkeypatch.setattr(harness, "_bone_scan", lambda masks, wanted, stop:
-                        scans.append(stop) or bone_scan(masks, wanted, stop))
+    monkeypatch.setattr(harness, "_bone_scan", lambda masks, centres, wanted, stop:
+                        scans.append(stop) or bone_scan(masks, centres, wanted, stop))
     rng = random.Random(1604)
     graphs = [random_connected_graph(rng, 5 + k % 26, extra=rng.choice(
         (0.1, 0.2, 0.3) if k % 26 < 8 else (0.03, 0.06, 0.1))) for k in range(330)]

@@ -33,6 +33,7 @@ from .helpers import (
     induced_on,
     induced_subgraph_reference,
     is_valid_matching,
+    layered_graph,
     matching_number_subsets,
     random_connected_graph,
     random_tree,
@@ -88,6 +89,20 @@ def test_three_oracles_agree(seed, n):
 def test_deficiency_parity_matches_order(seed, n):
     G = random_connected_graph(random.Random(seed), n)
     assert deficiency(G) % 2 == n % 2
+
+
+def test_deficiency_reads_unsorted_neighbours_as_the_sorting_matching_does():
+    # ``deficiency`` runs the blossom on the neighbour sets unsorted, which may
+    # give another maximum matching than ``maximum_matching``, but not another
+    # free count: on every class up to 7 vertices, and on the 132 graphs of
+    # the benchmark's lm_large round at seed 401 (its four families and the
+    # layered graphs it draws from that seed)
+    graphs = [G for G, _ in _connected_classes(7)]
+    graphs += [t_tree(7, 5), t_tree(9, 5), f_family(1, 2, 3), f_family(1, 2, 3, 4, 5)]
+    rng = random.Random("lm_large:401")
+    graphs += [layered_graph(rng, 300)[0] for _ in range(128)]
+    for G in graphs:
+        assert deficiency(G) == maximum_matching(G).deficiency, G.edges()
 
 
 def test_deficiency_additive_over_components():

@@ -142,13 +142,14 @@ def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
             wanted = set(range(2, G.n - 3))
             expected, nodes = bone_scan_reference(G, wanted)
             masks = G.adjacency_masks()
+            centres = structure._claw_centres(masks)
             monkeypatch.setattr(structure, "_BONE_BUDGET", nodes)
-            found = structure._bone_scan(masks, wanted)
+            found = structure._bone_scan(masks, centres, wanted)
             assert found == expected and list(found) == list(expected), G.edges()
             if nodes:
                 monkeypatch.setattr(structure, "_BONE_BUDGET", nodes - 1)
                 try:
-                    structure._bone_scan(masks, wanted)
+                    structure._bone_scan(masks, centres, wanted)
                     fewer += 1
                 except GuardExceededError:
                     pass
@@ -156,7 +157,7 @@ def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
             items = list(expected.items())
             for stop in stops:
                 cut = next((k + 1 for k, (i, _) in enumerate(items) if i in stop), len(items))
-                got = structure._bone_scan(masks, wanted, stop)
+                got = structure._bone_scan(masks, centres, wanted, stop)
                 assert got == dict(items[:cut]), (stop, G.edges())
                 stopped += cut < len(items)
         assert stopped >= 100 and fewer >= least
@@ -220,7 +221,9 @@ def test_bone_search_on_sparse_80_vertex_graph_ends(monkeypatch):
     for name, constraint in ADMITTING_CONSTRAINTS.items():
         if constraint is not None:
             stop = frozenset(filter(constraint.refuted_by, range(2, G.n - 3)))
-            found = structure._bone_scan(G.adjacency_masks(), set(range(2, G.n - 3)), stop)
+            masks = G.adjacency_masks()
+            found = structure._bone_scan(masks, structure._claw_centres(masks),
+                                         set(range(2, G.n - 3)), stop)
             assert found.keys() & stop, name
     monkeypatch.setattr(structure, "_BONE_BUDGET", 10_000)
     with pytest.raises(GuardExceededError):
