@@ -16,6 +16,7 @@ import io
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import factorial
 from pathlib import Path
@@ -29,8 +30,8 @@ from .matching import (
     is_deficiency_critical)
 from .serialize import graph_key, graph_to_json_dict, json_text
 from .structure import (
-    _MIS_MAX, _alpha_exceeds, _bone_scan, _claw_centres, _clique_of_masks, admitting_set,
-    clique_number, local_independence_number)
+    _MIS_MAX, _alpha_exceeds, _bone_scan, _claw_centres, _clique_of_masks, _max_bone_index,
+    admitting_set, clique_number, local_independence_number)
 
 __all__ = [
     "THEOREM_IDS",
@@ -506,17 +507,18 @@ def _connected_draw(n: int, edge_prob: float,
         return masks
 
     rng = random.Random(seed)
+    draw = rng.random
     pairs = list(combinations(range(n), 2))
     full = (1 << n) - 1
     for _ in range(10_000):
-        edges = [e for e in pairs if rng.random() < edge_prob]
+        edges = [e for e in pairs if draw() < edge_prob]
         masks = masks_of(edges)
         if _components(masks, full) == [full]:
             return masks, edges
     order = list(range(n))
     rng.shuffle(order)
     edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
-    edges += [e for e in pairs if rng.random() < edge_prob]
+    edges += [e for e in pairs if draw() < edge_prob]
     return masks_of(edges), edges
 
 
@@ -536,6 +538,43 @@ ADMITTING_CONSTRAINTS: dict[str, _Admitting | None] = {
     "odd": _Admitting(lambda a: bool(a) and all(x % 2 == 1 for x in a), lambda i: i % 2 == 0),
     "even": _Admitting(lambda a: bool(a) and all(x % 2 == 0 for x in a), lambda i: i % 2 == 1),
 }
+
+
+@cache
+def _bone_query(admitting: str, n: int) -> tuple[Callable[[frozenset[int]], bool],
+                                                 frozenset[int], frozenset[int]] | None:
+    """The bone query of the admitting constraint ``admitting`` at order
+    ``n``, or ``None`` for ``any``: its test, the wanted indices (those of
+    ``admitting_set`` on a tree of order ``n``; ``_bone_scan`` drops
+    ``n - 4`` from any other graph) and the refuting ones among them, where
+    the scan stops."""
+    constraint = ADMITTING_CONSTRAINTS[admitting]
+    if constraint is None:
+        return None
+    wanted = frozenset(range(2, _max_bone_index(n, n - 1) + 1))
+    return constraint.test, wanted, frozenset(filter(constraint.refuted_by, wanted))
+
+
+def _satisfiable(admitting: str, n: int) -> bool:
+    """Whether the admitting constraint ``admitting`` can hold on graphs of
+    order ``n``: ``any`` always can, and an entry with a test can iff the
+    test holds on the empty set or on a single index of ``range(2, n - 3)``
+    (the indices of ``admitting_set``) that ``refuted_by`` allows.  When it
+    is false, the test fails on every set of those indices, so on the
+    admitting set of every graph of order ``n``.
+
+    This is exact for the three entries with a test.  ``empty`` holds on the
+    empty set.  ``odd`` and ``even`` are false on the empty set and on every
+    set holding a refuting index, and true on every other set, so some set
+    passes iff a single unrefuted index does.  ``odd`` has none at n <= 6
+    and ``even`` none at n <= 5.
+    """
+    query = _bone_query(admitting, n)
+    if query is None:
+        return True
+    test, wanted, stop = query
+    return test(frozenset()) or any(test(frozenset((i,))) for i in wanted - stop)
+
 
 # The largest search order.  At the seed density 2.5/n, random_connected
 # rejects most draws as disconnected, so one call grows steeply with n.  Its
@@ -601,6 +640,9 @@ def _satisfies(masks: list[int], c: SearchConstraints, edit: tuple[int, int] | N
     ``G`` iff it is one of the current graph.  ``_edited_claws`` therefore
     tests only ``W`` and takes every other vertex's status from the current
     graph's mask.
+
+    The bone query depends only on the constraint and the order, so it is
+    built once for each pair (``_bone_query``), not once per graph.
     """
     n = len(masks)
     if c.alpha_l_max is not None:
@@ -613,14 +655,13 @@ def _satisfies(masks: list[int], c: SearchConstraints, edit: tuple[int, int] | N
             return False
     if c.omega_max is not None and _clique_of_masks(masks) > c.omega_max:
         return False
-    constraint = ADMITTING_CONSTRAINTS[c.admitting]
-    if constraint is None:
+    query = _bone_query(c.admitting, n)
+    if query is None:
         return True
-    wanted = range(2, n - 3)  # the indices of admitting_set(G)
-    stop = frozenset(filter(constraint.refuted_by, wanted))
+    test, wanted, stop = query
     if claws is None:
         claws = _claw_centres(masks)
-    return constraint.test(frozenset(_bone_scan(masks, claws, set(wanted), stop)))
+    return test(frozenset(_bone_scan(masks, claws, wanted, stop)))
 
 
 @dataclass(frozen=True)
@@ -712,11 +753,22 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     toggle changed, which is exact (``_satisfies``).  So every graph the
     search tests, and every result, is that of a search that computes them
     afresh.  Without a bone constraint, none are computed.
+
+    A bone constraint that no graph of this order can meet
+    (``_satisfiable``) makes every graph infeasible, and no guard can trip
+    at those orders, so the report is returned at once.
     """
     if iters < 0:
         raise ValueError(f"iteration count must be non-negative, got {iters}")
-    rng = random.Random(seed)
     n = constraints.n
+    # prop-5.1's congruence, with the star parameter n = alpha_l_max + 1 > 3
+    n_star = -1 if constraints.alpha_l_max is None else constraints.alpha_l_max + 1
+    mod_base = n_star - 3 if n_star > 3 else None
+    if not _satisfiable(constraints.admitting, n):
+        return SearchReport(constraints=constraints, iterations=iters, seed=seed, best_graph=None,
+                            best_deficiency=None, feasible_seen=0, mod_base=mod_base,
+                            mod_hit=None)
+    rng = random.Random(seed)
     full = (1 << n) - 1
     seed_prob = min(1.0, 2.5 / n) if n > 1 else 1.0
     bones = ADMITTING_CONSTRAINTS[constraints.admitting] is not None
@@ -776,9 +828,6 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
             masks = None
             stale = 0
 
-    # prop-5.1's congruence, with the star parameter n = alpha_l_max + 1 > 3
-    n_star = -1 if constraints.alpha_l_max is None else constraints.alpha_l_max + 1
-    mod_base = n_star - 3 if n_star > 3 else None
     mod_hit = (None if mod_base is None or best_kd < 0
                else _THEOREMS["prop-5.1-mod"].passes({}, best_kd, None, n_star))
     return SearchReport(

@@ -52,7 +52,14 @@ the spine and not adjacent to its other vertices are both its right
 candidates and the vertices that keep the spine induced one step further.
 The search keeps the union of the neighbourhoods of the spine per depth and
 gives them as one mask, so a close with fewer than two is skipped before
-any list is built.
+``_close`` runs.
+
+A close takes the first left pair ``a1 < a2`` of non-adjacent candidates,
+and for it the first right pair ``b1 < b2`` of non-adjacent candidates that
+no left pendant sees, in lexicographic order, moving to the next left pair
+when none is left.  It walks the candidate masks lowest bit first: ``a2``
+runs over the candidates above ``a1`` outside ``N(a1)``, and ``b2`` is the
+lowest candidate above ``b1`` outside ``N(b1)``, so no vertex list is built.
 
 The search's admitting constraints name indices to stop at (``_bone_scan``'s
 ``stop``).  Every hypothesis of the form "no bone of these indices" is
@@ -65,8 +72,7 @@ before it; a result without an index of ``stop`` is complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Any
+from typing import Any, Collection
 
 from .errors import GuardExceededError
 from .graphs import Graph, snail_horns
@@ -151,7 +157,10 @@ def _alpha_exceeds(masks: list[int], among: int, k: int) -> bool:
     # exactly when, and with the message, that function's does.  A vertex of
     # degree <= k cannot exceed k, and k is the floor of each search.
     heavy = []
-    for w in _mask_vertices(among):
+    while among:
+        bit = among & -among
+        among ^= bit
+        w = bit.bit_length() - 1
         degree = masks[w].bit_count()
         if degree > _MIS_MAX:
             raise GuardExceededError(f"neighbourhood of {w} exceeds {_MIS_MAX} vertices")
@@ -211,49 +220,71 @@ def _claw_centres(masks: list[int], among: int | None = None) -> int:
     return centres
 
 
+def _max_bone_index(n: int, edges: int) -> int:
+    # The largest index an induced bone of a graph on ``n`` vertices with
+    # ``edges`` edges can have.  A bone of index i has i + 4 vertices, so
+    # i <= n - 4, and one of index n - 4 spans the graph: being induced, it is
+    # the graph itself, a tree with n - 1 edges.
+    return n - 4 if edges == n - 1 else n - 5
+
+
 def _close(masks: list[int], path: list[int], left: int, right: int) -> BoneEmbedding | None:
     # First pendant pair at each end, in ascending order.  ``left`` already
     # excludes every neighbour of the later spine vertices, and ``right``
     # (neighbours of the tail off the spine and not adjacent to its other
     # vertices) excludes every neighbour of ``path[0]``, so the pairs are disjoint.
-    right_list = _mask_vertices(right)
-    for a1, a2 in combinations(_mask_vertices(left), 2):
-        if masks[a1] >> a2 & 1:
-            continue
-        blocked = masks[a1] | masks[a2]
-        for b1, b2 in combinations(right_list, 2):
-            if not (masks[b1] >> b2 & 1 or blocked >> b1 & 1 or blocked >> b2 & 1):
-                return BoneEmbedding(tuple(path), (a1, a2), (b1, b2))
+    while left:
+        a1 = left & -left
+        left ^= a1
+        near = masks[a1.bit_length() - 1]
+        others = left & ~near  # the a2 > a1 not adjacent to a1, lowest first
+        while others:
+            a2 = others & -others
+            others ^= a2
+            free = right & ~(near | masks[a2.bit_length() - 1])
+            while free:
+                b1 = free & -free
+                free ^= b1
+                far = free & ~masks[b1.bit_length() - 1]
+                if far:
+                    b2 = far & -far
+                    return BoneEmbedding(tuple(path), (a1.bit_length() - 1, a2.bit_length() - 1),
+                                         (b1.bit_length() - 1, b2.bit_length() - 1))
     return None
 
 
-def _bone_scan(masks: list[int], centres: int, wanted: set[int],
-               stop: frozenset[int] = frozenset()) -> dict[int, BoneEmbedding]:
+def _bone_scan(masks: list[int], centres: int, wanted: Collection[int],
+               stop: Collection[int] = frozenset()) -> dict[int, BoneEmbedding]:
     # One depth-first search over the induced paths of the graph with the
     # neighbour masks ``masks`` and the claw centres ``centres`` (as
     # ``_claw_centres`` gives them), from every claw centre that has a claw
     # centre above it, recording the first bone of each wanted index; it
     # returns at once after recording an index in ``stop``.  ``hi`` is the
-    # claw centres above the start.  ``left`` is the start's private-pendant candidates:
-    # neighbours off the path and not adjacent to any later spine vertex; a
-    # branch with fewer than two is dropped.
-    # ``near`` is the union of the neighbourhoods of the spine before its
-    # tail; ``reach`` adds the tail's, so a new tail ``w`` has the right
-    # candidates ``masks[w] & ~(body | reach)``, which are also the vertices
-    # that keep its spine induced.  Only a tail in ``hi`` is closed, only
-    # with two right candidates, and a node is extended only while ``hi``
-    # has a vertex outside ``body | reach`` (see the module docstring).
-    # Every node visited counts against ``_BONE_BUDGET``.  ``cands`` holds the
-    # unvisited candidates of each spine vertex as a mask, popped lowest bit
-    # first, so a long spine cannot hit Python's recursion limit.
+    # claw centres above the start.  The spine ``path`` (vertex set ``body``)
+    # has the frame ``todo``, ``parent_left``, ``reach``: the unvisited
+    # candidates of its tail as a mask, popped lowest bit first; its left
+    # candidates, the start's neighbours off the path and not adjacent to any
+    # later spine vertex; and the union of the neighbourhoods of its
+    # vertices.  A child with fewer than two left candidates is dropped.
+    # Every candidate child ``w`` lies in ``reach``, so ``w`` has the right
+    # candidates ``masks[w] & ~seen`` with ``seen = body | reach``, which are
+    # also the vertices that keep its spine induced.  Only a tail in ``hi``
+    # is closed, only with two right candidates, and a node is extended only
+    # while ``hi`` has a vertex outside ``seen`` (see the module docstring).
+    # Whether the children of a spine may close (``close``) or be extended
+    # (``extend``) is fixed when its frame is entered and again after each
+    # find; a child is put on ``path`` only to close or extend it.  Every
+    # node visited counts against ``_BONE_BUDGET``.  ``stack`` keeps the
+    # frames of the shorter spines, so a long spine cannot hit Python's
+    # recursion limit.
     n = len(masks)
-    if n - 4 in wanted and sum(m.bit_count() for m in masks) != 2 * (n - 1):
-        wanted = wanted - {n - 4}  # a spanning bone is a tree
+    missing = set(wanted)
+    if n - 4 in missing and _max_bone_index(n, sum(map(int.bit_count, masks)) >> 1) < n - 4:
+        missing.discard(n - 4)
     found: dict[int, BoneEmbedding] = {}
-    if not wanted:
+    if not missing:
         return found
     budget = _BONE_BUDGET
-    missing = set(wanted)
     top = max(missing)
     nodes = 0
     hi = centres
@@ -261,44 +292,48 @@ def _bone_scan(masks: list[int], centres: int, wanted: set[int],
         start = hi & -hi
         hi ^= start
         v0 = start.bit_length() - 1
-        path, body = [v0], start
-        cands, lefts, nears = [masks[v0]], [masks[v0]], [0]
-        while cands:
-            todo = cands.pop()
-            reach = nears[-1] | masks[path[-1]]
-            free = hi & ~(body | reach)
+        path, body, stack = [v0], start, []
+        todo = parent_left = reach = masks[v0]
+        while True:
+            seen = body | reach
+            free = hi & ~seen
+            depth = len(path) + 1  # of a child
+            close = depth in missing
+            extend = depth < top and free
             while todo:
                 bit = todo & -todo
                 todo ^= bit
                 w = bit.bit_length() - 1
-                left = lefts[-1] & ~(masks[w] | bit)
+                left = parent_left & ~(masks[w] | bit)
                 if left.bit_count() < 2:
                     continue
                 nodes += 1
                 if nodes > budget:
                     raise GuardExceededError(f"bone search exceeded {budget} DFS nodes")
-                path.append(w)
-                body |= bit
-                right = masks[w] & ~(body | reach)
-                if len(path) in missing and hi & bit and right.bit_count() >= 2:
+                right = masks[w] & ~seen
+                if close and hi & bit and right.bit_count() >= 2:
+                    path.append(w)
                     emb = _close(masks, path, left, right)
+                    path.pop()
                     if emb is not None:
-                        found[emb.index] = emb
-                        missing.discard(emb.index)
-                        if not missing or emb.index in stop:
+                        found[depth] = emb
+                        missing.discard(depth)
+                        if not missing or depth in stop:
                             return found
                         top = max(missing)
-                if len(path) < top and free:
-                    cands += (todo, right)
-                    lefts.append(left)
-                    nears.append(reach)
+                        close = False
+                        extend = depth < top and free
+                if extend:
+                    stack.append((todo, parent_left, reach))
+                    path.append(w)
+                    body |= bit
+                    todo, parent_left, reach = right, left, reach | masks[w]
                     break
-                path.pop()
-                body ^= bit
             else:
-                lefts.pop()
-                nears.pop()
+                if not stack:
+                    break
                 body ^= 1 << path.pop()
+                todo, parent_left, reach = stack.pop()
     return found
 
 
@@ -309,7 +344,7 @@ def find_induced_bone(G: Graph, i: int) -> BoneEmbedding | None:
     """
     if i < 2:
         raise ValueError(f"bone index must be at least 2, got {i}")
-    if i + 4 > G.n:
+    if i > _max_bone_index(G.n, G.edge_count()):
         return None
     masks = G.adjacency_masks()
     return _bone_scan(masks, _claw_centres(masks), {i}).get(i)
@@ -322,9 +357,9 @@ def admitting_set(G: Graph, i_max: int | None = None) -> frozenset[int]:
     fits, so the default is the complete admitting set.  One search covers
     every index; it raises ``GuardExceededError`` past its node budget.
     """
-    cap = G.n - 4 if i_max is None else min(i_max, G.n - 4)
-    if cap == G.n - 4 and G.edge_count() != G.n - 1:
-        cap -= 1  # a spanning bone is a tree (as in _bone_scan), known before masks are built
+    cap = _max_bone_index(G.n, G.edge_count())  # known before masks are built
+    if i_max is not None:
+        cap = min(cap, i_max)
     if cap < 2:
         return frozenset()
     masks = G.adjacency_masks()

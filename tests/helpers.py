@@ -498,6 +498,22 @@ def bone_scan_reference(G: Graph, wanted: set[int]) -> tuple[dict[int, BoneEmbed
     return found, nodes
 
 
+def close_reference(masks: list[int], path: list[int], left: int,
+                    right: int) -> BoneEmbedding | None:
+    """The bone scan's close as it stood before it walked the candidate
+    masks: the first left pair, then the first right pair, in
+    ``combinations`` order over the sorted candidates."""
+    right_list = [v for v in range(len(masks)) if right >> v & 1]
+    for a1, a2 in combinations([v for v in range(len(masks)) if left >> v & 1], 2):
+        if masks[a1] >> a2 & 1:
+            continue
+        blocked = masks[a1] | masks[a2]
+        for b1, b2 in combinations(right_list, 2):
+            if not (masks[b1] >> b2 & 1 or blocked >> b1 & 1 or blocked >> b2 & 1):
+                return BoneEmbedding(tuple(path), (a1, a2), (b1, b2))
+    return None
+
+
 def tree_admitting_oracle(T: Graph) -> set[int]:
     """For a tree: bone indices are path distances between branch vertices."""
     out: set[int] = set()

@@ -793,6 +793,29 @@ def test_extremal_search_reports_unsatisfiable_constraints():
     assert not rep.mod_hit
 
 
+def test_unsatisfiable_admitting_constraints_return_the_loops_report(monkeypatch):
+    # odd has no index to meet at n <= 6 and even none at n <= 5; the search
+    # then returns at once the report its loop would give, and tests no graph
+    tested = []
+    satisfies = harness._satisfies
+    monkeypatch.setattr(harness, "_satisfies", lambda *a: tested.append(1) or satisfies(*a))
+    skipped = []
+    for n in range(1, 8):
+        for name in ("empty", "odd", "even"):
+            for seed in (1, 2, 3):
+                c = SearchConstraints(n, alpha_l_max=(None, 2, 3)[seed - 1], admitting=name)
+                del tested[:]
+                fast = extremal_search(c, 300, seed).to_json_dict()
+                if not tested:
+                    skipped.append((n, name))
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "_satisfiable", lambda admitting, n: True)
+                    loop = extremal_search(c, 300, seed).to_json_dict()
+                assert json_text(fast) == json_text(loop), (n, name, seed)
+    assert sorted(set(skipped)) == sorted(
+        [(n, "odd") for n in range(1, 7)] + [(n, "even") for n in range(1, 6)])
+
+
 def test_extremal_search_is_deterministic_and_reports_congruence():
     a = extremal_search(SearchConstraints(7, alpha_l_max=3, admitting="odd"), iters=600, seed=11)
     b = extremal_search(SearchConstraints(7, alpha_l_max=3, admitting="odd"), iters=600, seed=11)

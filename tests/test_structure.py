@@ -26,9 +26,11 @@ from bonematch import (
 )
 from bonematch import structure
 from bonematch.harness import _connected_classes
+from .test_acceptance import _family_instances
 from .helpers import (
     admitting_set_by_path_enum,
     bone_scan_reference,
+    close_reference,
     has_independent_neighbors,
     has_induced_bone_subsets,
     random_connected_graph,
@@ -161,6 +163,64 @@ def test_bone_scan_matches_the_frozen_two_direction_scan(monkeypatch):
                 assert got == dict(items[:cut]), (stop, G.edges())
                 stopped += cut < len(items)
         assert stopped >= 100 and fewer >= least
+
+
+def test_close_matches_the_frozen_combinations_close(monkeypatch):
+    # Walking the candidate masks lowest bit first picks the same pendant
+    # pairs as combinations over the sorted candidates, on every close the
+    # scan attempts, failed ones included.
+    outcomes = {"found": 0, "none": 0}
+    close = structure._close
+
+    def checked(masks, path, left, right):
+        got = close(masks, path, left, right)
+        assert got == close_reference(masks, path, left, right), (path, left, right, masks)
+        outcomes["none" if got is None else "found"] += 1
+        return got
+
+    monkeypatch.setattr(structure, "_close", checked)
+    rng = random.Random(3203)
+    graphs = [G for G, _ in _connected_classes(7)]
+    graphs += [random_connected_graph(rng, 8 + k % 9, extra=(0.05, 0.1, 0.2, 0.35)[k % 4])
+               for k in range(200)]
+    for G in graphs:
+        admitting_set(G)
+        for i in range(2, G.n - 3):
+            find_induced_bone(G, i)
+    assert outcomes["found"] >= 600 and outcomes["none"] >= 2000, outcomes
+
+
+def _node_count_graphs():
+    rng = random.Random(3204)
+    return _family_instances() + [
+        random_connected_graph(rng, 12 + k % 19, extra=(0.05, 0.1, 0.15, 0.2)[k % 4])
+        for k in range(40)]
+
+
+# The least _BONE_BUDGET at which admitting_set completes on each graph of
+# _node_count_graphs(): the DFS nodes its scan visits, taken before the scan
+# read its per-node flags once per node.
+BONE_SCAN_NODES = [
+    0, 0, 34, 77, 268, 4, 6, 8, 5, 7, 9, 6, 8, 10, 7, 9, 11, 1, 4, 5, 34, 52, 77, 109, 23, 33,
+    33, 45, 42, 56, 20, 9, 20, 143,
+    25, 105, 112, 236, 56, 364, 767, 1057, 248, 1195, 3128, 2238, 1612, 2540, 11290, 14132,
+    6894, 27435, 32713, 64, 5, 118, 264, 483, 105, 952, 836, 1182, 402, 1360, 1916, 5296, 531,
+    6904, 10108, 11950, 1776, 10057, 55, 83,
+]
+
+
+def test_bone_scan_node_counts_are_pinned(monkeypatch):
+    graphs = _node_count_graphs()
+    assert len(graphs) == len(BONE_SCAN_NODES) == 74
+    for G, nodes in zip(graphs, BONE_SCAN_NODES):
+        monkeypatch.setattr(structure, "_BONE_BUDGET", nodes)
+        expected = admitting_set(G)
+        if nodes:
+            monkeypatch.setattr(structure, "_BONE_BUDGET", nodes - 1)
+            with pytest.raises(GuardExceededError):
+                admitting_set(G)
+        monkeypatch.undo()
+        assert admitting_set(G) == expected, G.edges()
 
 
 def test_alpha_threshold_matches_the_local_independence_number():
