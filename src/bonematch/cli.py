@@ -48,12 +48,18 @@ __all__ = ["run_cli"]
 
 
 def _items(text: str, what: str, expected: str):
-    """The stripped ``(key, value)`` pairs of the comma-separated ``k=v`` items of ``text``."""
+    """The stripped ``(key, value)`` pairs of the comma-separated ``k=v`` items
+    of ``text``; a key given twice is refused."""
+    seen = set()
     for item in text.split(","):
         key, eq, value = item.partition("=")
         if not eq or not key.strip() or not value.strip():
             raise ValueError(f"malformed {what} {item!r}; expected {expected}")
-        yield key.strip(), value.strip()
+        key = key.strip()
+        if key in seen:
+            raise ValueError(f"{what} {key!r} given twice")
+        seen.add(key)
+        yield key, value.strip()
 
 
 def _parse_params(text: str) -> dict[str, Any]:

@@ -612,16 +612,12 @@ class SearchConstraints:
             raise ValueError(f"unknown admitting constraint {self.admitting!r}")
 
 
-def _satisfies(masks: list[int], c: SearchConstraints, edit: tuple[int, int] | None = None,
-               claws: int | None = None) -> bool:
-    """Whether the graph ``G`` with the neighbour masks ``masks`` meets the
-    constraints ``c``.  ``claws`` is the mask of the claw centres of ``G``;
-    a bone query computes it when it is not given.
-
-    ``edit`` names the pair ``uv`` whose toggle made ``G`` from the search's
-    current graph.  The alpha_l cap is then tested only on
-    ``W = {u, v} | (N(u) & N(v))``; without ``edit`` it is tested on every
-    vertex.  This is exact:
+def _satisfies(masks: list[int], c: SearchConstraints, among: int, claws: int) -> bool:
+    """Whether the graph ``G`` with the neighbour masks ``masks`` and the
+    claw centres ``claws`` meets the constraints ``c``.  ``among`` is the
+    mask of the vertices on which the alpha_l cap is tested: every vertex
+    for a restart draw, and ``W = {u, v} | (N(u) & N(v))`` for a candidate
+    made by toggling ``uv`` in the search's current graph.  This is exact:
 
     - the current graph always meets the cap: it is a draw tested on every
       vertex, or an edit of a current graph accepted by this test;
@@ -637,30 +633,22 @@ def _satisfies(masks: list[int], c: SearchConstraints, edit: tuple[int, int] | N
 
     A vertex ``w`` is a claw centre iff alpha(N(w)) >= 3, so the second
     point shows as well that every vertex outside ``W`` is a claw centre of
-    ``G`` iff it is one of the current graph.  ``_edited_claws`` therefore
-    tests only ``W`` and takes every other vertex's status from the current
-    graph's mask.
+    ``G`` iff it is one of the current graph.  The search therefore carries
+    the current graph's claw centres and tests only ``among`` again; a
+    draw's ``among`` is every vertex, so nothing is carried to it.
 
-    The bone query depends only on the constraint and the order, so it is
-    built once for each pair (``_bone_query``), not once per graph.
+    ``claws`` is read only by a bone query.  The bone query depends only on
+    the constraint and the order, so it is built once for each pair
+    (``_bone_query``), not once per graph.
     """
-    n = len(masks)
-    if c.alpha_l_max is not None:
-        if edit is None:
-            among = (1 << n) - 1
-        else:
-            u, v = edit
-            among = 1 << u | 1 << v | masks[u] & masks[v]
-        if _alpha_exceeds(masks, among, c.alpha_l_max):
-            return False
+    if c.alpha_l_max is not None and _alpha_exceeds(masks, among, c.alpha_l_max):
+        return False
     if c.omega_max is not None and _clique_of_masks(masks) > c.omega_max:
         return False
-    query = _bone_query(c.admitting, n)
+    query = _bone_query(c.admitting, len(masks))
     if query is None:
         return True
     test, wanted, stop = query
-    if claws is None:
-        claws = _claw_centres(masks)
     return test(frozenset(_bone_scan(masks, claws, wanted, stop)))
 
 
@@ -713,14 +701,6 @@ def _rematch(masks: list[int], match: list[int], u: int, v: int) -> list[int]:
     return _blossom(len(masks), _MaskLists(masks), match)
 
 
-def _edited_claws(masks: list[int], claws: int, u: int, v: int) -> int:
-    """The claw centres of the graph with the neighbour masks ``masks``, made
-    by toggling ``uv`` in a graph whose claw centres are ``claws``: only
-    ``{u, v} | (N(u) & N(v))`` is tested again (proof in ``_satisfies``)."""
-    among = 1 << u | 1 << v | masks[u] & masks[v]
-    return claws & ~among | _claw_centres(masks, among)
-
-
 def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> SearchReport:
     """Hill-climb over single-edge edits, maximizing deficiency within the constraints.
 
@@ -747,12 +727,15 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     The blossom returns a maximum matching from any start (``matching``
     module docstring), so each case gives one, and kd(G') is its free count.
 
-    Under a bone constraint, the claw centres of ``G`` are kept as a mask as
-    well.  A draw's are computed on every vertex; a candidate's are carried
-    from ``G`` and tested again only on the vertices whose neighbourhood the
-    toggle changed, which is exact (``_satisfies``).  So every graph the
-    search tests, and every result, is that of a search that computes them
-    afresh.  Without a bone constraint, none are computed.
+    A restart draw is a candidate too, tested on every vertex where an edit
+    is tested on the vertices its toggle may change (``_satisfies``), and a
+    restart sets the current kd to -1, so a feasible draw is always taken.
+    An infeasible draw counts as a stale step, which changes nothing: the
+    next draw taken sets the count back to 0.
+    Under a bone constraint, the claw centres of ``G`` are kept as a mask
+    and carried to each candidate in the same way, so every graph the search
+    tests, and every result, is that of a search that computes them afresh.
+    Without a bone constraint, none are computed.
 
     A bone constraint that no graph of this order can meet
     (``_satisfiable``) makes every graph infeasible, and no guard can trip
@@ -773,60 +756,44 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     seed_prob = min(1.0, 2.5 / n) if n > 1 else 1.0
     bones = ADMITTING_CONSTRAINTS[constraints.admitting] is not None
     masks: list[int] | None = None
-    claws: int | None = None
+    claws = 0
     match: list[int] = []
     current_kd = -1
     best: Graph | None = None
     best_kd = -1
     feasible = 0
     stale = 0
-
-    def consider(kd: int) -> None:
-        nonlocal best, best_kd
-        if kd > best_kd:
-            best, best_kd = Graph(n, tuple(frozenset(_mask_vertices(m)) for m in masks)), kd
-
     for _ in range(iters):
         if masks is None:
             cand = _connected_draw(n, seed_prob, rng.randrange(2**32))[0]
-            cand_claws = _claw_centres(cand) if bones else None
-            if _satisfies(cand, constraints, None, cand_claws):
-                masks, claws = cand, cand_claws
-                match = _blossom(n, _MaskLists(masks))
-                current_kd = match.count(-1)
-                feasible += 1
-                consider(current_kd)
-            continue
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        cand = masks[:]
-        cand[u] ^= 1 << v
-        cand[v] ^= 1 << u
-        if _components(cand, full) == [full]:
-            cand_claws = _edited_claws(cand, claws, u, v) if bones else None
-            feasible_edit = _satisfies(cand, constraints, (u, v), cand_claws)
+            among = full
         else:
-            feasible_edit = False
-        if not feasible_edit:
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u == v:
+                continue
+            cand = masks[:]
+            cand[u] ^= 1 << v
+            cand[v] ^= 1 << u
+            among = 1 << u | 1 << v | cand[u] & cand[v]
+        ok = masks is None or _components(cand, full) == [full]
+        if ok:
+            cand_claws = claws & ~among | _claw_centres(cand, among) if bones else 0
+            ok = _satisfies(cand, constraints, among, cand_claws)
+        if ok:
+            feasible += 1
+            cand_match = (_blossom(n, _MaskLists(cand)) if masks is None
+                          else _rematch(cand, match, u, v))
+            kd = cand_match.count(-1)
+        if not ok or kd < current_kd:
             stale += 1
         else:
-            feasible += 1
-            cand_match = _rematch(cand, match, u, v)
-            kd = cand_match.count(-1)
-            if kd >= current_kd:
-                if kd > current_kd:
-                    stale = 0
-                else:
-                    stale += 1
-                masks, claws, match, current_kd = cand, cand_claws, cand_match, kd
-                consider(kd)
-            else:
-                stale += 1
+            stale = 0 if kd > current_kd else stale + 1
+            masks, claws, match, current_kd = cand, cand_claws, cand_match, kd
+            if kd > best_kd:
+                best, best_kd = Graph(n, tuple(frozenset(_mask_vertices(m)) for m in masks)), kd
         if stale >= _RESTART_AFTER:
-            masks = None
-            stale = 0
+            masks, current_kd, stale = None, -1, 0
 
     mod_hit = (None if mod_base is None or best_kd < 0
                else _THEOREMS["prop-5.1-mod"].passes({}, best_kd, None, n_star))

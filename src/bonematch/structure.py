@@ -40,12 +40,11 @@ without these skips: every result and every early stop is the same.  The
 search visits a subset of that search's nodes, in the same order, so its
 node count never grows.
 
-A vertex ``w`` is a claw centre iff ``alpha(G[N(w)]) >= 3``, so whether it
-is one depends on ``G[N(w)]`` alone.  Toggling one pair ``uv`` changes
-``G[N(w)]`` only for ``w`` in ``{u, v} | (N(u) & N(v))``, so a caller that
-edits a graph one pair at a time carries the mask and re-tests only those
-vertices (``_claw_centres(masks, among)``).  ``extremal_search`` does so;
-``find_induced_bone`` and ``admitting_set`` test every vertex.
+``_claw_centres(masks, among)`` tests only the vertices of ``among``.
+``extremal_search`` carries the claw centres across one-pair edits and tests
+again only the vertices whose neighbourhood an edit may change (proof in
+``harness._satisfies``); ``find_induced_bone`` and ``admitting_set`` test
+every vertex.
 
 A close also needs two right candidates.  The neighbours of the tail off
 the spine and not adjacent to its other vertices are both its right

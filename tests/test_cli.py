@@ -63,6 +63,16 @@ def test_construct_rejects_bad_params(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_refuses_a_repeated_parameter(tmp_path, capsys):
+    # n=1,n=2 would otherwise build BS(2, 3) from the last value
+    path = tmp_path / "g.json"
+    assert run_cli(["construct", "--family", "bs", "--params", "n=1,n=2,p=3",
+                    "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err == "error: parameter 'n' given twice\n"
+
+
 @pytest.mark.parametrize("family", sorted(
     family for family, (kinds, _, _) in families.FAMILIES.items() if list not in kinds.values()))
 def test_construct_refuses_a_list_for_an_integer_parameter(capsys, family):
@@ -565,6 +575,14 @@ def test_sweep_family_mode_caps_the_range_grid(capsys):
 def test_sweep_family_mode_rejects_unknown_range_keys(capsys):
     assert run_cli(["sweep", "--family", "bs", "--range", "q=1..2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_family_mode_refuses_a_repeated_range_key(capsys):
+    # n=2..3,n=4 would otherwise sweep BS(4, 3) twice
+    assert run_cli(["sweep", "--family", "bs", "--range", "n=2..3,n=4,p=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: range 'n' given twice\n"
 
 
 def test_search_cli(tmp_path, capsys):

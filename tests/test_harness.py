@@ -619,9 +619,9 @@ def test_edit_local_alpha_test_matches_the_full_test():
             adj[u] ^= {v}
             adj[v] ^= {u}
             masks = graphs.Graph(G.n, tuple(adj)).adjacency_masks()
-            full = harness._satisfies(masks, c)
-            assert harness._satisfies(masks, c, (u, v)) == full, (u, v, G.edges())
-            assert harness._satisfies(masks, c, (v, u)) == full, (u, v, G.edges())
+            full = harness._satisfies(masks, c, (1 << G.n) - 1, 0)
+            among = 1 << u | 1 << v | masks[u] & masks[v]
+            assert harness._satisfies(masks, c, among, 0) == full, (u, v, G.edges())
             verdicts[full] += 1
             common += structure._alpha_exceeds(masks, 1 << u | 1 << v, k) == full
     assert min(verdicts.values()) >= 500 and common >= 300, (verdicts, common)
@@ -645,8 +645,9 @@ def test_carried_claw_centres_match_a_fresh_scan_on_every_one_edge_toggle():
             cand[u] ^= 1 << v
             cand[v] ^= 1 << u
             fresh = structure._claw_centres(cand)
-            assert harness._edited_claws(cand, claws, u, v) == fresh, (u, v, G.edges())
-            assert harness._edited_claws(cand, claws, v, u) == fresh, (u, v, G.edges())
+            among = 1 << u | 1 << v | cand[u] & cand[v]
+            assert claws & ~among | structure._claw_centres(cand, among) == fresh, (
+                u, v, G.edges())
             ends = 1 << u | 1 << v
             common += claws & ~ends | structure._claw_centres(cand, ends) != fresh
     assert common >= 1000, common
@@ -722,6 +723,24 @@ def test_search_reports_are_pinned():
     assert _report_digest(readme, 1000, 7) == "1500352daca5f1d2"
 
 
+# As ``SEARCH_DIGESTS``, for the constraints those leave out: an omega cap,
+# a bone constraint without an alpha_l cap, and no constraint at all.  Keys
+# are (n, alpha_l_max, omega_max, admitting).
+OTHER_SEARCH_DIGESTS = {
+    (9, None, 3, "any"): "4c930bf88cfa845b",
+    (10, 4, 3, "even"): "b77e594b68dfb6bf",
+    (9, None, None, "odd"): "3b151960d2d22553",
+    (11, None, 4, "empty"): "3aad385d91d15931",
+    (8, None, None, "any"): "4b26f5f438e02a4a",
+}
+
+
+def test_search_reports_under_the_other_constraints_are_pinned():
+    for k, ((n, a, o, adm), digest) in enumerate(OTHER_SEARCH_DIGESTS.items()):
+        c = SearchConstraints(n, alpha_l_max=a, omega_max=o, admitting=adm)
+        assert _report_digest(c, 400, 3300 + k) == digest, (n, a, o, adm)
+
+
 def test_search_edit_trips_the_alpha_l_guard_at_the_first_candidate_above_it(monkeypatch):
     # Every draw is this graph: vertex 0 sees the path 1..40, and 41 hangs
     # off 1.  The cap is above every degree, so no alpha is searched, yet the
@@ -761,9 +780,11 @@ def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
     for G in graphs + _family_instances():  # most odd-only sets come from the families
         n = G.n
         full = admitting(G)
+        masks = G.adjacency_masks()
         for name in ("empty", "odd", "even"):
             constraint = harness.ADMITTING_CONSTRAINTS[name]
-            got = harness._satisfies(G.adjacency_masks(), SearchConstraints(n, admitting=name))
+            got = harness._satisfies(masks, SearchConstraints(n, admitting=name), (1 << n) - 1,
+                                     structure._claw_centres(masks))
             assert got == constraint.test(full), (name, G.edges())
             assert scans.pop() == {i for i in range(2, n - 3) if constraint.refuted_by(i)}
             verdicts[name, got] = verdicts.get((name, got), 0) + 1
@@ -774,8 +795,10 @@ def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
 def test_admitting_constraints_answer_a_sparse_80_vertex_graph_at_once():
     # the full admitting set of this graph trips the bone-search guard
     masks = random_connected(80, 0.05, 1).adjacency_masks()
+    claws = structure._claw_centres(masks)
     for name in ("empty", "odd", "even"):
-        assert not harness._satisfies(masks, SearchConstraints(80, admitting=name))
+        assert not harness._satisfies(masks, SearchConstraints(80, admitting=name),
+                                      (1 << 80) - 1, claws)
 
 
 def test_extremal_search_finds_odd_bone_landscape():
