@@ -19,8 +19,12 @@ as its subtree is then the image of the first child's.  Pruned subtrees are
 automorphic images of explored ones, so the best code is unchanged, and every
 child in the orbit of the first child under the stabiliser of the node has
 yielded an automorphism, so ``|Aut(G)|`` is the product of these orbit sizes
-down the first path (orbit-stabiliser).  The search is iterative and counts
-its nodes against ``_CANON_BUDGET``; ``K_n`` takes ``n (n + 1) / 2`` nodes.
+down the first path (orbit-stabiliser).  The automorphisms found generate
+``Aut(G)``: those found at or below a first-path node fix it, so each factor
+is at most the first child's orbit under the stabiliser of the node in the
+group they generate, and by orbit-stabiliser in that group the product,
+``|Aut(G)|``, is at most its order.  The search is iterative and counts its nodes against ``_CANON_BUDGET``;
+``K_n`` takes ``n (n + 1) / 2`` nodes.
 """
 
 from __future__ import annotations
@@ -50,9 +54,14 @@ class CanonicalForm(NamedTuple):
     def graph(self) -> Graph:
         """The canonical relabelling itself, decoded from ``code``."""
         n = self.n
-        rows = [self.code >> (n * (n - 1 - i)) for i in range(n)]
-        return Graph(n, tuple(frozenset(u for u in range(n) if row >> (n - 1 - u) & 1)
-                              for row in rows))
+        full = (1 << n) - 1
+        return Graph(n, tuple(frozenset(_decode_row(self.code >> n * i & full, n))
+                              for i in range(n - 1, -1, -1)))
+
+
+def _decode_row(row: int, n: int) -> tuple[int, ...]:
+    """The vertices of a code row of ``n`` bits: vertex ``u`` is bit ``n - 1 - u``."""
+    return tuple(u for u in range(n) if row >> (n - 1 - u) & 1)
 
 
 def _refine(adj: list[int], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
@@ -113,9 +122,12 @@ def _code(adj: list[int], order: list[int]) -> int:
     return code
 
 
-def _search(adj: list[int]) -> tuple[int, int, list[dict[int, int]]]:
-    """Canonical code, ``|Aut|`` and generators of ``Aut`` of the graph with
-    neighbour masks ``adj``; a generator ``g`` maps vertex ``v`` to ``g[v]``.
+def _search(adj: list[int]) -> tuple[int, int, list[dict[int, int]], list[int]]:
+    """Canonical code, ``|Aut|``, generators of ``Aut`` and canonical order of
+    the graph with neighbour masks ``adj``.  A generator ``g`` maps ``v`` to
+    ``g[v]``; the generators generate ``Aut`` (module docstring).  The order is
+    the leaf with the canonical code: vertex ``j`` of the canonical
+    relabelling is its ``j``-th vertex.
     """
     n = len(adj)
     budget = _CANON_BUDGET
@@ -130,6 +142,7 @@ def _search(adj: list[int]) -> tuple[int, int, list[dict[int, int]]]:
     nodes = len(path) + 1
     first = [cell[0] for cell in cells]
     best = first_code = _code(adj, first)
+    best_order = first
     # orbits of the generators found so far: a union-find whose root is the
     # least vertex of its orbit, with the orbit's size at the root
     parent = list(range(n))
@@ -165,9 +178,10 @@ def _search(adj: list[int]) -> tuple[int, int, list[dict[int, int]]]:
                             parent[b] = a
                             size[a] += size[b]
                     break
-                best = max(best, code)
+                if code > best:
+                    best, best_order = code, order
         count *= size[cell[0]]
-    return best, count, gens
+    return best, count, gens, best_order
 
 
 def canonical_form(G: Graph) -> CanonicalForm:
@@ -176,5 +190,5 @@ def canonical_form(G: Graph) -> CanonicalForm:
     Raises ``GuardExceededError`` when the search tree exceeds
     ``_CANON_BUDGET`` nodes.
     """
-    code, count, _ = _search(G.adjacency_masks())
+    code, count, _, _ = _search(G.adjacency_masks())
     return CanonicalForm(G.n, code, count)

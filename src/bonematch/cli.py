@@ -250,6 +250,8 @@ def _theorem_spec(args: argparse.Namespace, params: dict[str, Any]) -> TheoremSp
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.family is None:
+        if args.range is not None:
+            raise ValueError("sweep --range needs --family")
         if args.theorem is None:
             raise ValueError("sweep needs --theorem (with --nmax) or --family (with --range)")
         report = exhaustive_sweep(args.nmax, _theorem_spec(args, {}), out_dir=args.out)

@@ -22,7 +22,7 @@ from math import factorial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .canon import CanonicalForm, _search, canonical_form
+from .canon import _decode_row, _search, canonical_form
 from .errors import GuardExceededError
 from .graphs import Graph, build_graph, is_connected, snail_horns
 from .matching import (
@@ -314,6 +314,18 @@ class SweepReport:
         }
 
 
+def _mask_images(gens: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
+    """``images[i][S]``: the image of the mask ``S`` on ``n`` vertices under ``gens[i]``."""
+    images = []
+    for g in gens:
+        image = [0] * (1 << n)
+        for S in range(1, 1 << n):
+            low = S & -S
+            image[S] = image[S ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(image)
+    return images
+
+
 def _connected_classes(n_max: int):
     """Yield ``(G, labelled)`` once per isomorphism class of connected graphs
     on ``1..n_max`` vertices, order by order.
@@ -323,59 +335,90 @@ def _connected_classes(n_max: int):
     a new vertex with a non-empty neighbourhood ``S`` to every class ``H`` of
     order ``n - 1`` and keeps one graph per canonical code.  Only one ``S``
     per orbit of ``Aut(H)`` is tried: ``H + S`` and ``H + g(S)`` are
-    isomorphic for every automorphism ``g`` of ``H``.
+    isomorphic for every automorphism ``g`` of ``H``.  The orbits come from
+    the generators of the search that found ``H``, carried into its canonical
+    labels, which generate ``Aut(H)`` (``canon``); so the one search of each
+    kept ``H + S`` is the only canonical search the generation makes.
 
-    Canonical deletion (McKay, J. Algorithms 26, 1998): ``H + S`` is dropped
-    before it is canonicalised when an old vertex ``u`` has degree above
-    ``|S|`` and ``H + S - u`` is connected, that is when every component of
-    ``H - u`` meets ``S``.  No class is lost.  A connected class ``G`` of
-    order ``n >= 2`` has a vertex ``u*`` of largest degree among the
+    Canonical deletion (McKay, J. Algorithms 26, 1998): with ``inv(v)`` the
+    pair ``(deg(v), sum of the degrees of N(v))`` in ``H + S``, ``H + S`` is
+    dropped before it is searched when an old vertex ``u`` has ``inv(u) >
+    inv(new)`` and ``H + S - u`` is connected, that is when every component
+    of ``H - u`` meets ``S``.  No class is lost.  A connected class ``G`` of
+    order ``n >= 2`` has a vertex ``u*`` of largest ``inv`` among the
     vertices whose removal leaves it connected (a leaf of a spanning tree is
-    one).  ``G - u*`` is a class ``H`` of order ``n - 1``, and an
-    isomorphism onto ``H`` maps ``N(u*)`` to some ``S``, whose orbit is
-    tried.  Its representative gives a graph isomorphic to ``G`` in which
-    the new vertex plays ``u*``, so every old vertex whose removal keeps it
-    connected has degree at most ``|S|``, and the graph is kept.  The filter
-    is the same on a whole orbit, so the kept codes, their ``|Aut|`` and
-    their sorted order are those of the unfiltered generation.
+    one).  ``G - u*`` is a class ``H`` of order ``n - 1``, and an isomorphism
+    onto ``H`` maps ``N(u*)`` to some ``S``, whose orbit is tried.  Its
+    representative gives a graph isomorphic to ``G`` in which the new vertex
+    plays ``u*``; ``inv`` is an isomorphism invariant, so no old vertex whose
+    removal keeps it connected has a larger ``inv``, and the graph is kept.
+    An automorphism of ``H`` extends to an isomorphism of ``H + S`` onto
+    ``H + g(S)`` that fixes the new vertex, so the filter is the same on a
+    whole orbit, and the kept codes, their ``|Aut|`` and their sorted order
+    are those of the unfiltered generation.
     """
-    forms = [canonical_form(build_graph(1, []))]
+    point = canonical_form(build_graph(1, []))
+    kept = {point.code: (point.automorphisms, ())}  # code -> (|Aut|, generators of Aut)
     for n in range(1, n_max + 1):
         if n > 1:
             new = n - 1
-            found: dict[int, CanonicalForm] = {}
-            for H in graphs:
-                masks = H.adjacency_masks()
-                images = []  # images[i][S]: image of the mask S under generator i
-                for g in _search(masks)[2]:
-                    image = [0] * (1 << new)
-                    for S in range(1, 1 << new):
-                        low = S & -S
-                        image[S] = image[S ^ low] | 1 << g[low.bit_length() - 1]
-                    images.append(image)
-                # (degree, u, components of H - u) of every old vertex u
-                cuts = [(m.bit_count(), u, _components(masks, (1 << new) - 1 ^ 1 << u))
-                        for u, m in enumerate(masks)]
+            old = (1 << new) - 1
+            kept = {}
+            for masks, gens in below:
+                images = _mask_images(gens, new)
+                degs = [m.bit_count() for m in masks]
+                # (degree, sum of the neighbours' degrees, N(u), u, components
+                # of H - u) of every old vertex u, in H
+                cuts = [(degs[u], sum(degs[w] for w in range(new) if m >> w & 1), m, u,
+                         _components(masks, old ^ 1 << u)) for u, m in enumerate(masks)]
                 seen = bytearray(1 << new)
                 for nbrs in range(1, 1 << new):
-                    k = nbrs.bit_count()
-                    if seen[nbrs] or any(d + (nbrs >> u & 1) > k and all(c & nbrs for c in comps)
-                                         for d, u, comps in cuts):
+                    if seen[nbrs]:
                         continue
-                    seen[nbrs] = 1
-                    orbit = [nbrs]
-                    for S in orbit:
-                        for image in images:
-                            if not seen[image[S]]:
-                                seen[image[S]] = 1
-                                orbit.append(image[S])
-                    code, count, _ = _search(
-                        [m | (nbrs >> v & 1) << new for v, m in enumerate(masks)] + [nbrs])
-                    found.setdefault(code, CanonicalForm(n, code, count))
-            forms = [found[code] for code in sorted(found)]
-        graphs = [form.graph() for form in forms]
-        for G, form in zip(graphs, forms):
-            yield G, factorial(n) // form.automorphisms
+                    k = nbrs.bit_count()
+                    total = None  # the sum of the degrees of N(new), taken on a degree tie
+                    for d, dsum, m, u, comps in cuts:
+                        s = nbrs >> u & 1
+                        if d + s < k:
+                            continue
+                        if d + s == k:
+                            if total is None:
+                                total = k + sum(degs[v] for v in range(new) if nbrs >> v & 1)
+                            if dsum + (m & nbrs).bit_count() + s * k <= total:
+                                continue
+                        if all(c & nbrs for c in comps):
+                            break
+                    else:
+                        seen[nbrs] = 1
+                        orbit = [nbrs]
+                        for S in orbit:
+                            for image in images:
+                                if not seen[image[S]]:
+                                    seen[image[S]] = 1
+                                    orbit.append(image[S])
+                        code, count, found, order = _search(
+                            [m | (nbrs >> v & 1) << new for v, m in enumerate(masks)] + [nbrs])
+                        if code not in kept:
+                            pos = {v: j for j, v in enumerate(order)}
+                            kept[code] = count, tuple(tuple(pos[g[v]] for v in order)
+                                                      for g in found)
+        full = (1 << n) - 1
+        rows = {}  # row pattern -> (vertices, mask), decoded once per order
+        graphs, below = [], []
+        for code in sorted(kept):
+            adj, masks = [], []
+            for i in range(n - 1, -1, -1):
+                row = code >> n * i & full
+                if row not in rows:
+                    vs = _decode_row(row, n)
+                    rows[row] = vs, sum(1 << v for v in vs)
+                vs, m = rows[row]
+                adj.append(frozenset(vs))  # own sets: graphs sharing them slowed the checks
+                masks.append(m)
+            count, gens = kept[code]
+            graphs.append((Graph(n, tuple(adj)), factorial(n) // count))
+            below.append((tuple(masks), gens))
+        yield from graphs
 
 
 def exhaustive_sweep(n_max: int, spec: TheoremSpec,

@@ -130,6 +130,7 @@ def _alpha_of_mask(masks: list[int], avail: int, best: int = 0) -> int:
             return
 
     rec(avail, 0)
+    del rec  # rec holds itself through its closure; unbinding it spares the collector the cycle
     return best
 
 

@@ -585,6 +585,14 @@ def test_sweep_family_mode_refuses_a_repeated_range_key(capsys):
     assert captured.err == "error: range 'n' given twice\n"
 
 
+def test_sweep_refuses_a_range_without_a_family(capsys):
+    # without --family the sweep would run over every class and drop --range
+    assert run_cli(["sweep", "--theorem", "thm-1.2-clawfree", "--nmax", "3", "--range", "n=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep --range needs --family\n"
+
+
 def test_search_cli(tmp_path, capsys):
     out_path = tmp_path / "search.json"
     code = run_cli([

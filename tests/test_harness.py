@@ -409,12 +409,17 @@ def _automorphisms(H):
 
 
 def _kept_by_canonical_deletion(H, S):
-    # H + S is canonicalised unless an old vertex of degree above |S| leaves
-    # it connected when deleted
+    # H + S is canonicalised unless an old vertex with a larger (degree, sum
+    # of the neighbours' degrees) than the new vertex leaves it connected
+    # when deleted
     new = {v for v in range(H.n) if S >> v & 1}
     adj = [a | {H.n} if v in new else a for v, a in enumerate(H.adj)] + [new]
+
+    def inv(v):
+        return len(adj[v]), sum(len(adj[w]) for w in adj[v])
+
     for u in range(H.n):
-        if len(adj[u]) > len(new):
+        if inv(u) > inv(H.n):
             reached = {H.n}
             stack = [H.n]
             while stack:
@@ -429,12 +434,12 @@ def _kept_by_canonical_deletion(H, S):
 def test_connected_classes_match_the_frozen_generation(monkeypatch):
     # One neighbourhood per Aut(H)-orbit is canonicalised, and only if it
     # passes the canonical-deletion rule, so the classes and their order must
-    # be the reference's, from one canonical form per kept orbit.
-    # Augmentations are searched from their masks, and each class H below the
-    # top order takes one more search, for the generators of Aut(H).
+    # be the reference's, from one canonical form per kept orbit.  The
+    # generators of Aut(H) come with H from the search that found it, so each
+    # kept augmentation is the only search made for it, and no class is
+    # searched again.
     calls = []
-    monkeypatch.setattr(harness, "canonical_form", lambda G: calls.append(G) or canonical_form(G))
-    monkeypatch.setattr(harness, "_search", lambda adj: calls.append(adj) or canon._search(adj))
+    _count_searches(monkeypatch, calls)
     got = [(G.adj, labelled) for G, labelled in _connected_classes(7)]
     reference = list(connected_classes_reference(7))
     assert got == [(G.adj, labelled) for G, labelled in reference]
@@ -446,14 +451,17 @@ def test_connected_classes_match_the_frozen_generation(monkeypatch):
         representatives = {min(orbit) for orbit in images}
         orbits += len(representatives)
         kept += sum(_kept_by_canonical_deletion(H, S) for S in representatives)
-    assert orbits == 4160 and kept == 1325
-    assert len(calls) == kept + len(below)
+    assert orbits == 4160 and kept == 1050
+    assert len(calls) == kept
 
 
-def test_connected_classes_census_of_order_8():
+def test_connected_classes_census_of_order_8(monkeypatch):
     # A001349 and A001187 at order 8, and a digest of every class's order,
     # canonical code and |Aut| in generation order on <= 8 vertices, frozen
-    # from the generation that canonicalised every orbit of augmentations
+    # from the generation that canonicalised every orbit of augmentations;
+    # the number of canonical searches is the one the README states
+    calls = []
+    _count_searches(monkeypatch, calls)
     rows = []
     labelled = Counter()
     for G, count in _connected_classes(8):
@@ -464,6 +472,79 @@ def test_connected_classes_census_of_order_8():
     assert labelled[8] == 251548592 and sum(labelled.values()) == 253442324
     assert hashlib.sha256("".join(rows).encode()).hexdigest() == (
         "63255ee866c733211124e4a1bb1cee262d57d1483f0f3880ff368a217a388c97")
+    assert len(calls) == 13156
+
+
+def _count_searches(monkeypatch, calls):
+    # every canonical search, whether the generation makes it directly or
+    # through canonical_form
+    search = canon._search
+
+    def spy(adj):
+        calls.append(adj)
+        return search(adj)
+
+    monkeypatch.setattr(canon, "_search", spy)
+    monkeypatch.setattr(harness, "_search", spy)
+
+
+def test_carried_generators_give_the_orbits_of_aut(monkeypatch):
+    # The generation augments each class H with the generators of the search
+    # that found H, carried into H's canonical labels.  Their orbits on the
+    # neighbourhood masks must be those of the whole of Aut(H), for every
+    # class on <= 7 vertices (those of order 7 are augmented at order 8).
+    used = []
+    mask_images = harness._mask_images
+    monkeypatch.setattr(harness, "_mask_images",
+                        lambda gens, n: used.append(mask_images(gens, n)) or used[-1])
+    classes = []
+    for G, _ in _connected_classes(8):
+        if G.n == 8:
+            break
+        classes.append(G)
+    assert len(classes) == len(used) == 996
+    for H, images in zip(classes, used):
+        full = (1 << H.n) - 1
+        orbit_min = {}  # mask -> least mask of its orbit under the generators
+        for S in range(1, full + 1):
+            if S not in orbit_min:
+                orbit = {S}
+                stack = [S]
+                while stack:
+                    T = stack.pop()
+                    for image in images:
+                        if image[T] not in orbit:
+                            orbit.add(image[T])
+                            stack.append(image[T])
+                orbit_min.update(dict.fromkeys(orbit, min(orbit)))
+        auts = _automorphisms(H)
+        reference = {}
+        for S in range(1, full + 1):
+            if S not in reference:
+                orbit = {sum(1 << p[v] for v in range(H.n) if S >> v & 1) for p in auts}
+                reference.update(dict.fromkeys(orbit, min(orbit)))
+        assert orbit_min == reference, H
+
+
+def test_search_returns_its_canonical_order_and_generators_of_aut():
+    # On the atlas: the returned order relabels the graph to its code, and the
+    # returned generators generate a group of order |Aut|
+    nx = pytest.importorskip("networkx")
+    for H in nx.graph_atlas_g():
+        G = build_graph(H.number_of_nodes(), H.edges())
+        masks = G.adjacency_masks()
+        code, count, gens, order = canon._search(masks)
+        assert canon._code(masks, order) == code
+        group = {tuple(range(G.n))}
+        stack = list(group)
+        while stack:
+            p = stack.pop()
+            for g in gens:
+                q = tuple(g[v] for v in p)
+                if q not in group:
+                    group.add(q)
+                    stack.append(q)
+        assert len(group) == count
 
 
 def test_canonical_form_of_large_complete_graphs_stays_under_the_budget():
