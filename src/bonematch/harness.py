@@ -358,7 +358,8 @@ def _connected_classes(n_max: int):
     are those of the unfiltered generation.
     """
     point = canonical_form(build_graph(1, []))
-    kept = {point.code: (point.automorphisms, ())}  # code -> (|Aut|, generators of Aut)
+    # code -> (|Aut|, generators of Aut, the search's order of the vertices)
+    kept = {point.code: (point.automorphisms, (), ())}
     for n in range(1, n_max + 1):
         if n > 1:
             new = n - 1
@@ -399,9 +400,7 @@ def _connected_classes(n_max: int):
                         code, count, found, order = _search(
                             [m | (nbrs >> v & 1) << new for v, m in enumerate(masks)] + [nbrs])
                         if code not in kept:
-                            pos = {v: j for j, v in enumerate(order)}
-                            kept[code] = count, tuple(tuple(pos[g[v]] for v in order)
-                                                      for g in found)
+                            kept[code] = count, found, order
         full = (1 << n) - 1
         rows = {}  # row pattern -> (vertices, mask), decoded once per order
         graphs, below = [], []
@@ -415,9 +414,12 @@ def _connected_classes(n_max: int):
                 vs, m = rows[row]
                 adj.append(frozenset(vs))  # own sets: graphs sharing them slowed the checks
                 masks.append(m)
-            count, gens = kept[code]
+            count, found, order = kept[code]
             graphs.append((Graph(n, tuple(adj)), factorial(n) // count))
-            below.append((tuple(masks), gens))
+            if n < n_max:  # only a class below the top order is extended
+                pos = {v: j for j, v in enumerate(order)}
+                below.append((tuple(masks), tuple(tuple(pos[g[v]] for v in order)
+                                                  for g in found)))
         yield from graphs
 
 
@@ -431,7 +433,9 @@ def exhaustive_sweep(n_max: int, spec: TheoremSpec,
     JSON dump of any violations are written there; each row and violation
     carries its class's labelled multiplicity.
     """
-    if n_max < 1 or n_max > _SWEEP_MAX:
+    if n_max < 1:
+        raise ValueError(f"sweep needs n_max >= 1, got {n_max}")
+    if n_max > _SWEEP_MAX:
         raise GuardExceededError(f"sweep needs 1 <= n_max <= {_SWEEP_MAX}, got {n_max}")
     classes = 0
     counts: Counter[str] = Counter()  # labelled graphs per verdict
@@ -565,58 +569,39 @@ def _connected_draw(n: int, edge_prob: float,
     return masks_of(edges), edges
 
 
-class _Admitting(NamedTuple):
-    """A test of the admitting set and the indices that refute it."""
-
-    test: Callable[[frozenset[int]], bool]
-    refuted_by: Callable[[int], bool]
-
-
-# The search's admitting constraints, in the order the CLI lists them; ``any``
-# has no test, so no bone is searched for.  Each test is false on every set
-# holding a refuting index, so the bone search stops at the first one.
-ADMITTING_CONSTRAINTS: dict[str, _Admitting | None] = {
+# The search's admitting constraints, in the order the CLI lists them: whether
+# a graph must admit a bone, and which indices refute the constraint.  ``any``
+# is ``None``, so no bone is searched for.
+ADMITTING_CONSTRAINTS: dict[str, tuple[bool, Callable[[int], bool]] | None] = {
     "any": None,
-    "empty": _Admitting(lambda a: not a, lambda i: True),
-    "odd": _Admitting(lambda a: bool(a) and all(x % 2 == 1 for x in a), lambda i: i % 2 == 0),
-    "even": _Admitting(lambda a: bool(a) and all(x % 2 == 0 for x in a), lambda i: i % 2 == 1),
+    "empty": (False, lambda i: True),
+    "odd": (True, lambda i: i % 2 == 0),
+    "even": (True, lambda i: i % 2 == 1),
 }
 
 
 @cache
-def _bone_query(admitting: str, n: int) -> tuple[Callable[[frozenset[int]], bool],
-                                                 frozenset[int], frozenset[int]] | None:
+def _bone_query(admitting: str, n: int) -> tuple[bool, frozenset[int], frozenset[int]] | None:
     """The bone query of the admitting constraint ``admitting`` at order
-    ``n``, or ``None`` for ``any``: its test, the wanted indices (those of
-    ``admitting_set`` on a tree of order ``n``; ``_bone_scan`` drops
-    ``n - 4`` from any other graph) and the refuting ones among them, where
-    the scan stops."""
+    ``n``, or ``None`` for ``any``: whether a bone is needed, the wanted
+    indices (those of ``admitting_set`` on a tree of order ``n``;
+    ``_bone_scan`` drops ``n - 4`` from any other graph) and the refuting
+    ones among them, where the scan stops."""
     constraint = ADMITTING_CONSTRAINTS[admitting]
     if constraint is None:
         return None
+    needed, refuted_by = constraint
     wanted = frozenset(range(2, _max_bone_index(n, n - 1) + 1))
-    return constraint.test, wanted, frozenset(filter(constraint.refuted_by, wanted))
+    return needed, wanted, frozenset(filter(refuted_by, wanted))
 
 
 def _satisfiable(admitting: str, n: int) -> bool:
-    """Whether the admitting constraint ``admitting`` can hold on graphs of
-    order ``n``: ``any`` always can, and an entry with a test can iff the
-    test holds on the empty set or on a single index of ``range(2, n - 3)``
-    (the indices of ``admitting_set``) that ``refuted_by`` allows.  When it
-    is false, the test fails on every set of those indices, so on the
-    admitting set of every graph of order ``n``.
-
-    This is exact for the three entries with a test.  ``empty`` holds on the
-    empty set.  ``odd`` and ``even`` are false on the empty set and on every
-    set holding a refuting index, and true on every other set, so some set
-    passes iff a single unrefuted index does.  ``odd`` has none at n <= 6
-    and ``even`` none at n <= 5.
-    """
+    """Whether some set of the wanted indices at order ``n`` meets the
+    admitting constraint ``admitting``; if none does, no graph of order ``n``
+    does.  None does iff a bone is needed and every wanted index refutes it
+    (``odd`` at n <= 6, ``even`` at n <= 5)."""
     query = _bone_query(admitting, n)
-    if query is None:
-        return True
-    test, wanted, stop = query
-    return test(frozenset()) or any(test(frozenset((i,))) for i in wanted - stop)
+    return query is None or not query[0] or bool(query[1] - query[2])
 
 
 # The largest search order.  At the seed density 2.5/n, random_connected
@@ -632,8 +617,10 @@ class SearchConstraints:
     """Feasible region for the extremal search.
 
     ``admitting`` names an entry of ``ADMITTING_CONSTRAINTS``: ``any``
-    (unconstrained), ``empty`` (no bones), ``odd`` (at least one bone, all
-    indices odd), ``even`` (at least one bone, all indices even).
+    (unconstrained), ``empty`` (no bone needed, every index refutes it),
+    ``odd`` (a bone needed, even indices refute it) or ``even`` (a bone
+    needed, odd indices refute it).  A graph meets a constraint iff its
+    admitting set holds no refuting index and, if a bone is needed, one.
     """
 
     n: int
@@ -691,8 +678,9 @@ def _satisfies(masks: list[int], c: SearchConstraints, among: int, claws: int) -
     query = _bone_query(c.admitting, len(masks))
     if query is None:
         return True
-    test, wanted, stop = query
-    return test(frozenset(_bone_scan(masks, claws, wanted, stop)))
+    needed, wanted, stop = query
+    found = _bone_scan(masks, claws, wanted, stop)
+    return stop.isdisjoint(found) and (bool(found) or not needed)
 
 
 @dataclass(frozen=True)
@@ -775,12 +763,12 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     restart sets the current kd to -1, so a feasible draw is always taken.
     An infeasible draw counts as a stale step, which changes nothing: the
     next draw taken sets the count back to 0.
-    Under a bone constraint, the claw centres of ``G`` are kept as a mask
-    and carried to each candidate in the same way, so every graph the search
-    tests, and every result, is that of a search that computes them afresh.
-    Without a bone constraint, none are computed.
+    Under an admitting constraint with a bone query (all but ``any``), the
+    claw centres of ``G`` are kept as a mask and carried to each candidate in
+    the same way, so every graph the search tests, and every result, is that
+    of a search that computes them afresh.  Without one, none are computed.
 
-    A bone constraint that no graph of this order can meet
+    A constraint that needs a bone which every index of this order refutes
     (``_satisfiable``) makes every graph infeasible, and no guard can trip
     at those orders, so the report is returned at once.
     """
@@ -797,7 +785,7 @@ def extremal_search(constraints: SearchConstraints, iters: int, seed: int) -> Se
     rng = random.Random(seed)
     full = (1 << n) - 1
     seed_prob = min(1.0, 2.5 / n) if n > 1 else 1.0
-    bones = ADMITTING_CONSTRAINTS[constraints.admitting] is not None
+    bones = _bone_query(constraints.admitting, n) is not None
     masks: list[int] | None = None
     claws = 0
     match: list[int] = []

@@ -585,6 +585,14 @@ def test_sweep_family_mode_refuses_a_repeated_range_key(capsys):
     assert captured.err == "error: range 'n' given twice\n"
 
 
+def test_sweep_refuses_an_order_below_1_as_a_usage_error(capsys):
+    # a usage error, not the 8-vertex guard of the README's guard table
+    assert run_cli(["sweep", "--theorem", "thm-1.2-clawfree", "--nmax", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep needs n_max >= 1, got 0\n"
+
+
 def test_sweep_refuses_a_range_without_a_family(capsys):
     # without --family the sweep would run over every class and drop --range
     assert run_cli(["sweep", "--theorem", "thm-1.2-clawfree", "--nmax", "3", "--range", "n=1"]) == 2

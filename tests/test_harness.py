@@ -240,6 +240,10 @@ def test_exhaustive_sweep_calls_check_theorem_with_the_graph_and_spec_only(monke
 def test_exhaustive_sweep_guard():
     with pytest.raises(GuardExceededError):
         exhaustive_sweep(9, TheoremSpec("thm-1.2-clawfree"))
+    # an order below 1 is a usage error, not a tripped guard
+    with pytest.raises(ValueError, match="^sweep needs n_max >= 1, got 0$") as info:
+        exhaustive_sweep(0, TheoremSpec("thm-1.2-clawfree"))
+    assert type(info.value) is ValueError
 
 
 def test_exhaustive_sweep_artifacts(tmp_path):
@@ -846,9 +850,18 @@ def test_search_edit_trips_the_alpha_l_guard_at_the_first_candidate_above_it(mon
         structure.local_independence_number(tripped)
 
 
+# What each admitting constraint of the search means, written out on the full
+# admitting set A; an index refutes a constraint iff no set holding it meets it.
+_ADMITTING_MEANING = {
+    "empty": lambda A: not A,
+    "odd": lambda A: bool(A) and all(a % 2 == 1 for a in A),
+    "even": lambda A: bool(A) and all(a % 2 == 0 for a in A),
+}
+
+
 def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
     # The search asks each admitting constraint with a scan that stops at the
-    # first refuting bone; its verdict is the constraint's test on the full set.
+    # first refuting bone; its verdict is the constraint's meaning on the full set.
     scans = []
     admitting = harness.admitting_set
     bone_scan = harness._bone_scan
@@ -862,15 +875,46 @@ def test_stopped_admitting_queries_match_the_test_on_the_full_set(monkeypatch):
         n = G.n
         full = admitting(G)
         masks = G.adjacency_masks()
-        for name in ("empty", "odd", "even"):
-            constraint = harness.ADMITTING_CONSTRAINTS[name]
+        for name, meaning in _ADMITTING_MEANING.items():
             got = harness._satisfies(masks, SearchConstraints(n, admitting=name), (1 << n) - 1,
                                      structure._claw_centres(masks))
-            assert got == constraint.test(full), (name, G.edges())
-            assert scans.pop() == {i for i in range(2, n - 3) if constraint.refuted_by(i)}
+            assert got == meaning(full), (name, G.edges())
+            assert scans.pop() == {i for i in range(2, n - 3) if not meaning({i})}
             verdicts[name, got] = verdicts.get((name, got), 0) + 1
     assert all(verdicts.get((name, v), 0) >= 20 for name in ("empty", "odd", "even")
                for v in (True, False)), verdicts
+
+
+def test_admitting_constraints_are_derived_from_the_needed_bone_and_the_refuting_indices(
+        monkeypatch):
+    # At order 13 the wanted indices are 2..9.  For every admitting set A of
+    # them, a scan that finds A's bones in either order, stopping at the first
+    # refuting one, gives the constraint's meaning on A.
+    assert list(harness.ADMITTING_CONSTRAINTS) == ["any", *_ADMITTING_MEANING]
+    n = 13
+    masks = build_graph(n, [(i, i + 1) for i in range(n - 1)]).adjacency_masks()
+    order = ()
+
+    def scan(masks, centres, wanted, stop):
+        found = {}
+        for i in order:
+            assert i in wanted
+            found[i] = None
+            if i in stop:
+                break
+        return found
+
+    monkeypatch.setattr(harness, "_bone_scan", scan)
+    for r in range(9):
+        for A in combinations(range(2, 10), r):
+            for order in (A, A[::-1]):
+                for name, meaning in _ADMITTING_MEANING.items():
+                    got = harness._satisfies(masks, SearchConstraints(n, admitting=name), 0, 0)
+                    assert got == meaning(frozenset(A)), (name, order)
+    # the search's unmeetable orders: odd needs an odd index >= 3, even one >= 2
+    unmeetable = {(m, name) for m in range(1, 91) for name in harness.ADMITTING_CONSTRAINTS
+                  if not harness._satisfiable(name, m)}
+    assert unmeetable == {(m, "odd") for m in range(1, 7)} | {(m, "even") for m in range(1, 6)}
 
 
 def test_admitting_constraints_answer_a_sparse_80_vertex_graph_at_once():

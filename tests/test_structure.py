@@ -280,7 +280,8 @@ def test_bone_search_on_sparse_80_vertex_graph_ends(monkeypatch):
     G = random_connected(80, 0.05, 1)
     for name, constraint in ADMITTING_CONSTRAINTS.items():
         if constraint is not None:
-            stop = frozenset(filter(constraint.refuted_by, range(2, G.n - 3)))
+            _, refuted_by = constraint
+            stop = frozenset(filter(refuted_by, range(2, G.n - 3)))
             masks = G.adjacency_masks()
             found = structure._bone_scan(masks, structure._claw_centres(masks),
                                          set(range(2, G.n - 3)), stop)
